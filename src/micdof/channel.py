@@ -9,6 +9,7 @@ directed links (every node is full duplex, self-links included).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -104,6 +105,12 @@ class ChannelRealization:
     realization was sampled with ``extended=True``, ``extended_links`` maps
     every ordered node pair (i, j) to the matrix of the link from node j to
     node i, sixteen in total; otherwise it is None.
+
+    Geometry derived from the links (the stacked receiver matrices ``rx1`` and
+    ``rx2``, spectral norms, null-space bases) is computed on first use and
+    cached on the realization, so every DOF point, verdict and rate evaluated
+    on the same channel shares it.  Cached arrays are read-only, like the
+    links themselves: writing to them raises ValueError.
     """
 
     h31: np.ndarray
@@ -112,6 +119,7 @@ class ChannelRealization:
     h42: np.ndarray
     seed: int
     extended_links: dict[tuple[int, int], np.ndarray] | None = field(default=None)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def config(self) -> AntennaConfig:
@@ -121,6 +129,30 @@ class ChannelRealization:
             n1=self.h31.shape[0],
             n2=self.h41.shape[0],
         )
+
+    @functools.cached_property
+    def rx1(self) -> np.ndarray:
+        """[h31 h32]: the channel from both transmitters to receiver 1."""
+        return _freeze(np.hstack([self.h31, self.h32]))
+
+    @functools.cached_property
+    def rx2(self) -> np.ndarray:
+        """[h41 h42]: the channel from both transmitters to receiver 2."""
+        return _freeze(np.hstack([self.h41, self.h42]))
+
+    def spectral_norm(self, link: str) -> float:
+        """Largest singular value of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
+        key = ("norm", link)
+        if key not in self._memo:
+            self._memo[key] = float(np.linalg.norm(getattr(self, link), 2))
+        return self._memo[key]
+
+    def null_basis(self, link: str) -> tuple[np.ndarray, ...]:
+        """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
+        key = ("null", link)
+        if key not in self._memo:
+            self._memo[key] = tuple(_freeze(v) for v in null_space(getattr(self, link)))
+        return self._memo[key]
 
     def matches(self, config: AntennaConfig) -> bool:
         m1, m2, n1, n2 = config.counts
@@ -154,6 +186,23 @@ def is_full_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> bool:
         return False
     singular = np.linalg.svd(matrix, compute_uv=False)
     return bool(singular[0] > 0.0 and singular[-1] > rtol * singular[0])
+
+
+def null_space(matrix: np.ndarray, rtol: float = RANK_RTOL) -> list[np.ndarray]:
+    """Orthonormal basis of the kernel, as a list of vectors.
+
+    Basis size equals columns minus rank; every vector v satisfies
+    ||matrix @ v|| <= rtol * ||matrix|| * ||v||.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if matrix.shape[1] < 1:
+        raise ValueError("matrix must have at least one column")
+    _, singular, vt = np.linalg.svd(matrix, full_matrices=True)
+    if singular.size == 0 or singular[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(singular > rtol * singular[0]))
+    return [vt[i] for i in range(rank, matrix.shape[1])]
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:

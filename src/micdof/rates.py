@@ -107,7 +107,7 @@ def _orthocomplement_basis(columns: np.ndarray, scale: float) -> np.ndarray:
     if columns.size == 0:
         return np.eye(rows)
     u, singular, _ = np.linalg.svd(columns, full_matrices=True)
-    rank = int(np.sum(singular > RANK_RTOL * scale))
+    rank = int(np.count_nonzero(singular > RANK_RTOL * scale))
     return u[:, rank:]
 
 
@@ -139,11 +139,11 @@ def _stream_powers(scheme: ZfScheme, rho: float) -> tuple[np.ndarray, np.ndarray
 
 def _receiver_rate(
     full_channel: np.ndarray,
+    scale: float,
     signal_cols: np.ndarray,
     interference_cols: np.ndarray | None,
     powers: np.ndarray,
 ) -> float:
-    scale = float(np.linalg.norm(full_channel, 2))
     if signal_cols.shape[1] == 0:
         return 0.0
     received = full_channel @ signal_cols
@@ -170,18 +170,18 @@ def achievable_rates(
             "rates are undefined"
         )
     p1, p2 = _stream_powers(scheme, rho)
-    rx1 = np.hstack([channel.h31, channel.h32])
-    rx2 = np.hstack([channel.h41, channel.h42])
     w1_cols = scheme.w1_embedded()
     w2_cols = scheme.w2_embedded()
     r1 = _receiver_rate(
-        rx1,
+        channel.rx1,
+        channel.spectral_norm("rx1"),
         signal_cols=w1_cols,
         interference_cols=None if scheme.scenario.r1 else w2_cols,
         powers=p1,
     )
     r2 = _receiver_rate(
-        rx2,
+        channel.rx2,
+        channel.spectral_norm("rx2"),
         signal_cols=w2_cols,
         interference_cols=None if scheme.scenario.r2 else w1_cols,
         powers=p2,

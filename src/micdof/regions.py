@@ -265,30 +265,45 @@ class AchievableSet:
         return tuple(point) in self.points
 
 
+def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
+    """Whether the integer pair (d1, d2) is achievable by zero forcing.
+
+    It is when both counts are nonnegative and the two transmit-side
+    dimension constraints and the two receive-side separation constraints
+    all hold.  A receiver that is not cognitive must keep the streams of the
+    other message that cannot be nulled at it apart from its own.
+    """
+    m1, m2, n1, n2 = config.m1, config.m2, config.n1, config.n2
+    t1, t2 = scenario.t1, scenario.t2
+    # _pos(t1*m1 + m2 - n1) streams of W2 cannot be nulled at receiver 1,
+    # and _pos(m1 + t2*m2 - n2) streams of W1 cannot be nulled at receiver 2.
+    return (
+        d1 >= 0
+        and d2 >= 0
+        and t1 * d1 + d2 <= t1 * m1 + m2
+        and d1 + t2 * d2 <= m1 + t2 * m2
+        and d1 + (0 if scenario.r1 else _pos(d2 - _pos(t1 * m1 + m2 - n1))) <= n1
+        and d2 + (0 if scenario.r2 else _pos(d1 - _pos(m1 + t2 * m2 - n2))) <= n2
+    )
+
+
 def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> AchievableSet:
     """Enumerate the achievable integer DOF pairs.
 
-    A pair (d1, d2) is achievable by zero forcing when the two transmit-side
-    dimension constraints and the two receive-side separation constraints all
-    hold; the enumeration box [0, m1+m2]^2 provably contains every solution.
+    Every left-hand side in ``_achievable`` is nondecreasing in d1 and d2, so
+    the achievable set is closed under lowering either count: it is walked
+    column by column from (0, 0), each column ending at its first
+    unachievable pair.  The walk ends because the transmit-side constraints
+    bound both counts by m1 + m2.
     """
-    m1, m2, n1, n2 = config.counts
-    t1, t2, r1, r2 = scenario.bits
-    w2_overflow = _pos(t1 * m1 + m2 - n1)  # streams of W2 that cannot be nulled at rx1
-    w1_overflow = _pos(m1 + t2 * m2 - n2)
-    box = m1 + m2
     points = set()
-    for d1 in range(box + 1):
-        for d2 in range(box + 1):
-            if t1 * d1 + d2 > t1 * m1 + m2:
-                continue
-            if d1 + t2 * d2 > m1 + t2 * m2:
-                continue
-            if d1 + (0 if r1 else _pos(d2 - w2_overflow)) > n1:
-                continue
-            if d2 + (0 if r2 else _pos(d1 - w1_overflow)) > n2:
-                continue
+    d1 = 0
+    while _achievable(config, scenario, d1, 0):
+        d2 = 0
+        while _achievable(config, scenario, d1, d2):
             points.add((d1, d2))
+            d2 += 1
+        d1 += 1
     return AchievableSet(points=frozenset(points), config=config, scenario=scenario)
 
 

@@ -22,9 +22,10 @@ from .channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    null_space,
     sample_channel,
 )
-from .regions import inner_points
+from .regions import _achievable, inner_points
 
 
 class AchievabilityError(ValueError):
@@ -48,24 +49,7 @@ def matrix_rank(matrix: np.ndarray, scale: float | None = None) -> int:
     reference = float(singular[0]) if scale is None else float(scale)
     if reference <= 0.0:
         return 0
-    return int(np.sum(singular > RANK_RTOL * reference))
-
-
-def null_space(matrix: np.ndarray, rtol: float = RANK_RTOL) -> list[np.ndarray]:
-    """Orthonormal basis of the kernel, as a list of vectors.
-
-    Basis size equals columns minus rank; every vector v satisfies
-    ||matrix @ v|| <= rtol * ||matrix|| * ||v||.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.shape[1] < 1:
-        raise ValueError("matrix must have at least one column")
-    _, singular, vt = np.linalg.svd(matrix, full_matrices=True)
-    if singular.size == 0 or singular[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(singular > rtol * singular[0]))
-    return [vt[i] for i in range(rank, matrix.shape[1])]
+    return int(np.count_nonzero(singular > RANK_RTOL * reference))
 
 
 @dataclass(frozen=True)
@@ -140,13 +124,13 @@ class SchemeDiagnostics:
         return self.decodable_w1 and self.decodable_w2
 
 
-def _cross_channel_w1(channel: ChannelRealization, t2: bool) -> np.ndarray:
-    """Channel from W1's active transmit space to receiver 2."""
-    return np.hstack([channel.h41, channel.h42]) if t2 else channel.h41
+def _cross_link_w1(t2: bool) -> str:
+    """Name of the link from W1's active transmit space to receiver 2."""
+    return "rx2" if t2 else "h41"
 
 
-def _cross_channel_w2(channel: ChannelRealization, t1: bool) -> np.ndarray:
-    return np.hstack([channel.h31, channel.h32]) if t1 else channel.h32
+def _cross_link_w2(t1: bool) -> str:
+    return "rx1" if t1 else "h32"
 
 
 def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -162,14 +146,15 @@ def _message_vectors(
     rng: np.random.Generator,
     streams: int,
     active_dim: int,
-    cross: np.ndarray,
+    channel: ChannelRealization,
+    cross_link: str,
     opposite_cognitive: bool,
 ) -> list[np.ndarray]:
     vectors: list[np.ndarray] = []
     if streams == 0:
         return vectors
     if not opposite_cognitive:
-        vectors.extend(null_space(cross)[:streams])
+        vectors.extend(channel.null_basis(cross_link)[:streams])
     while len(vectors) < streams:
         vectors.append(_isotropic(rng, active_dim))
     return vectors
@@ -192,7 +177,7 @@ def build_scheme(
         raise ValueError(
             f"channel realization has shapes for {channel.config}, expected {config}"
         )
-    if (d1, d2) not in inner_points(config, scenario):
+    if (d1, d2) != (int(d1), int(d2)) or not _achievable(config, scenario, d1, d2):
         raise AchievabilityError(
             f"point ({d1},{d2}) is not in the achievable integer set for "
             f"config {config}, scenario {scenario}"
@@ -205,14 +190,16 @@ def build_scheme(
         rng,
         streams=d1,
         active_dim=m1 + (m2 if scenario.t2 else 0),
-        cross=_cross_channel_w1(channel, scenario.t2),
+        channel=channel,
+        cross_link=_cross_link_w1(scenario.t2),
         opposite_cognitive=scenario.r2,
     )
     w2 = _message_vectors(
         rng,
         streams=d2,
         active_dim=(m1 if scenario.t1 else 0) + m2,
-        cross=_cross_channel_w2(channel, scenario.t1),
+        channel=channel,
+        cross_link=_cross_link_w2(scenario.t1),
         opposite_cognitive=scenario.r1,
     )
     return ZfScheme(
@@ -229,12 +216,12 @@ def build_scheme(
 
 def _receiver_diagnostics(
     full_channel: np.ndarray,
+    scale: float,
     signal_cols: np.ndarray,
     interference_cols: np.ndarray | None,
     antennas: int,
     streams: int,
 ) -> tuple[int, int, int, bool]:
-    scale = float(np.linalg.norm(full_channel, 2))
     received_signal = full_channel @ signal_cols
     signal_dim = matrix_rank(received_signal, scale=scale)
     if interference_cols is None or interference_cols.shape[1] == 0:
@@ -265,19 +252,19 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
     """
     if not channel.matches(scheme.config):
         raise ValueError("channel does not match the scheme's configuration")
-    rx1 = np.hstack([channel.h31, channel.h32])
-    rx2 = np.hstack([channel.h41, channel.h42])
     w1_cols = scheme.w1_embedded()
     w2_cols = scheme.w2_embedded()
     s1, i1, x1, dec1 = _receiver_diagnostics(
-        rx1,
+        channel.rx1,
+        channel.spectral_norm("rx1"),
         signal_cols=w1_cols,
         interference_cols=None if scheme.scenario.r1 else w2_cols,
         antennas=scheme.config.n1,
         streams=scheme.d1,
     )
     s2, i2, x2, dec2 = _receiver_diagnostics(
-        rx2,
+        channel.rx2,
+        channel.spectral_norm("rx2"),
         signal_cols=w2_cols,
         interference_cols=None if scheme.scenario.r2 else w1_cols,
         antennas=scheme.config.n2,
@@ -298,14 +285,14 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
 def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
     """Worst relative leakage of the nulled streams at the opposite receiver."""
     worst = 0.0
-    cross1 = _cross_channel_w1(channel, scheme.scenario.t2)
-    norm1 = np.linalg.norm(cross1, 2)
-    for v in scheme.w1_vectors[: scheme.w1_nulled]:
-        worst = max(worst, float(np.linalg.norm(cross1 @ v)) / norm1)
-    cross2 = _cross_channel_w2(channel, scheme.scenario.t1)
-    norm2 = np.linalg.norm(cross2, 2)
-    for v in scheme.w2_vectors[: scheme.w2_nulled]:
-        worst = max(worst, float(np.linalg.norm(cross2 @ v)) / norm2)
+    for link, nulled in (
+        (_cross_link_w1(scheme.scenario.t2), scheme.w1_vectors[: scheme.w1_nulled]),
+        (_cross_link_w2(scheme.scenario.t1), scheme.w2_vectors[: scheme.w2_nulled]),
+    ):
+        cross = getattr(channel, link)
+        for v in nulled:
+            leak = float(np.linalg.norm(cross @ v))
+            worst = max(worst, leak / channel.spectral_norm(link))
     return worst
 
 
@@ -313,6 +300,25 @@ def transmit_rank(scheme: ZfScheme) -> int:
     """Rank of all d1 + d2 transmit vectors embedded in R^(m1+m2)."""
     stacked = np.hstack([scheme.w1_embedded(), scheme.w2_embedded()])
     return matrix_rank(stacked, scale=1.0)
+
+
+def _trial_verdict(
+    scheme: ZfScheme, channel: ChannelRealization
+) -> tuple[tuple[str, ...], float]:
+    """Judge one trial by the achievability pass rule.
+
+    Returns the criteria the trial fails (empty when it passes) and the
+    scheme's null residual.  The criteria are "decodable" (both messages
+    pass the receiver rank diagnostics), "null residual" (at most RANK_RTOL)
+    and "transmit rank" (the d1 + d2 transmit vectors are independent).
+    """
+    residual = null_residual(scheme, channel)
+    checks = (
+        ("decodable", verify_scheme(scheme, channel).all_decodable),
+        ("null residual", residual <= RANK_RTOL),
+        ("transmit rank", transmit_rank(scheme) == scheme.d1 + scheme.d2),
+    )
+    return tuple(name for name, ok in checks if not ok), residual
 
 
 @dataclass(frozen=True)
@@ -378,15 +384,9 @@ def _cell_passes(
     worst = 0.0
     for trial, ch in enumerate(channels):
         scheme = build_scheme(config, scenario, d1, d2, ch, seed=seed + trial)
-        diag = verify_scheme(scheme, ch)
-        residual = null_residual(scheme, ch)
+        failed, residual = _trial_verdict(scheme, ch)
         worst = max(worst, residual)
-        ok = (
-            diag.all_decodable
-            and residual <= RANK_RTOL
-            and transmit_rank(scheme) == d1 + d2
-        )
-        passes += int(ok)
+        passes += int(not failed)
     return SweepCell(
         config=config,
         scenario=scenario,

@@ -103,6 +103,18 @@ def test_realizations_are_read_only():
         ch.h31[0, 0] = 0.0
 
 
+def test_derived_geometry_is_cached_and_read_only():
+    ch = sample_channel(AntennaConfig(3, 2, 2, 2), seed=1)
+    assert ch.rx1 is ch.rx1
+    assert ch.spectral_norm("rx2") == float(np.linalg.norm(ch.rx2, 2))
+    basis = ch.null_basis("h41")
+    assert basis is ch.null_basis("h41") and len(basis) == 1
+    with pytest.raises(ValueError):
+        ch.rx1[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis[0][0] = 1.0
+
+
 def test_is_full_rank_detects_degeneracy():
     assert is_full_rank(np.eye(3))
     assert not is_full_rank(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from micdof.channel import CognitionScenario
 from micdof.cli import main
+from micdof.zf import _derived_seed, achievability_sweep
 
 
 def run(capsys, *argv):
@@ -143,6 +145,25 @@ def test_achieve_rejects_unachievable_point(capsys):
                        "--scenario", "0,0,0,0", "--point", "2,1")
     assert code == 1
     assert "not in the achievable integer set" in err
+
+
+def test_achieve_replays_a_sweep_cell(capsys):
+    # The sweep and the CLI share one trial verdict and one seed rule.
+    seed, trials = 11, 5
+    report = achievability_sweep(max_antennas=2, trials=trials, seed=seed)
+    cell = max(report.cells, key=lambda c: c.worst_null_residual)
+    assert cell.worst_null_residual > 0.0
+    s_index = CognitionScenario.all_scenarios().index(cell.scenario)
+    cell_seed = _derived_seed(seed, cell.config.counts, s_index)
+    code, out, _ = run(capsys, "achieve",
+                       "--config", ",".join(map(str, cell.config.counts)),
+                       "--scenario", ",".join(map(str, cell.scenario.bits)),
+                       "--point", "%d,%d" % cell.point, "--trials", str(trials),
+                       "--seed", str(cell_seed), "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["passes"] == cell.passes == trials
+    assert data["worst_null_residual"] == cell.worst_null_residual
 
 
 def test_achieve_zero_trials(capsys):

@@ -1,10 +1,18 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from micdof.channel import AntennaConfig, CognitionScenario, sample_channel
+from micdof import zf
+from micdof.channel import RANK_RTOL, AntennaConfig, CognitionScenario, sample_channel
+from micdof.regions import inner_points
 from micdof.zf import (
     AchievabilityError,
+    SweepCell,
     ZfScheme,
+    _derived_seed,
+    _trial_verdict,
     achievability_sweep,
     build_scheme,
     null_residual,
@@ -79,6 +87,8 @@ def test_build_scheme_rejects_unachievable_point():
     ch = sample_channel(config, seed=1)
     with pytest.raises(AchievabilityError, match="achievable"):
         build_scheme(config, scenario(0, 0, 0, 0), 2, 1, ch, seed=0)
+    with pytest.raises(AchievabilityError, match="achievable"):
+        build_scheme(config, scenario(0, 0, 0, 0), 0.5, 1, ch, seed=0)
 
 
 def test_build_scheme_rejects_mismatched_channel():
@@ -139,6 +149,43 @@ def test_cognitive_receiver_skips_nulling():
     assert verify_scheme(scheme, ch).all_decodable
 
 
+# ----------------------------------------------------------- trial verdict
+
+
+def test_trial_verdict_passes_a_built_scheme():
+    config = AntennaConfig(2, 2, 2, 2)
+    ch = sample_channel(config, seed=6)
+    scheme = build_scheme(config, scenario(1, 1, 0, 0), 2, 2, ch, seed=0)
+    assert _trial_verdict(scheme, ch) == ((), null_residual(scheme, ch))
+
+
+def test_trial_verdict_fails_a_random_null_vector():
+    # Receiver 2 has room for the leak, so only the residual criterion fails.
+    config = AntennaConfig(3, 1, 1, 2)
+    ch = sample_channel(config, seed=3)
+    scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 0, ch, seed=0)
+    assert scheme.w1_nulled == 1
+    vec = np.random.default_rng(1).standard_normal(3)
+    leaky = dataclasses.replace(
+        scheme, w1_vectors=(vec / np.linalg.norm(vec),) + scheme.w1_vectors[1:]
+    )
+    failed, residual = _trial_verdict(leaky, ch)
+    assert failed == ("null residual",)
+    assert residual > RANK_RTOL
+
+
+def test_trial_verdict_fails_a_duplicated_vector():
+    config = AntennaConfig(2, 2, 2, 2)
+    ch = sample_channel(config, seed=6)
+    scheme = build_scheme(config, scenario(1, 1, 0, 0), 2, 2, ch, seed=0)
+    first = scheme.w1_vectors[0]
+    doubled = dataclasses.replace(scheme, w1_vectors=(first, first))
+    failed, residual = _trial_verdict(doubled, ch)
+    assert "transmit rank" in failed and "null residual" not in failed
+    assert transmit_rank(doubled) == 3
+    assert residual <= RANK_RTOL
+
+
 # ------------------------------------------------------------------ sweeps
 
 
@@ -177,3 +224,60 @@ def test_sweep_two_antennas():
     report = achievability_sweep(max_antennas=2, trials=20, seed=1)
     assert report.all_passed
     assert report.total_trials == 20 * len(report.cells)
+
+
+def test_sweep_matches_a_loop_without_shared_geometry():
+    # Reference: every point samples its channels afresh, so no cached
+    # geometry is shared between points, and applies the pass rule inline.
+    seed, trials = 7, 2
+    expected = []
+    scenarios = CognitionScenario.all_scenarios()
+    for counts in itertools.product((1, 2), repeat=4):
+        config = AntennaConfig(*counts)
+        for s_index, sc in enumerate(scenarios):
+            cell_seed = _derived_seed(seed, counts, s_index)
+            for d1, d2 in sorted(inner_points(config, sc).points):
+                passes, worst = 0, 0.0
+                for trial in range(trials):
+                    ch = sample_channel(config, seed=cell_seed + trial)
+                    scheme = build_scheme(config, sc, d1, d2, ch, seed=cell_seed + trial)
+                    residual = null_residual(scheme, ch)
+                    worst = max(worst, residual)
+                    passes += int(
+                        verify_scheme(scheme, ch).all_decodable
+                        and residual <= RANK_RTOL
+                        and transmit_rank(scheme) == d1 + d2
+                    )
+                expected.append(SweepCell(config, sc, (d1, d2), trials, passes, worst))
+    report = achievability_sweep(max_antennas=2, trials=trials, seed=seed)
+    assert report.cells == tuple(expected)
+
+
+def test_sweep_derives_each_channel_geometry_once(monkeypatch):
+    # Operation counts, not timings: the spectral norms and null-space bases
+    # of a channel are computed once and shared by all points of its cell.
+    counts = {"channels": 0, "spectral_norms": 0, "null_space_svds": 0}
+    sample, norm, svd = zf.sample_channel, np.linalg.norm, np.linalg.svd
+
+    def counted_sample(*args, **kwargs):
+        counts["channels"] += 1
+        return sample(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            counts["spectral_norms"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    def counted_svd(a, full_matrices=True, *args, **kwargs):
+        if full_matrices and kwargs.get("compute_uv", True):
+            counts["null_space_svds"] += 1
+        return svd(a, full_matrices, *args, **kwargs)
+
+    monkeypatch.setattr(zf, "sample_channel", counted_sample)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    report = achievability_sweep(max_antennas=2, trials=1, seed=0)
+    assert report.total_trials == 1290
+    assert counts["channels"] == 256
+    assert counts["spectral_norms"] <= 4 * counts["channels"]
+    assert counts["null_space_svds"] <= 2 * counts["channels"]
