@@ -13,7 +13,6 @@ from .channel import (
     RANK_RTOL,
     sample_channel,
     swap_users,
-    validate_config,
 )
 from .regions import (
     AchievableSet,
@@ -63,7 +62,6 @@ __all__ = [
     "RANK_RTOL",
     "sample_channel",
     "swap_users",
-    "validate_config",
     "AchievableSet",
     "DofPoint",
     "Halfspace",

@@ -15,8 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# A matrix counts as full rank when its smallest singular value exceeds this
-# fraction of its largest one.  Scale-invariant and far above double noise.
+# The one rank rule: a singular value counts toward the rank when it exceeds
+# RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.  The scale
+# is the matrix's own largest singular value (`is_full_rank`, `null_space`,
+# and `zf.matrix_rank` by default), or the spectral norm of the channel the
+# matrix was received through (the receiver model in `zf`), so that leakage
+# of ~1e-16 counts as rank zero rather than full rank.  Either way the rule is
+# scale-invariant and far above double noise.
 RANK_RTOL = 1e-9
 
 _RESAMPLE_ATTEMPTS = 8
@@ -58,7 +63,7 @@ class AntennaConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AntennaConfig":
-        return validate_config(data["m1"], data["m2"], data["n1"], data["n2"])
+        return cls(m1=data["m1"], m2=data["m2"], n1=data["n1"], n2=data["n2"])
 
     def __str__(self) -> str:
         return f"({self.m1},{self.m2},{self.n1},{self.n2})"
@@ -97,7 +102,7 @@ class CognitionScenario:
         return "[%d,%d,%d,%d]" % self.bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One sampled set of real channel matrices for a given configuration.
 
@@ -110,7 +115,8 @@ class ChannelRealization:
     ``rx2``, spectral norms, null-space bases) is computed on first use and
     cached on the realization, so every DOF point, verdict and rate evaluated
     on the same channel shares it.  Cached arrays are read-only, like the
-    links themselves: writing to them raises ValueError.
+    links themselves: writing to them raises ValueError.  Realizations compare
+    and hash by identity.
     """
 
     h31: np.ndarray
@@ -119,7 +125,7 @@ class ChannelRealization:
     h42: np.ndarray
     seed: int
     extended_links: dict[tuple[int, int], np.ndarray] | None = field(default=None)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def config(self) -> AntennaConfig:
@@ -164,11 +170,6 @@ class ChannelRealization:
         )
 
 
-def validate_config(m1, m2, n1, n2) -> AntennaConfig:
-    """Build an AntennaConfig, rejecting any count below 1."""
-    return AntennaConfig(m1=m1, m2=m2, n1=n1, n2=n2)
-
-
 def swap_users(
     config: AntennaConfig, scenario: CognitionScenario
 ) -> tuple[AntennaConfig, CognitionScenario]:
@@ -180,29 +181,38 @@ def swap_users(
     return swapped_config, swapped_scenario
 
 
-def is_full_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> bool:
-    """True when the smallest singular value exceeds rtol times the largest."""
+def _rank(singular: np.ndarray, scale: float | None = None) -> int:
+    """Count of singular values above RANK_RTOL * scale (see RANK_RTOL).
+
+    ``singular`` is sorted descending, as numpy returns it; the scale
+    defaults to its largest entry, and an empty spectrum has rank 0.
+    """
+    if scale is None:
+        scale = singular[0] if singular.size else 0.0
+    if scale <= 0.0:
+        return 0
+    return int(np.count_nonzero(singular > RANK_RTOL * scale))
+
+
+def is_full_rank(matrix: np.ndarray) -> bool:
+    """True when every singular value counts toward the rank."""
     if matrix.size == 0:
         return False
     singular = np.linalg.svd(matrix, compute_uv=False)
-    return bool(singular[0] > 0.0 and singular[-1] > rtol * singular[0])
+    return _rank(singular) == singular.size
 
 
-def null_space(matrix: np.ndarray, rtol: float = RANK_RTOL) -> list[np.ndarray]:
+def null_space(matrix: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the kernel, as a list of vectors.
 
     Basis size equals columns minus rank; every vector v satisfies
-    ||matrix @ v|| <= rtol * ||matrix|| * ||v||.
+    ||matrix @ v|| <= RANK_RTOL * ||matrix|| * ||v||.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] < 1:
         raise ValueError("matrix must have at least one column")
     _, singular, vt = np.linalg.svd(matrix, full_matrices=True)
-    if singular.size == 0 or singular[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(singular > rtol * singular[0]))
-    return [vt[i] for i in range(rank, matrix.shape[1])]
+    return list(vt[_rank(singular):])
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:

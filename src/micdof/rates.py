@@ -1,12 +1,20 @@
 """Finite-SNR rates of ZF schemes and empirical DOF via sum-rate slopes.
 
-Rates are Gaussian log-det rates in bits per channel use: each receiver
-projects its observation onto the orthogonal complement of the residual
-interference subspace (a cognitive receiver first subtracts the message it
-knows, exactly), and the remaining effective MIMO channel is evaluated with
-unit noise.  Every transmitting node splits its power budget equally across
-its active streams.  The empirical DOF is the fitted slope of the sum rate
-against log2 of the transmit power, which must match the closed-form value.
+Rates are read from the same receiver model as the decodability
+diagnostics (``zf._receiver_model``): each receiver projects its observation
+off the residual interference subspace (a cognitive receiver first subtracts
+the message it knows, exactly) and decodes its own streams, with unit noise,
+in what is left.  Every transmitting node splits its power budget equally
+across its active streams, so all streams of a message get the same power
+rho / k (k: the stream count of the busiest node carrying the message), and
+the message's Gaussian log-det rate in bits per channel use is
+
+    sum_i log2(1 + (rho / k) * sigma_i^2)
+
+over the singular values sigma_i of the projected effective channel.  One
+receiver model per (scheme, channel) therefore gives the whole rate curve.
+The empirical DOF is the fitted slope of the sum rate against log2 of the
+transmit power, which must match the closed-form value.
 
 The cooperation probe evaluates, per transmit antenna, the genie-bound term
 log2(1 + ||h11_j||^2 rho / (1 + ||h41_j||^2 rho)): it saturates in rho, which
@@ -19,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    RANK_RTOL,
-    AntennaConfig,
-    ChannelRealization,
-    CognitionScenario,
-    sample_channel,
-)
+from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, build_scheme, verify_scheme
+from .zf import ZfScheme, _diagnose, _receiver_model, build_scheme
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -50,10 +52,7 @@ class RateSweep:
     intercept: float
 
     def __post_init__(self) -> None:
-        if len(self.rho_grid) < 3:
-            raise ValueError("rho grid must have at least 3 points")
-        if any(b <= a for a, b in zip(self.rho_grid, self.rho_grid[1:])):
-            raise ValueError("rho grid must be strictly increasing")
+        _check_grid(self.rho_grid)
         sums = self.sum_rates
         if any(b < a - 1e-9 * (1.0 + abs(a)) for a, b in zip(sums, sums[1:])):
             raise ValueError("rates must be nondecreasing in rho")
@@ -101,60 +100,40 @@ class CooperationGapReport:
         }
 
 
-def _orthocomplement_basis(columns: np.ndarray, scale: float) -> np.ndarray:
-    """Orthonormal basis of the complement of span(columns) in R^rows."""
-    rows = columns.shape[0]
-    if columns.size == 0:
-        return np.eye(rows)
-    u, singular, _ = np.linalg.svd(columns, full_matrices=True)
-    rank = int(np.count_nonzero(singular > RANK_RTOL * scale))
-    return u[:, rank:]
+def _streams_per_node(scheme: ZfScheme) -> tuple[int, int]:
+    """Per message, the stream count of the busiest node that carries it.
 
-
-def _stream_powers(scheme: ZfScheme, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stream powers under an equal split of each node's budget.
-
-    A stacked stream draws from both transmitters, so it gets the smaller of
-    the two per-node shares; every node then stays within its budget.
+    Each node splits its power budget equally across the streams it
+    carries.  A stacked stream draws from both transmitters, so it gets the
+    smaller of the two per-node shares and every node stays within its
+    budget: each stream of message i gets rho / k_i.
     """
-    node1_streams = scheme.d1 + (scheme.d2 if scheme.scenario.t1 else 0)
-    node2_streams = (scheme.d1 if scheme.scenario.t2 else 0) + scheme.d2
-    shares = []
-    for uses_node1, uses_node2 in (
-        (True, scheme.scenario.t2),
-        (scheme.scenario.t1, True),
-    ):
-        options = []
-        if uses_node1 and node1_streams > 0:
-            options.append(rho / node1_streams)
-        if uses_node2 and node2_streams > 0:
-            options.append(rho / node2_streams)
-        shares.append(min(options) if options else 0.0)
-    w1_share, w2_share = shares
+    t1, t2 = scheme.scenario.t1, scheme.scenario.t2
+    node1 = scheme.d1 + (scheme.d2 if t1 else 0)
+    node2 = (scheme.d1 if t2 else 0) + scheme.d2
+    return max(node1, node2 if t2 else 0, 1), max(node2, node1 if t1 else 0, 1)
+
+
+def _rate_model(
+    scheme: ZfScheme, channel: ChannelRealization
+) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+    """Per message: k_i and the squared singular values of its projected channel."""
+    receivers = _receiver_model(scheme, channel)
+    if not _diagnose(scheme, receivers).all_decodable:
+        raise UndecodableSchemeError(
+            "scheme fails decodability diagnostics on this channel; "
+            "rates are undefined"
+        )
+    k1, k2 = _streams_per_node(scheme)
+    return (k1, receivers[0].projected**2), (k2, receivers[1].projected**2)
+
+
+def _rates_at(model, rho: float) -> tuple[float, float]:
+    (k1, gains1), (k2, gains2) = model
     return (
-        np.full(scheme.d1, w1_share),
-        np.full(scheme.d2, w2_share),
+        float(np.sum(np.log2(1.0 + (rho / k1) * gains1))),
+        float(np.sum(np.log2(1.0 + (rho / k2) * gains2))),
     )
-
-
-def _receiver_rate(
-    full_channel: np.ndarray,
-    scale: float,
-    signal_cols: np.ndarray,
-    interference_cols: np.ndarray | None,
-    powers: np.ndarray,
-) -> float:
-    if signal_cols.shape[1] == 0:
-        return 0.0
-    received = full_channel @ signal_cols
-    if interference_cols is not None and interference_cols.shape[1] > 0:
-        basis = _orthocomplement_basis(full_channel @ interference_cols, scale)
-        effective = basis.T @ received
-    else:
-        effective = received
-    gram = effective @ np.diag(powers) @ effective.T
-    _, logdet = np.linalg.slogdet(np.eye(gram.shape[0]) + gram)
-    return float(logdet / np.log(2.0))
 
 
 def achievable_rates(
@@ -163,30 +142,7 @@ def achievable_rates(
     """Rates (bits/channel use) of both messages at transmit power rho."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    diagnostics = verify_scheme(scheme, channel)
-    if not diagnostics.all_decodable:
-        raise UndecodableSchemeError(
-            "scheme fails decodability diagnostics on this channel; "
-            "rates are undefined"
-        )
-    p1, p2 = _stream_powers(scheme, rho)
-    w1_cols = scheme.w1_embedded()
-    w2_cols = scheme.w2_embedded()
-    r1 = _receiver_rate(
-        channel.rx1,
-        channel.spectral_norm("rx1"),
-        signal_cols=w1_cols,
-        interference_cols=None if scheme.scenario.r1 else w2_cols,
-        powers=p1,
-    )
-    r2 = _receiver_rate(
-        channel.rx2,
-        channel.spectral_norm("rx2"),
-        signal_cols=w2_cols,
-        interference_cols=None if scheme.scenario.r2 else w1_cols,
-        powers=p2,
-    )
-    return r1, r2
+    return _rates_at(_rate_model(scheme, channel), rho)
 
 
 def fit_loglinear_slope(
@@ -204,12 +160,16 @@ def fit_loglinear_slope(
     return float(slope), float(intercept)
 
 
-def _validate_grid(rho_grid) -> tuple[float, ...]:
-    grid = tuple(float(r) for r in rho_grid)
+def _check_grid(grid: tuple[float, ...]) -> None:
     if len(grid) < 3:
         raise ValueError("rho grid must have at least 3 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("rho grid must be strictly increasing")
+
+
+def _validate_grid(rho_grid) -> tuple[float, ...]:
+    grid = tuple(float(r) for r in rho_grid)
+    _check_grid(grid)
     if grid[0] < SLOPE_GRID_MIN or grid[-1] > SLOPE_GRID_MAX:
         raise ValueError(
             f"rho grid must lie within [{SLOPE_GRID_MIN:g}, {SLOPE_GRID_MAX:g}]"
@@ -222,9 +182,10 @@ def estimate_dof_slope(
 ) -> RateSweep:
     """Evaluate rates over the grid and fit the empirical DOF slope."""
     grid = _validate_grid(rho_grid)
+    model = _rate_model(scheme, channel)
     r1_list, r2_list = [], []
     for rho in grid:
-        r1, r2 = achievable_rates(scheme, channel, rho)
+        r1, r2 = _rates_at(model, rho)
         r1_list.append(r1)
         r2_list.append(r2)
     sums = np.array(r1_list) + np.array(r2_list)

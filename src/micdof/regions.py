@@ -11,7 +11,6 @@ check exhaustively.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,8 +59,12 @@ def _cross(o: DofPoint, a: DofPoint, b: DofPoint) -> Fraction:
     return (a.d1 - o.d1) * (b.d2 - o.d2) - (a.d2 - o.d2) * (b.d1 - o.d1)
 
 
-def _convex_hull(points: Iterable[tuple[int, int]]) -> list[DofPoint]:
-    """Monotone-chain hull, counterclockwise, collinear interiors dropped."""
+def _convex_hull(
+    points: Iterable[tuple[Fraction | int, Fraction | int]],
+) -> list[DofPoint]:
+    """Monotone-chain hull, counterclockwise from the lexicographically
+    smallest point, collinear interiors dropped; a degenerate hull is its
+    sorted point or segment endpoints."""
     pts = sorted({_point(x, y) for x, y in points})
     if len(pts) <= 2:
         return pts
@@ -77,55 +80,6 @@ def _convex_hull(points: Iterable[tuple[int, int]]) -> list[DofPoint]:
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
     return hull if len(hull) >= 3 else sorted(set(hull))
-
-
-def _ccw_sorted(points: set[DofPoint]) -> list[DofPoint]:
-    """Sort points counterclockwise around their centroid, exactly."""
-    pts = list(points)
-    if len(pts) <= 2:
-        return sorted(pts)
-    n = len(pts)
-    cx = sum(p.d1 for p in pts) / n
-    cy = sum(p.d2 for p in pts) / n
-
-    def compare(p: DofPoint, q: DofPoint) -> int:
-        px, py = p.d1 - cx, p.d2 - cy
-        qx, qy = q.d1 - cx, q.d2 - cy
-        hp = 0 if (py > 0 or (py == 0 and px > 0)) else 1
-        hq = 0 if (qy > 0 or (qy == 0 and qx > 0)) else 1
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = px * qy - py * qx
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        # Same ray from the centroid: nearer point first, for determinism.
-        dp = px * px + py * py
-        dq = qx * qx + qy * qy
-        return -1 if dp < dq else (0 if dp == dq else 1)
-
-    ordered = sorted(pts, key=functools.cmp_to_key(compare))
-    # Rotate so the lexicographically smallest vertex leads.
-    start = ordered.index(min(ordered))
-    return ordered[start:] + ordered[:start]
-
-
-def _drop_collinear(ordered: list[DofPoint]) -> list[DofPoint]:
-    if len(ordered) <= 2:
-        return ordered
-    kept: list[DofPoint] = []
-    n = len(ordered)
-    for i, cur in enumerate(ordered):
-        prev = ordered[(i - 1) % n]
-        nxt = ordered[(i + 1) % n]
-        if _cross(prev, cur, nxt) != 0:
-            kept.append(cur)
-    if len(kept) >= 3:
-        return kept
-    # Fully collinear region: keep the extreme endpoints only.
-    flat = sorted(ordered)
-    return [flat[0]] if flat[0] == flat[-1] else [flat[0], flat[-1]]
 
 
 def _recession_direction(halfspaces: Iterable[Halfspace]) -> tuple[int, int] | None:
@@ -177,8 +131,7 @@ class Region2D:
                 found.add(candidate)
         if not found:
             raise ValueError("region is empty")
-        vertices = _drop_collinear(_ccw_sorted(found))
-        return cls(halfspaces=tuple(hs), vertices=tuple(vertices))
+        return cls(halfspaces=tuple(hs), vertices=tuple(_convex_hull(found)))
 
     @classmethod
     def from_integer_points(cls, points: Iterable[tuple[int, int]]) -> "Region2D":
@@ -212,9 +165,7 @@ class Region2D:
                 ex, ey = int(q.d1 - p.d1), int(q.d2 - p.d2)
                 halfspaces.append(Halfspace(ey, -ex, int(ey * p.d1 - ex * p.d2)))
         normalized = _dedup([h.normalized() for h in halfspaces])
-        start = hull.index(min(hull))
-        vertices = hull[start:] + hull[:start]
-        return cls(halfspaces=tuple(normalized), vertices=tuple(vertices))
+        return cls(halfspaces=tuple(normalized), vertices=tuple(hull))
 
     def contains(self, point: DofPoint) -> bool:
         return all(h.holds(point) for h in self.halfspaces)

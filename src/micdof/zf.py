@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    _rank,
     null_space,
     sample_channel,
 )
@@ -37,19 +39,14 @@ def _pos(x: int) -> int:
 
 
 def matrix_rank(matrix: np.ndarray, scale: float | None = None) -> int:
-    """Rank by singular values above RANK_RTOL times a reference scale.
+    """Rank under the RANK_RTOL rule, relative to ``scale`` when given."""
+    return _rank(_singular_values(matrix), scale)
 
-    ``scale`` anchors the threshold to the magnitude of the surrounding
-    problem (e.g. the channel norm) so that an all-leakage matrix of entries
-    ~1e-16 counts as rank zero rather than full rank.
-    """
+
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
     if matrix.size == 0:
-        return 0
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    reference = float(singular[0]) if scale is None else float(scale)
-    if reference <= 0.0:
-        return 0
-    return int(np.count_nonzero(singular > RANK_RTOL * reference))
+        return np.zeros(0)
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -214,26 +211,71 @@ def build_scheme(
     )
 
 
-def _receiver_diagnostics(
-    full_channel: np.ndarray,
-    scale: float,
+class _Receiver(NamedTuple):
+    """One receiver of a scheme on a channel.
+
+    ``signal_dim`` and ``interference_dim`` are the ranks of the received
+    intended streams H W_s and of the residual interference H W_i.
+    ``projected`` are the singular values of H W_s projected off the span of
+    H W_i, the effective channel the receiver decodes in, and
+    ``projected_dim`` is their rank.  Every rank is relative to the
+    receiver's channel norm.
+    """
+
+    signal_dim: int
+    interference_dim: int
+    projected_dim: int
+    projected: np.ndarray
+
+
+def _receiver(
+    channel: ChannelRealization,
+    link: str,
     signal_cols: np.ndarray,
     interference_cols: np.ndarray | None,
-    antennas: int,
-    streams: int,
-) -> tuple[int, int, int, bool]:
-    received_signal = full_channel @ signal_cols
-    signal_dim = matrix_rank(received_signal, scale=scale)
-    if interference_cols is None or interference_cols.shape[1] == 0:
-        interference_dim = 0
-        intersection_dim = 0
-    else:
-        received_intf = full_channel @ interference_cols
-        interference_dim = matrix_rank(received_intf, scale=scale)
-        union_dim = matrix_rank(
-            np.hstack([received_signal, received_intf]), scale=scale
+) -> _Receiver:
+    full_channel, scale = getattr(channel, link), channel.spectral_norm(link)
+    received = full_channel @ signal_cols
+    signal = _singular_values(received)
+    signal_dim = _rank(signal, scale)
+    interference_dim = 0
+    if interference_cols is not None and interference_cols.shape[1] > 0:
+        u, interference, _ = np.linalg.svd(
+            full_channel @ interference_cols, full_matrices=False
         )
-        intersection_dim = max(signal_dim + interference_dim - union_dim, 0)
+        interference_dim = _rank(interference, scale)
+    if interference_dim == 0:  # nothing to project off
+        return _Receiver(signal_dim, 0, signal_dim, signal)
+    span = u[:, :interference_dim]
+    projected = _singular_values(received - span @ (span.T @ received))
+    return _Receiver(signal_dim, interference_dim, _rank(projected, scale), projected)
+
+
+def _receiver_model(
+    scheme: ZfScheme, channel: ChannelRealization
+) -> tuple[_Receiver, _Receiver]:
+    """Both receivers of a scheme on a concrete channel.
+
+    Receiver 1 decodes W1 against the W2 streams, receiver 2 decodes W2
+    against the W1 streams; a cognitive receiver subtracts the message it
+    knows, so it sees no residual interference.
+    """
+    if not channel.matches(scheme.config):
+        raise ValueError("channel does not match the scheme's configuration")
+    w1_cols = scheme.w1_embedded()
+    w2_cols = scheme.w2_embedded()
+    r1, r2 = scheme.scenario.r1, scheme.scenario.r2
+    return (
+        _receiver(channel, "rx1", w1_cols, None if r1 else w2_cols),
+        _receiver(channel, "rx2", w2_cols, None if r2 else w1_cols),
+    )
+
+
+def _receiver_dims(
+    receiver: _Receiver, antennas: int, streams: int
+) -> tuple[int, int, int, bool]:
+    signal_dim, interference_dim = receiver.signal_dim, receiver.interference_dim
+    intersection_dim = max(signal_dim - receiver.projected_dim, 0)
     decodable = (
         signal_dim == streams
         and intersection_dim == 0
@@ -242,34 +284,13 @@ def _receiver_diagnostics(
     return signal_dim, interference_dim, intersection_dim, decodable
 
 
-def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
-    """Rank diagnostics of a scheme on a concrete channel.
-
-    At each receiver: rank of the received intended-signal subspace, rank of
-    the residual interference (zero for a cognitive receiver, which subtracts
-    the known message), and the dimension of their intersection via
-    dim(S) + dim(I) - dim(S+I).
-    """
-    if not channel.matches(scheme.config):
-        raise ValueError("channel does not match the scheme's configuration")
-    w1_cols = scheme.w1_embedded()
-    w2_cols = scheme.w2_embedded()
-    s1, i1, x1, dec1 = _receiver_diagnostics(
-        channel.rx1,
-        channel.spectral_norm("rx1"),
-        signal_cols=w1_cols,
-        interference_cols=None if scheme.scenario.r1 else w2_cols,
-        antennas=scheme.config.n1,
-        streams=scheme.d1,
-    )
-    s2, i2, x2, dec2 = _receiver_diagnostics(
-        channel.rx2,
-        channel.spectral_norm("rx2"),
-        signal_cols=w2_cols,
-        interference_cols=None if scheme.scenario.r2 else w1_cols,
-        antennas=scheme.config.n2,
-        streams=scheme.d2,
-    )
+def _diagnose(
+    scheme: ZfScheme, receivers: tuple[_Receiver, _Receiver]
+) -> SchemeDiagnostics:
+    """Rank diagnostics read from a scheme's receiver model."""
+    rx1, rx2 = receivers
+    s1, i1, x1, dec1 = _receiver_dims(rx1, scheme.config.n1, scheme.d1)
+    s2, i2, x2, dec2 = _receiver_dims(rx2, scheme.config.n2, scheme.d2)
     return SchemeDiagnostics(
         signal_dim_rx1=s1,
         interference_dim_rx1=i1,
@@ -280,6 +301,17 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
         decodable_w1=dec1,
         decodable_w2=dec2,
     )
+
+
+def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
+    """Rank diagnostics of a scheme on a concrete channel.
+
+    At each receiver: rank of the received intended-signal subspace, rank of
+    the residual interference (zero for a cognitive receiver, which subtracts
+    the known message), and the dimension of their intersection: the signal
+    dimensions lost when the signal is projected off the interference span.
+    """
+    return _diagnose(scheme, _receiver_model(scheme, channel))
 
 
 def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:

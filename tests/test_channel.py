@@ -8,7 +8,6 @@ from micdof.channel import (
     is_full_rank,
     sample_channel,
     swap_users,
-    validate_config,
 )
 
 counts = st.integers(min_value=1, max_value=6)
@@ -20,8 +19,9 @@ scenarios = st.builds(
 
 
 def test_validate_config_accepts_valid():
-    assert validate_config(2, 2, 2, 2) == AntennaConfig(2, 2, 2, 2)
-    assert validate_config(1, 5, 5, 1) == AntennaConfig(1, 5, 5, 1)
+    assert AntennaConfig(2, 2, 2, 2).counts == (2, 2, 2, 2)
+    data = {"m1": 1, "m2": 5, "n1": 5, "n2": 1}
+    assert AntennaConfig.from_json_dict(data) == AntennaConfig(1, 5, 5, 1)
 
 
 @pytest.mark.parametrize("bad,field", [
@@ -32,7 +32,9 @@ def test_validate_config_accepts_valid():
 ])
 def test_validate_config_names_offending_field(bad, field):
     with pytest.raises(ValueError, match=field):
-        validate_config(*bad)
+        AntennaConfig(*bad)
+    with pytest.raises(ValueError, match=field):
+        AntennaConfig.from_json_dict(dict(zip(("m1", "m2", "n1", "n2"), bad)))
 
 
 def test_sixteen_distinct_scenarios_roundtrip():
@@ -101,6 +103,14 @@ def test_realizations_are_read_only():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=1)
     with pytest.raises(ValueError):
         ch.h31[0, 0] = 0.0
+
+
+def test_realizations_compare_and_hash_by_identity():
+    config = AntennaConfig(2, 2, 2, 2)
+    a = sample_channel(config, seed=1)
+    b = sample_channel(config, seed=1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_derived_geometry_is_cached_and_read_only():

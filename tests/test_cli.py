@@ -137,7 +137,7 @@ def test_achieve_passes(capsys):
                        "--scenario", "0,1,0,1", "--point", "1,1",
                        "--trials", "50")
     assert code == 0
-    assert "50/50" in out
+    assert "50/50 trials passed" in out
 
 
 def test_achieve_rejects_unachievable_point(capsys):

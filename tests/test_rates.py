@@ -14,7 +14,7 @@ from micdof.rates import (
     fit_loglinear_slope,
     simulate_point,
 )
-from micdof.regions import dof_formula
+from micdof.regions import dof_formula, inner_points
 from micdof.zf import ZfScheme, build_scheme
 
 
@@ -80,6 +80,78 @@ def test_rates_monotone_in_power():
     sweep = estimate_dof_slope(scheme, ch, default_rho_grid(1e4, 1e10, 7))
     sums = sweep.sum_rates
     assert all(b >= a for a, b in zip(sums, sums[1:]))
+
+
+def _slogdet_rates(scheme, ch, rho):
+    # Reference: project onto an orthonormal basis of the complement of the
+    # received interference, then log det(I + G P G^T) with per-stream powers
+    # P from an equal split of each node's budget.
+    sc = scheme.scenario
+    node1 = scheme.d1 + (scheme.d2 if sc.t1 else 0)
+    node2 = (scheme.d1 if sc.t2 else 0) + scheme.d2
+    share1 = min((rho / n for n, used in ((node1, True), (node2, sc.t2)) if used and n),
+                 default=0.0)
+    share2 = min((rho / n for n, used in ((node1, sc.t1), (node2, True)) if used and n),
+                 default=0.0)
+    w1, w2 = scheme.w1_embedded(), scheme.w2_embedded()
+    rates = []
+    for full, norm, signal, intf, share in (
+        (ch.rx1, ch.spectral_norm("rx1"), w1, None if sc.r1 else w2, share1),
+        (ch.rx2, ch.spectral_norm("rx2"), w2, None if sc.r2 else w1, share2),
+    ):
+        effective = full @ signal
+        if intf is not None and intf.shape[1] > 0:
+            u, sv, _ = np.linalg.svd(full @ intf, full_matrices=True)
+            basis = u[:, int(np.count_nonzero(sv > 1e-9 * norm)):]
+            effective = basis.T @ effective
+        gram = share * effective @ effective.T
+        rates.append(np.linalg.slogdet(np.eye(gram.shape[0]) + gram)[1] / np.log(2.0))
+    return tuple(rates)
+
+
+@pytest.mark.parametrize("counts", [(2, 3, 3, 2), (3, 3, 3, 3)])
+def test_rates_match_slogdet_reference(counts):
+    config = AntennaConfig(*counts)
+    grid = default_rho_grid()
+    for sc in CognitionScenario.all_scenarios():
+        point = max(inner_points(config, sc).points, key=lambda p: (p[0] + p[1], p))
+        for seed in (0, 1, 2):
+            ch = sample_channel(config, seed=seed)
+            scheme = build_scheme(config, sc, *point, ch, seed=seed)
+            sweep = estimate_dof_slope(scheme, ch, grid)
+            for k, rho in enumerate(grid):
+                got = achievable_rates(scheme, ch, rho)
+                assert got == (sweep.r1_rates[k], sweep.r2_rates[k])
+                for new, old in zip(got, _slogdet_rates(scheme, ch, rho)):
+                    assert new == pytest.approx(old, rel=1e-7, abs=1e-12)
+
+
+def test_slope_reads_one_receiver_model(monkeypatch):
+    # Operation counts: the whole rate curve costs the SVDs of one rate point
+    # and no log-determinant.
+    config = AntennaConfig(3, 3, 3, 3)
+    ch = sample_channel(config, seed=5)
+    scheme = build_scheme(config, scenario(0, 0, 0, 0), 2, 1, ch, seed=5)
+    achievable_rates(scheme, ch, 1e4)  # fill the channel's cached norms
+    counts = {"svd": 0, "slogdet": 0}
+    svd, slogdet = np.linalg.svd, np.linalg.slogdet
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_slogdet(*args, **kwargs):
+        counts["slogdet"] += 1
+        return slogdet(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+    achievable_rates(scheme, ch, 1e4)
+    one_point = dict(counts)
+    counts.update(svd=0, slogdet=0)
+    estimate_dof_slope(scheme, ch, default_rho_grid(points=7))
+    assert one_point["svd"] > 0
+    assert counts == {"svd": one_point["svd"], "slogdet": 0}
 
 
 # -------------------------------------------------------------- regression
@@ -166,6 +238,19 @@ def test_bound_term_equal_rows_saturate_at_one_bit():
 def test_bound_term_slopes_vanish():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0, extended=True)
     assert max(bound_term_slopes(ch, (1e6, 1e8, 1e10))) < 0.01
+
+
+def test_bound_term_without_quieting_grows_one_bit_per_doubling():
+    # Negative control for the saturation check: with h41 = 0 the term is
+    # log2(1 + ||h11_j||^2 rho), whose slope in log2(rho) tends to 1.
+    sampled = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0, extended=True)
+    links = dict(sampled.extended_links)
+    links[(4, 1)] = np.zeros_like(sampled.h41)
+    ch = ChannelRealization(h31=sampled.h31, h32=sampled.h32, h41=links[(4, 1)],
+                            h42=sampled.h42, seed=0, extended_links=links)
+    slopes = bound_term_slopes(ch)
+    assert slopes == pytest.approx([1.0, 1.0], abs=1e-3)
+    assert max(slopes) >= 0.01  # the check's threshold: it would fail here
 
 
 def test_bound_term_decreases_with_quieting_gain():

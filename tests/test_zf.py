@@ -281,3 +281,55 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
     assert counts["channels"] == 256
     assert counts["spectral_norms"] <= 4 * counts["channels"]
     assert counts["null_space_svds"] <= 2 * counts["channels"]
+
+
+def _union_rank_diagnostics(scheme, ch):
+    # Reference: intersection dimension by dim(S) + dim(I) - dim(S + I), with
+    # the union rank taken from the stacked received columns.
+    def receiver(full, scale, signal_cols, interference_cols, antennas, streams):
+        signal = full @ signal_cols
+        s = zf.matrix_rank(signal, scale=scale)
+        if interference_cols is None or interference_cols.shape[1] == 0:
+            i = x = 0
+        else:
+            intf = full @ interference_cols
+            i = zf.matrix_rank(intf, scale=scale)
+            x = max(s + i - zf.matrix_rank(np.hstack([signal, intf]), scale=scale), 0)
+        return s, i, x, s == streams and x == 0 and s + i <= antennas
+
+    w1, w2 = scheme.w1_embedded(), scheme.w2_embedded()
+    sc = scheme.scenario
+    s1, i1, x1, dec1 = receiver(ch.rx1, ch.spectral_norm("rx1"), w1,
+                                None if sc.r1 else w2, scheme.config.n1, scheme.d1)
+    s2, i2, x2, dec2 = receiver(ch.rx2, ch.spectral_norm("rx2"), w2,
+                                None if sc.r2 else w1, scheme.config.n2, scheme.d2)
+    return zf.SchemeDiagnostics(s1, i1, x1, s2, i2, x2, dec1, dec2)
+
+
+def test_diagnostics_match_union_rank_reference():
+    seed, trials = 7, 2
+    scenarios = CognitionScenario.all_scenarios()
+    checked = 0
+    for counts in itertools.product((1, 2), repeat=4):
+        config = AntennaConfig(*counts)
+        for s_index, sc in enumerate(scenarios):
+            cell_seed = _derived_seed(seed, counts, s_index)
+            channels = [sample_channel(config, seed=cell_seed + t) for t in range(trials)]
+            for d1, d2 in sorted(inner_points(config, sc).points):
+                for trial, ch in enumerate(channels):
+                    scheme = build_scheme(config, sc, d1, d2, ch, seed=cell_seed + trial)
+                    assert verify_scheme(scheme, ch) == _union_rank_diagnostics(scheme, ch)
+                    checked += 1
+    assert checked == achievability_sweep(max_antennas=2, trials=trials, seed=seed).total_trials
+
+
+def test_diagnostics_see_an_intersecting_interference():
+    # Negative control for the projected rank: W2's stream is W1's own
+    # direction at receiver 1, so the signal is lost in the interference.
+    config = AntennaConfig(2, 2, 2, 2)
+    ch = sample_channel(config, seed=6)
+    scheme = build_scheme(config, scenario(1, 1, 0, 0), 1, 1, ch, seed=0)
+    aligned = dataclasses.replace(scheme, w2_vectors=scheme.w1_vectors)
+    diag = verify_scheme(aligned, ch)
+    assert diag.intersection_dim_rx1 == 1 and not diag.decodable_w1
+    assert diag == _union_rank_diagnostics(aligned, ch)
