@@ -18,13 +18,17 @@ import numpy as np
 # The one rank rule: a singular value counts toward the rank when it exceeds
 # RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.  The scale
 # is the matrix's own largest singular value (`is_full_rank`, `null_space`,
-# and `zf.matrix_rank` by default), or the spectral norm of the channel the
+# and `matrix_rank` by default), or the spectral norm of the channel the
 # matrix was received through (the receiver model in `zf`), so that leakage
 # of ~1e-16 counts as rank zero rather than full rank.  Either way the rule is
 # scale-invariant and far above double noise.
 RANK_RTOL = 1e-9
 
 _RESAMPLE_ATTEMPTS = 8
+
+# (receiver, transmitter) node pairs of h31, h32, h41, h42.
+_LINK_PAIRS = ((3, 1), (3, 2), (4, 1), (4, 2))
+_ALL_PAIRS = tuple(itertools.product((1, 2, 3, 4), repeat=2))
 
 
 class DegenerateChannelError(RuntimeError):
@@ -194,12 +198,20 @@ def _rank(singular: np.ndarray, scale: float | None = None) -> int:
     return int(np.count_nonzero(singular > RANK_RTOL * scale))
 
 
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
+    if matrix.size == 0:
+        return np.zeros(0)
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def matrix_rank(matrix: np.ndarray, scale: float | None = None) -> int:
+    """Rank under the RANK_RTOL rule, relative to ``scale`` when given."""
+    return _rank(_singular_values(matrix), scale)
+
+
 def is_full_rank(matrix: np.ndarray) -> bool:
     """True when every singular value counts toward the rank."""
-    if matrix.size == 0:
-        return False
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return _rank(singular) == singular.size
+    return matrix.size > 0 and matrix_rank(matrix) == min(matrix.shape)
 
 
 def null_space(matrix: np.ndarray) -> list[np.ndarray]:
@@ -229,45 +241,21 @@ def sample_channel(
     every matrix full rank almost surely; a rank failure at tolerance is
     retried with a derived seed up to 8 times before giving up.
     """
+    pairs = _ALL_PAIRS if extended else _LINK_PAIRS
     entropy = seed & (2**64 - 1)
     for attempt in range(_RESAMPLE_ATTEMPTS):
         rng = np.random.default_rng([entropy, attempt])
-        if extended:
-            links = {
-                (i, j): rng.standard_normal(
-                    (config.node_antennas(i), config.node_antennas(j))
-                )
-                for i in (1, 2, 3, 4)
-                for j in (1, 2, 3, 4)
-            }
-            matrices = {
-                "h31": links[(3, 1)],
-                "h32": links[(3, 2)],
-                "h41": links[(4, 1)],
-                "h42": links[(4, 2)],
-            }
-            to_check = list(links.values())
-        else:
-            links = None
-            matrices = {
-                "h31": rng.standard_normal((config.n1, config.m1)),
-                "h32": rng.standard_normal((config.n1, config.m2)),
-                "h41": rng.standard_normal((config.n2, config.m1)),
-                "h42": rng.standard_normal((config.n2, config.m2)),
-            }
-            to_check = list(matrices.values())
-        if all(is_full_rank(m) for m in to_check):
-            if links is not None:
-                links = {pair: _freeze(m) for pair, m in links.items()}
-                matrices = {
-                    "h31": links[(3, 1)],
-                    "h32": links[(3, 2)],
-                    "h41": links[(4, 1)],
-                    "h42": links[(4, 2)],
-                }
-            else:
-                matrices = {name: _freeze(m) for name, m in matrices.items()}
-            return ChannelRealization(seed=seed, extended_links=links, **matrices)
+        links = {
+            (i, j): rng.standard_normal((config.node_antennas(i), config.node_antennas(j)))
+            for i, j in pairs
+        }
+        if all(is_full_rank(m) for m in links.values()):
+            links = {pair: _freeze(m) for pair, m in links.items()}
+            return ChannelRealization(
+                *(links[pair] for pair in _LINK_PAIRS),
+                seed=seed,
+                extended_links=links if extended else None,
+            )
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
         f"{_RESAMPLE_ATTEMPTS} attempts; the generator looks degenerate"

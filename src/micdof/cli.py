@@ -1,8 +1,9 @@
 """Command-line front end: DOF formulas, regions, verification sweeps,
 achievability checks, and rate simulations, all reproducible by seed.
 
-Exit status is 0 only when every requested check met its threshold.  JSON
-output carries full precision; text output rounds to 4 significant digits.
+Exit status is 0 only when every requested check met its threshold, and 2
+when the arguments were rejected.  JSON output carries full precision; text
+output rounds to 4 significant digits.
 The MICDOF_OUTPUT_DIR environment variable, when set, is the base directory
 for relative output paths.
 """
@@ -18,10 +19,10 @@ from fractions import Fraction
 
 from .channel import AntennaConfig, CognitionScenario, sample_channel
 from .regions import (
+    _achievable,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
-    inner_points,
     inner_region,
     lemma5_holds,
     outer_region,
@@ -29,7 +30,7 @@ from .regions import (
     scenario_ordering_holds,
     sum_dof_lp,
 )
-from .zf import _trial_verdict, build_scheme
+from .zf import _cell_passes
 from .rates import (
     cooperation_dof_gap_check,
     default_rho_grid,
@@ -283,52 +284,40 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_achieve(args) -> int:
-    config, scenario = args.config, args.scenario
+def _point_is_achievable(args) -> bool:
+    """Whether --point is achievable; prints the error when it is not."""
+    if _achievable(args.config, args.scenario, *args.point):
+        return True
     d1, d2 = args.point
+    print(
+        f"error: point ({d1},{d2}) is not in the achievable integer set "
+        f"for config {args.config}, scenario {args.scenario}",
+        file=sys.stderr,
+    )
+    return False
+
+
+def _cmd_achieve(args) -> int:
+    """One sweep cell: the point's trials on channels seeded --seed + trial."""
     if args.trials < 0:
         print("error: --trials must be >= 0", file=sys.stderr)
         return 2
-    if (d1, d2) not in inner_points(config, scenario):
-        print(
-            f"error: point ({d1},{d2}) is not in the achievable integer set "
-            f"for config {config}, scenario {scenario}",
-            file=sys.stderr,
-        )
+    if not _point_is_achievable(args):
         return 1
-    passes = 0
-    worst = 0.0
-    for trial in range(args.trials):
-        channel = sample_channel(config, seed=args.seed + trial)
-        scheme = build_scheme(config, scenario, d1, d2, channel, seed=args.seed + trial)
-        failed, residual = _trial_verdict(scheme, channel)
-        worst = max(worst, residual)
-        passes += int(not failed)
-    report = {
-        "config": config.to_json_dict(),
-        "scenario": list(scenario.bits),
-        "point": [d1, d2],
-        "trials": args.trials,
-        "passes": passes,
-        "worst_null_residual": worst,
-    }
+    channels = [sample_channel(args.config, seed=args.seed + t) for t in range(args.trials)]
+    cell = _cell_passes(args.config, args.scenario, args.point, channels, seed=args.seed)
     if args.format == "json":
-        print(json.dumps(report))
+        print(json.dumps(cell.to_json_dict()))
     else:
-        print(f"{passes}/{args.trials} trials passed, "
-              f"worst null residual {_fmt(worst)}")
-    return 0 if passes == args.trials else 1
+        print(f"{cell.passes}/{cell.trials} trials passed, "
+              f"worst null residual {_fmt(cell.worst_null_residual)}")
+    return 0 if cell.passes == cell.trials else 1
 
 
 def _cmd_simulate(args) -> int:
     config, scenario = args.config, args.scenario
     d1, d2 = args.point
-    if (d1, d2) not in inner_points(config, scenario):
-        print(
-            f"error: point ({d1},{d2}) is not in the achievable integer set "
-            f"for config {config}, scenario {scenario}",
-            file=sys.stderr,
-        )
+    if not _point_is_achievable(args):
         return 1
     grid = default_rho_grid(args.rho_min, args.rho_max, args.points)
     sweep = simulate_point(config, scenario, d1, d2, trials=args.trials,
@@ -355,16 +344,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_coop_bound(args) -> int:
-    config = args.config
-    if config.n2 < config.m1:
-        print(
-            f"error: coop-bound requires n2 >= m1 (got n2={config.n2}, "
-            f"m1={config.m1})",
-            file=sys.stderr,
-        )
-        return 2
     report = cooperation_dof_gap_check(
-        config, trials=args.trials, seed=args.seed,
+        args.config, trials=args.trials, seed=args.seed,
         slope_threshold=COOP_SLOPE_THRESHOLD,
     )
     if args.format == "json":
@@ -389,9 +370,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args)
+    args = build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

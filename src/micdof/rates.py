@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _diagnose, _receiver_model, build_scheme
+from .zf import ZfScheme, _receiver_model, build_scheme
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -118,14 +118,14 @@ def _rate_model(
     scheme: ZfScheme, channel: ChannelRealization
 ) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
     """Per message: k_i and the squared singular values of its projected channel."""
-    receivers = _receiver_model(scheme, channel)
-    if not _diagnose(scheme, receivers).all_decodable:
+    diagnostics, projected1, projected2 = _receiver_model(scheme, channel)
+    if not diagnostics.all_decodable:
         raise UndecodableSchemeError(
             "scheme fails decodability diagnostics on this channel; "
             "rates are undefined"
         )
     k1, k2 = _streams_per_node(scheme)
-    return (k1, receivers[0].projected**2), (k2, receivers[1].projected**2)
+    return (k1, projected1**2), (k2, projected2**2)
 
 
 def _rates_at(model, rho: float) -> tuple[float, float]:
@@ -134,6 +134,15 @@ def _rates_at(model, rho: float) -> tuple[float, float]:
         float(np.sum(np.log2(1.0 + (rho / k1) * gains1))),
         float(np.sum(np.log2(1.0 + (rho / k2) * gains2))),
     )
+
+
+def _rate_curve(
+    scheme: ZfScheme, channel: ChannelRealization, grid: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both messages' rates over the grid, from one receiver model."""
+    model = _rate_model(scheme, channel)
+    r1_rates, r2_rates = zip(*(_rates_at(model, rho) for rho in grid))
+    return r1_rates, r2_rates
 
 
 def achievable_rates(
@@ -182,18 +191,13 @@ def estimate_dof_slope(
 ) -> RateSweep:
     """Evaluate rates over the grid and fit the empirical DOF slope."""
     grid = _validate_grid(rho_grid)
-    model = _rate_model(scheme, channel)
-    r1_list, r2_list = [], []
-    for rho in grid:
-        r1, r2 = _rates_at(model, rho)
-        r1_list.append(r1)
-        r2_list.append(r2)
-    sums = np.array(r1_list) + np.array(r2_list)
+    r1_rates, r2_rates = _rate_curve(scheme, channel, grid)
+    sums = np.array(r1_rates) + np.array(r2_rates)
     slope, intercept = fit_loglinear_slope(np.array(grid), sums)
     return RateSweep(
         rho_grid=grid,
-        r1_rates=tuple(r1_list),
-        r2_rates=tuple(r2_list),
+        r1_rates=r1_rates,
+        r2_rates=r2_rates,
         slope=slope,
         intercept=intercept,
     )
@@ -231,9 +235,9 @@ def simulate_point(
     for trial in range(trials):
         channel = sample_channel(config, seed=seed + trial)
         scheme = build_scheme(config, scenario, d1, d2, channel, seed=seed + trial)
-        sweep = estimate_dof_slope(scheme, channel, grid)
-        r1_acc += np.array(sweep.r1_rates)
-        r2_acc += np.array(sweep.r2_rates)
+        r1_rates, r2_rates = _rate_curve(scheme, channel, grid)
+        r1_acc += np.array(r1_rates)
+        r2_acc += np.array(r2_rates)
     r1_mean = r1_acc / trials
     r2_mean = r2_acc / trials
     slope, intercept = fit_loglinear_slope(np.array(grid), r1_mean + r2_mean)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,29 +23,16 @@ from .channel import (
     ChannelRealization,
     CognitionScenario,
     _rank,
+    _singular_values,
+    matrix_rank,
     null_space,
     sample_channel,
 )
-from .regions import _achievable, inner_points
+from .regions import _achievable, _pos, inner_points
 
 
 class AchievabilityError(ValueError):
     """Raised for DOF points outside the achievable integer set."""
-
-
-def _pos(x: int) -> int:
-    return x if x > 0 else 0
-
-
-def matrix_rank(matrix: np.ndarray, scale: float | None = None) -> int:
-    """Rank under the RANK_RTOL rule, relative to ``scale`` when given."""
-    return _rank(_singular_values(matrix), scale)
-
-
-def _singular_values(matrix: np.ndarray) -> np.ndarray:
-    if matrix.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(matrix, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -79,22 +65,24 @@ class ZfScheme:
 
     def w1_embedded(self) -> np.ndarray:
         """W1 vectors as columns in the full (m1+m2)-dim transmit space."""
-        m1, m2 = self.config.m1, self.config.m2
-        out = np.zeros((m1 + m2, self.d1))
-        for k, v in enumerate(self.w1_vectors):
-            out[:m1, k] = v[:m1]
-            if self.scenario.t2:
-                out[m1:, k] = v[m1:]
-        return out
+        return _embedded(self.w1_vectors, self.config.m1 + self.config.m2, at_end=False)
 
     def w2_embedded(self) -> np.ndarray:
-        m1, m2 = self.config.m1, self.config.m2
-        out = np.zeros((m1 + m2, self.d2))
-        for k, v in enumerate(self.w2_vectors):
-            if self.scenario.t1:
-                out[:m1, k] = v[:m1]
-            out[m1:, k] = v[-m2:]
-        return out
+        return _embedded(self.w2_vectors, self.config.m1 + self.config.m2, at_end=True)
+
+
+def _embedded(vectors: tuple[np.ndarray, ...], dim: int, at_end: bool) -> np.ndarray:
+    """Vectors of an active transmit space as columns of R^dim.
+
+    W1's active space (transmitter 1, then transmitter 2 when cognitive) is a
+    prefix of the full transmit space; W2's is a suffix.
+    """
+    out = np.zeros((dim, len(vectors)))
+    if vectors:
+        cols = np.array(vectors).T
+        start = dim - cols.shape[0] if at_end else 0
+        out[start : start + cols.shape[0]] = cols
+    return out
 
 
 @dataclass(frozen=True)
@@ -211,96 +199,67 @@ def build_scheme(
     )
 
 
-class _Receiver(NamedTuple):
-    """One receiver of a scheme on a channel.
-
-    ``signal_dim`` and ``interference_dim`` are the ranks of the received
-    intended streams H W_s and of the residual interference H W_i.
-    ``projected`` are the singular values of H W_s projected off the span of
-    H W_i, the effective channel the receiver decodes in, and
-    ``projected_dim`` is their rank.  Every rank is relative to the
-    receiver's channel norm.
-    """
-
-    signal_dim: int
-    interference_dim: int
-    projected_dim: int
-    projected: np.ndarray
-
-
 def _receiver(
     channel: ChannelRealization,
     link: str,
     signal_cols: np.ndarray,
     interference_cols: np.ndarray | None,
-) -> _Receiver:
+    antennas: int,
+) -> tuple[int, int, int, bool, np.ndarray]:
+    """One receiver of a scheme on a channel.
+
+    Returns the ranks of the received intended streams H W_s and of the
+    residual interference H W_i, the dimension of their intersection (the
+    signal dimensions lost when H W_s is projected off the span of H W_i),
+    whether the message is decodable, and the singular values of the
+    projected signal: the effective channel the receiver decodes in.  Every
+    rank is relative to the receiver's channel norm.
+    """
     full_channel, scale = getattr(channel, link), channel.spectral_norm(link)
     received = full_channel @ signal_cols
-    signal = _singular_values(received)
-    signal_dim = _rank(signal, scale)
-    interference_dim = 0
+    projected = _singular_values(received)  # until interference is projected off
+    signal_dim = _rank(projected, scale)
+    interference_dim = intersection_dim = 0
     if interference_cols is not None and interference_cols.shape[1] > 0:
         u, interference, _ = np.linalg.svd(
             full_channel @ interference_cols, full_matrices=False
         )
         interference_dim = _rank(interference, scale)
-    if interference_dim == 0:  # nothing to project off
-        return _Receiver(signal_dim, 0, signal_dim, signal)
-    span = u[:, :interference_dim]
-    projected = _singular_values(received - span @ (span.T @ received))
-    return _Receiver(signal_dim, interference_dim, _rank(projected, scale), projected)
+    if interference_dim:
+        span = u[:, :interference_dim]
+        projected = _singular_values(received - span @ (span.T @ received))
+        intersection_dim = max(signal_dim - _rank(projected, scale), 0)
+    decodable = (
+        signal_dim == signal_cols.shape[1]
+        and intersection_dim == 0
+        and signal_dim + interference_dim <= antennas
+    )
+    return signal_dim, interference_dim, intersection_dim, decodable, projected
 
 
 def _receiver_model(
     scheme: ZfScheme, channel: ChannelRealization
-) -> tuple[_Receiver, _Receiver]:
+) -> tuple[SchemeDiagnostics, np.ndarray, np.ndarray]:
     """Both receivers of a scheme on a concrete channel.
 
     Receiver 1 decodes W1 against the W2 streams, receiver 2 decodes W2
     against the W1 streams; a cognitive receiver subtracts the message it
-    knows, so it sees no residual interference.
+    knows, so it sees no residual interference.  Returns the rank
+    diagnostics and, per receiver, the projected singular values.
     """
     if not channel.matches(scheme.config):
         raise ValueError("channel does not match the scheme's configuration")
     w1_cols = scheme.w1_embedded()
     w2_cols = scheme.w2_embedded()
     r1, r2 = scheme.scenario.r1, scheme.scenario.r2
-    return (
-        _receiver(channel, "rx1", w1_cols, None if r1 else w2_cols),
-        _receiver(channel, "rx2", w2_cols, None if r2 else w1_cols),
+    n1, n2 = scheme.config.n1, scheme.config.n2
+    s1, i1, x1, dec1, projected1 = _receiver(
+        channel, "rx1", w1_cols, None if r1 else w2_cols, n1
     )
-
-
-def _receiver_dims(
-    receiver: _Receiver, antennas: int, streams: int
-) -> tuple[int, int, int, bool]:
-    signal_dim, interference_dim = receiver.signal_dim, receiver.interference_dim
-    intersection_dim = max(signal_dim - receiver.projected_dim, 0)
-    decodable = (
-        signal_dim == streams
-        and intersection_dim == 0
-        and signal_dim + interference_dim <= antennas
+    s2, i2, x2, dec2, projected2 = _receiver(
+        channel, "rx2", w2_cols, None if r2 else w1_cols, n2
     )
-    return signal_dim, interference_dim, intersection_dim, decodable
-
-
-def _diagnose(
-    scheme: ZfScheme, receivers: tuple[_Receiver, _Receiver]
-) -> SchemeDiagnostics:
-    """Rank diagnostics read from a scheme's receiver model."""
-    rx1, rx2 = receivers
-    s1, i1, x1, dec1 = _receiver_dims(rx1, scheme.config.n1, scheme.d1)
-    s2, i2, x2, dec2 = _receiver_dims(rx2, scheme.config.n2, scheme.d2)
-    return SchemeDiagnostics(
-        signal_dim_rx1=s1,
-        interference_dim_rx1=i1,
-        intersection_dim_rx1=x1,
-        signal_dim_rx2=s2,
-        interference_dim_rx2=i2,
-        intersection_dim_rx2=x2,
-        decodable_w1=dec1,
-        decodable_w2=dec2,
-    )
+    return SchemeDiagnostics(s1, i1, x1, s2, i2, x2, dec1, dec2), projected1, projected2
 
 
 def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
@@ -311,7 +270,7 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
     the known message), and the dimension of their intersection: the signal
     dimensions lost when the signal is projected off the interference span.
     """
-    return _diagnose(scheme, _receiver_model(scheme, channel))
+    return _receiver_model(scheme, channel)[0]
 
 
 def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:

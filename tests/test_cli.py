@@ -162,8 +162,8 @@ def test_achieve_replays_a_sweep_cell(capsys):
                        "--seed", str(cell_seed), "--format", "json")
     data = json.loads(out)
     assert code == 0
-    assert data["passes"] == cell.passes == trials
-    assert data["worst_null_residual"] == cell.worst_null_residual
+    assert cell.passes == trials
+    assert data == cell.to_json_dict()
 
 
 def test_achieve_zero_trials(capsys):
@@ -223,6 +223,26 @@ def test_coop_bound_single_stream(capsys):
     data = json.loads(out)
     assert data["dof_cooperation"] == 1
     assert data["upper_bounds"] == [1, 3]
+
+
+# ------------------------------------------------------------ argument errors
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--trials", "0"),
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--points", "2"),
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--rho-min", "1e3"),
+    ("coop-bound", "--config", "2,2,2,2", "--trials", "0"),
+])
+def test_library_argument_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------- reproducibility

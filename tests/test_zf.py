@@ -3,9 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from micdof import zf
-from micdof.channel import RANK_RTOL, AntennaConfig, CognitionScenario, sample_channel
+from micdof.channel import (
+    RANK_RTOL,
+    AntennaConfig,
+    ChannelRealization,
+    CognitionScenario,
+    sample_channel,
+)
 from micdof.regions import inner_points
 from micdof.zf import (
     AchievabilityError,
@@ -184,6 +191,32 @@ def test_trial_verdict_fails_a_duplicated_vector():
     assert "transmit rank" in failed and "null residual" not in failed
     assert transmit_rank(doubled) == 3
     assert residual <= RANK_RTOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.tuples(*[st.integers(1, 3)] * 4),
+    s_index=st.integers(0, 15),
+    k=st.integers(-6, 6),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_trial_verdict_is_scale_invariant(counts, s_index, k, seed, data):
+    # Every rank and residual is relative to a channel norm, so scaling all
+    # four links by 10^k changes no verdict.
+    config = AntennaConfig(*counts)
+    sc = CognitionScenario.all_scenarios()[s_index]
+    point = data.draw(st.sampled_from(sorted(inner_points(config, sc).points)))
+    ch = sample_channel(config, seed=seed)
+    scaled = ChannelRealization(
+        *(h * 10.0**k for h in (ch.h31, ch.h32, ch.h41, ch.h42)), seed=seed
+    )
+    failed, residual = _trial_verdict(build_scheme(config, sc, *point, ch, seed=seed), ch)
+    scaled_failed, scaled_residual = _trial_verdict(
+        build_scheme(config, sc, *point, scaled, seed=seed), scaled
+    )
+    assert scaled_failed == failed
+    assert scaled_residual == pytest.approx(residual, rel=0, abs=1e-12)
 
 
 # ------------------------------------------------------------------ sweeps
