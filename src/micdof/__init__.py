@@ -1,7 +1,7 @@
 """Degrees-of-freedom analysis of the two-user MIMO interference channel
 with cognitive message sharing and full-duplex cooperation.
 
-Exact rational-arithmetic DOF regions, closed-form DOF values, zero-forcing
+Exact integer-arithmetic DOF regions, closed-form DOF values, zero-forcing
 achievability on random channels, and high-SNR sum-rate slope estimation.
 """
 

@@ -1,19 +1,18 @@
 """Exact DOF-region computation for the two-user interference channel.
 
-Everything here is integer or rational arithmetic: regions are intersections
-of integer halfspaces, vertices are exact rational points, and the sum-DOF
-linear program is solved by evaluating the objective at every vertex.  The
-inner region is the convex hull of the achievable integer points; the outer
-region is the converse halfspace intersection; the two coincide, and a
+Everything here is integer arithmetic: regions are intersections of integer
+halfspaces, vertices are integer points, and the sum-DOF linear program is
+solved by evaluating the objective at every vertex.  The inner region is the
+convex hull of the achievable integer points; the outer region is the
+converse halfspace intersection, whose every bound limits d1, d2 or d1 + d2,
+so its at most five corners have a closed form.  The two coincide, and a
 closed-form minimum gives the same sum DOF, which the verification sweeps
 check exhaustively.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -38,34 +37,31 @@ class Halfspace(NamedTuple):
 
 
 class DofPoint(NamedTuple):
-    """A degrees-of-freedom pair, exact rationals."""
+    """A degrees-of-freedom pair of integers."""
 
-    d1: Fraction
-    d2: Fraction
+    d1: int
+    d2: int
 
 
 NONNEGATIVITY = (Halfspace(-1, 0, 0), Halfspace(0, -1, 0))
+
+# The normals of the outer bounds: d1 <= A, d2 <= B and d1 + d2 <= C.
+_BOUND_NORMALS = ((1, 0), (0, 1), (1, 1))
 
 
 def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-def _point(d1, d2) -> DofPoint:
-    return DofPoint(Fraction(d1), Fraction(d2))
-
-
-def _cross(o: DofPoint, a: DofPoint, b: DofPoint) -> Fraction:
+def _cross(o: DofPoint, a: DofPoint, b: DofPoint) -> int:
     return (a.d1 - o.d1) * (b.d2 - o.d2) - (a.d2 - o.d2) * (b.d1 - o.d1)
 
 
-def _convex_hull(
-    points: Iterable[tuple[Fraction | int, Fraction | int]],
-) -> list[DofPoint]:
+def _convex_hull(points: Iterable[tuple[int, int]]) -> list[DofPoint]:
     """Monotone-chain hull, counterclockwise from the lexicographically
     smallest point, collinear interiors dropped; a degenerate hull is its
     sorted point or segment endpoints."""
-    pts = sorted({_point(x, y) for x, y in points})
+    pts = sorted({DofPoint(x, y) for x, y in points})
     if len(pts) <= 2:
         return pts
     lower: list[DofPoint] = []
@@ -82,28 +78,9 @@ def _convex_hull(
     return hull if len(hull) >= 3 else sorted(set(hull))
 
 
-def _recession_direction(halfspaces: Iterable[Halfspace]) -> tuple[int, int] | None:
-    """A nonzero direction the region can recede along, if any.
-
-    Any extreme ray of the recession cone is orthogonal to some constraint
-    normal, so checking both rotations of every normal is exhaustive.
-    """
-    hs = list(halfspaces)
-    candidates = set()
-    for h in hs:
-        candidates.add((-h.a2, h.a1))
-        candidates.add((h.a2, -h.a1))
-    for rx, ry in candidates:
-        if rx == 0 and ry == 0:
-            continue
-        if all(h.a1 * rx + h.a2 * ry <= 0 for h in hs):
-            return (rx, ry)
-    return None
-
-
 @dataclass(frozen=True)
 class Region2D:
-    """A bounded convex 2-D region: integer halfspaces plus exact vertices.
+    """A bounded convex 2-D region: integer halfspaces plus integer vertices.
 
     Vertices are counterclockwise, deduplicated, and start at the
     lexicographically smallest one; degenerate regions keep only segment
@@ -115,23 +92,31 @@ class Region2D:
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Iterable[Halfspace]) -> "Region2D":
+        """The region {d >= 0, d1 <= A, d2 <= B, d1 + d2 <= C}.
+
+        Each halfspace must bound d1, d2 or d1 + d2 from above, or be one of
+        the nonnegativity halfspaces; any other is rejected.  Since d >= 0, a
+        sum bound also caps each count, so A and B are the smallest b over
+        the halfspaces each count appears in, and the region's corners are
+        integer points read off A, B and C.
+        """
         hs = _with_nonnegativity(halfspaces)
-        direction = _recession_direction(hs)
-        if direction is not None:
+        for h in hs:
+            if (h.a1, h.a2) not in _BOUND_NORMALS and h not in NONNEGATIVITY:
+                raise ValueError(
+                    f"unsupported halfspace {tuple(h)}: only upper bounds on "
+                    "d1, d2 and d1 + d2 are supported"
+                )
+        a = min((h.b for h in hs if h.a1 == 1), default=None)
+        b = min((h.b for h in hs if h.a2 == 1), default=None)
+        if a is None or b is None:
+            direction = (1, 0) if a is None else (0, 1)
             raise ValueError(f"region is unbounded or empty (recedes along {direction})")
-        found: set[DofPoint] = set()
-        for h, g in itertools.combinations(hs, 2):
-            det = h.a1 * g.a2 - h.a2 * g.a1
-            if det == 0:
-                continue
-            x = Fraction(h.b * g.a2 - h.a2 * g.b, det)
-            y = Fraction(h.a1 * g.b - h.b * g.a1, det)
-            candidate = DofPoint(x, y)
-            if all(other.holds(candidate) for other in hs):
-                found.add(candidate)
-        if not found:
+        if a < 0 or b < 0:
             raise ValueError("region is empty")
-        return cls(halfspaces=tuple(hs), vertices=tuple(_convex_hull(found)))
+        c = min((h.b for h in hs if h.a1 == h.a2 == 1), default=a + b)
+        corners = [(0, 0), (a, 0), (0, b), (a, min(b, c - a)), (min(a, c - b), b)]
+        return cls(halfspaces=tuple(hs), vertices=tuple(_convex_hull(corners)))
 
     @classmethod
     def from_integer_points(cls, points: Iterable[tuple[int, int]]) -> "Region2D":
@@ -143,27 +128,27 @@ class Region2D:
         if len(hull) == 1:
             (p,) = hull
             halfspaces += [
-                Halfspace(1, 0, int(p.d1)),
-                Halfspace(0, 1, int(p.d2)),
-                Halfspace(-1, 0, -int(p.d1)),
-                Halfspace(0, -1, -int(p.d2)),
+                Halfspace(1, 0, p.d1),
+                Halfspace(0, 1, p.d2),
+                Halfspace(-1, 0, -p.d1),
+                Halfspace(0, -1, -p.d2),
             ]
         elif len(hull) == 2:
             p, q = hull
-            ex, ey = int(q.d1 - p.d1), int(q.d2 - p.d2)
+            ex, ey = q.d1 - p.d1, q.d2 - p.d2
             # The carrier line from both sides, then caps at the endpoints.
             halfspaces += [
-                Halfspace(ey, -ex, int(ey * p.d1 - ex * p.d2)),
-                Halfspace(-ey, ex, int(-ey * p.d1 + ex * p.d2)),
-                Halfspace(ex, ey, int(ex * q.d1 + ey * q.d2)),
-                Halfspace(-ex, -ey, int(-ex * p.d1 - ey * p.d2)),
+                Halfspace(ey, -ex, ey * p.d1 - ex * p.d2),
+                Halfspace(-ey, ex, -ey * p.d1 + ex * p.d2),
+                Halfspace(ex, ey, ex * q.d1 + ey * q.d2),
+                Halfspace(-ex, -ey, -ex * p.d1 - ey * p.d2),
             ]
         else:
             n = len(hull)
             for i in range(n):
                 p, q = hull[i], hull[(i + 1) % n]
-                ex, ey = int(q.d1 - p.d1), int(q.d2 - p.d2)
-                halfspaces.append(Halfspace(ey, -ex, int(ey * p.d1 - ex * p.d2)))
+                ex, ey = q.d1 - p.d1, q.d2 - p.d2
+                halfspaces.append(Halfspace(ey, -ex, ey * p.d1 - ex * p.d2))
         normalized = _dedup([h.normalized() for h in halfspaces])
         return cls(halfspaces=tuple(normalized), vertices=tuple(hull))
 
@@ -189,7 +174,7 @@ class Region2D:
         return data
 
 
-def _frac_str(value: Fraction) -> str:
+def _frac_str(value: int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -269,7 +254,8 @@ def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D
     The two sum bounds tied to a cognitive transmitter are dropped exactly
     when that transmitter is cognitive, matching the closed-form minimum in
     dof_formula; a cognitive receiver on the same side relaxes max(...) to a
-    sum of the two counts.
+    sum of the two counts.  Every bound limits d1, d2 or d1 + d2, so the
+    region is {d >= 0, d1 <= A, d2 <= B, d1 + d2 <= C} with integer A, B, C.
     """
     m1, m2, n1, n2 = config.counts
     halfspaces = [
@@ -292,13 +278,10 @@ def regions_equal(a: Region2D, b: Region2D) -> bool:
     return set(a.vertices) == set(b.vertices)
 
 
-def sum_dof_lp(region: Region2D) -> Fraction:
+def sum_dof_lp(region: Region2D) -> int:
     """Maximize d1 + d2 over the region by checking every vertex."""
     if not region.vertices:
         raise ValueError("region has no vertices; empty regions have no maximum")
-    direction = _recession_direction(region.halfspaces)
-    if direction is not None:
-        raise ValueError(f"region is unbounded (recedes along {direction})")
     return max(v.d1 + v.d2 for v in region.vertices)
 
 
@@ -324,8 +307,7 @@ def dof_cooperation(config: AntennaConfig) -> int:
 
     Cooperation does not help: the value equals the no-cognition DOF.
     """
-    m1, m2, n1, n2 = config.counts
-    return min(m1 + m2, n1 + n2, max(m1, n2), max(m2, n1))
+    return dof_formula(config, CognitionScenario())
 
 
 def dof_cooperation_upper_bounds(config: AntennaConfig) -> tuple[int, int]:

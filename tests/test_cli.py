@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import micdof.cli
 from micdof.channel import CognitionScenario
 from micdof.cli import main
+from micdof.regions import Halfspace, Region2D, dof_cooperation, dof_formula, outer_region
 from micdof.zf import _derived_seed, achievability_sweep
 
 
@@ -123,6 +125,35 @@ def test_verify_lemma5_only(capsys):
     assert "lemma5: 81" in out
 
 
+def test_verify_fails_on_loosened_outer_bound(capsys, monkeypatch):
+    def loosened(config, scenario):
+        tight = Halfspace(1, 0, config.n1)
+        region = outer_region(config, scenario)
+        return Region2D.from_halfspaces(
+            h._replace(b=h.b + 1) if h == tight else h for h in region.halfspaces
+        )
+
+    monkeypatch.setattr(micdof.cli, "outer_region", loosened)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
+    assert code == 1
+    assert "FAIL: region mismatch" in out
+
+
+def test_verify_fails_on_wrong_formula(capsys, monkeypatch):
+    monkeypatch.setattr(micdof.cli, "dof_formula", lambda c, s: dof_formula(c, s) + 1)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
+    assert code == 1
+    assert "FAIL: formula/LP mismatch" in out
+
+
+def test_verify_fails_on_wrong_cooperation_dof(capsys, monkeypatch):
+    monkeypatch.setattr(micdof.cli, "dof_cooperation", lambda c: dof_cooperation(c) + 1)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "ordering")
+    assert code == 1
+    assert "FAIL: cooperation DOF differs" in out
+    assert out.endswith("FAIL (16 of 16 checks)\n")
+
+
 def test_verify_rejects_zero_antennas(capsys):
     code, _, err = run(capsys, "verify", "--max-antennas", "0")
     assert code == 2
@@ -143,7 +174,7 @@ def test_achieve_passes(capsys):
 def test_achieve_rejects_unachievable_point(capsys):
     code, _, err = run(capsys, "achieve", "--config", "2,2,2,2",
                        "--scenario", "0,0,0,0", "--point", "2,1")
-    assert code == 1
+    assert code == 2
     assert "not in the achievable integer set" in err
 
 
@@ -164,14 +195,6 @@ def test_achieve_replays_a_sweep_cell(capsys):
     assert code == 0
     assert cell.passes == trials
     assert data == cell.to_json_dict()
-
-
-def test_achieve_zero_trials(capsys):
-    code, out, _ = run(capsys, "achieve", "--config", "2,2,2,2",
-                       "--scenario", "0,1,0,1", "--point", "1,1",
-                       "--trials", "0")
-    assert code == 0
-    assert "0/0" in out
 
 
 # ------------------------------------------------------------------ simulate
@@ -196,7 +219,7 @@ def test_simulate_writes_csv_and_sidecar(tmp_path, capsys):
 def test_simulate_rejects_unachievable_point(capsys):
     code, _, err = run(capsys, "simulate", "--config", "1,1,1,1",
                        "--scenario", "0,0,0,0", "--point", "1,1")
-    assert code == 1
+    assert code == 2
     assert "not in the achievable integer set" in err
 
 
@@ -236,6 +259,8 @@ def test_coop_bound_single_stream(capsys):
     ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
      "--rho-min", "1e3"),
     ("coop-bound", "--config", "2,2,2,2", "--trials", "0"),
+    ("achieve", "--config", "2,2,2,2", "--scenario", "0,1,0,1", "--point", "1,1",
+     "--trials", "0"),
 ])
 def test_library_argument_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

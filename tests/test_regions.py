@@ -30,6 +30,43 @@ def pt(x, y):
     return DofPoint(Fraction(x), Fraction(y))
 
 
+def recession_direction(halfspaces):
+    """A nonzero direction the region can recede along, if any.
+
+    Any extreme ray of the recession cone is orthogonal to some constraint
+    normal, so checking both rotations of every normal is exhaustive.
+    """
+    hs = list(halfspaces)
+    candidates = set()
+    for h in hs:
+        candidates.add((-h.a2, h.a1))
+        candidates.add((h.a2, -h.a1))
+    for rx, ry in candidates:
+        if rx == 0 and ry == 0:
+            continue
+        if all(h.a1 * rx + h.a2 * ry <= 0 for h in hs):
+            return (rx, ry)
+    return None
+
+
+def reference_vertices(halfspaces):
+    """Vertices of a bounded region by intersecting every pair of boundary
+    lines in exact rationals and keeping the feasible intersections."""
+    hs = list(halfspaces)
+    found = set()
+    for h, g in itertools.combinations(hs, 2):
+        det = h.a1 * g.a2 - h.a2 * g.a1
+        if det == 0:
+            continue
+        candidate = DofPoint(
+            Fraction(h.b * g.a2 - h.a2 * g.b, det),
+            Fraction(h.a1 * g.b - h.b * g.a1, det),
+        )
+        if all(other.holds(candidate) for other in hs):
+            found.add(candidate)
+    return found
+
+
 def definition_membership(config, scenario, d1, d2):
     """The four achievability inequalities, written out independently."""
     m1, m2, n1, n2 = config.counts
@@ -151,6 +188,45 @@ def test_inner_outer_equality_small_sweep():
             assert regions_equal(inner_region(config, scenario), outer)
 
 
+def test_outer_region_matches_pairwise_intersection_reference():
+    # The closed-form corners against general vertex enumeration.
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        for scenario in CognitionScenario.all_scenarios():
+            outer = outer_region(config, scenario)
+            assert recession_direction(outer.halfspaces) is None
+            assert set(outer.vertices) == reference_vertices(outer.halfspaces)
+
+
+def test_region_vertices_are_python_ints():
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        for scenario in CognitionScenario.all_scenarios():
+            for region in (outer_region(config, scenario), inner_region(config, scenario)):
+                assert all(type(c) is int for v in region.vertices for c in v)
+
+
+def test_from_halfspaces_matches_reference_on_hand_built_bounds():
+    cases = [
+        [Halfspace(1, 1, 3)],
+        [Halfspace(1, 0, 2), Halfspace(0, 1, 2)],
+        [Halfspace(1, 0, 0), Halfspace(0, 1, 4), Halfspace(1, 1, 2)],
+        [Halfspace(2, 0, 4), Halfspace(0, 3, 3), Halfspace(1, 1, 9)],
+        [Halfspace(1, 0, 0), Halfspace(0, 1, 0)],
+    ]
+    for halfspaces in cases:
+        region = Region2D.from_halfspaces(halfspaces)
+        assert set(region.vertices) == reference_vertices(region.halfspaces)
+
+
+@pytest.mark.parametrize("halfspace", [
+    Halfspace(1, 2, 4), Halfspace(1, -1, 0), Halfspace(-1, 0, -1), Halfspace(2, 2, 3),
+])
+def test_from_halfspaces_rejects_other_normals(halfspace):
+    with pytest.raises(ValueError, match="unsupported halfspace"):
+        Region2D.from_halfspaces([Halfspace(1, 1, 5), halfspace])
+
+
 @settings(max_examples=40)
 @given(configs, scenarios)
 def test_every_region_vertex_is_integer_and_feasible(config, scenario):
@@ -193,12 +269,9 @@ def test_sum_dof_lp_rejects_empty():
 
 
 def test_sum_dof_lp_guards_hand_built_regions():
-    unbounded = Region2D(
-        halfspaces=(Halfspace(-1, 0, 0), Halfspace(0, -1, 0)),
-        vertices=(pt(0, 0),),
-    )
-    with pytest.raises(ValueError, match="unbounded"):
-        sum_dof_lp(unbounded)
+    # Regions from from_halfspaces are bounded by construction; the
+    # reference recession check still flags a hand-built unbounded one.
+    assert recession_direction((Halfspace(-1, 0, 0), Halfspace(0, -1, 0))) is not None
     empty = Region2D(halfspaces=(), vertices=())
     with pytest.raises(ValueError, match="no vertices"):
         sum_dof_lp(empty)
