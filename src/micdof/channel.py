@@ -154,8 +154,20 @@ class ChannelRealization:
         """Largest singular value of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
         key = ("norm", link)
         if key not in self._memo:
-            self._memo[key] = float(np.linalg.norm(getattr(self, link), 2))
+            ChannelRealization.spectral_norms([self], link)
         return self._memo[key]
+
+    @staticmethod
+    def spectral_norms(channels: list["ChannelRealization"], link: str) -> np.ndarray:
+        """``spectral_norm(link)`` of each channel; the uncached ones come from
+        one batched SVD (its first singular value is ``np.linalg.norm(x, 2)``)."""
+        key = ("norm", link)
+        missing = [ch for ch in channels if key not in ch._memo]
+        if missing:
+            stack = np.array([getattr(ch, link) for ch in missing])
+            for ch, top in zip(missing, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
+                ch._memo[key] = top
+        return np.array([ch._memo[key] for ch in channels])
 
     def null_basis(self, link: str) -> tuple[np.ndarray, ...]:
         """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
@@ -196,6 +208,11 @@ def _rank(singular: np.ndarray, scale: float | None = None) -> int:
     if scale <= 0.0:
         return 0
     return int(np.count_nonzero(singular > RANK_RTOL * scale))
+
+
+def _ranks(singular: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`_rank` over a leading batch axis, for positive scales (B,)."""
+    return (singular > RANK_RTOL * scale[:, None]).sum(axis=1)
 
 
 def _singular_values(matrix: np.ndarray) -> np.ndarray:

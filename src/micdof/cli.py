@@ -31,7 +31,7 @@ from .regions import (
     scenario_ordering_holds,
     sum_dof_lp,
 )
-from .zf import _cell_passes
+from .zf import _sweep_cells
 from .rates import (
     cooperation_dof_gap_check,
     default_rho_grid,
@@ -226,7 +226,7 @@ def _verify_regions(max_antennas: int) -> tuple[int, list[str]]:
                 continue
             if dof_formula(config, scenario) != sum_dof_lp(outer):
                 failures.append(f"formula/LP mismatch at {config} {scenario}")
-            if any(v.d1.denominator != 1 or v.d2.denominator != 1 for v in outer.vertices):
+            if any(type(v.d1) is not int or type(v.d2) is not int for v in outer.vertices):
                 failures.append(f"non-integer vertex at {config} {scenario}")
     return checks, failures
 
@@ -305,7 +305,7 @@ def _cmd_achieve(args) -> int:
         raise ValueError("--trials must be >= 1")
     _check_point(args)
     channels = [sample_channel(args.config, seed=args.seed + t) for t in range(args.trials)]
-    cell = _cell_passes(args.config, args.scenario, args.point, channels, seed=args.seed)
+    cell = _sweep_cells(args.config, [(args.scenario, args.point, channels, args.seed)])[0]
     if args.format == "json":
         print(json.dumps(cell.to_json_dict()))
     else:

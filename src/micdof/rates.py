@@ -1,7 +1,8 @@
 """Finite-SNR rates of ZF schemes and empirical DOF via sum-rate slopes.
 
 Rates are read from the same receiver model as the decodability
-diagnostics (``zf._receiver_model``): each receiver projects its observation
+diagnostics (``zf._receiver_models``; ``simulate_point`` runs all its
+trials through it as one batch): each receiver projects its observation
 off the residual interference subspace (a cognitive receiver first subtracts
 the message it knows, exactly) and decodes its own streams, with unit noise,
 in what is left.  Every transmitting node splits its power budget equally
@@ -29,7 +30,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _receiver_model, build_scheme
+from .zf import ZfScheme, _receiver_models, build_scheme
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -114,18 +115,21 @@ def _streams_per_node(scheme: ZfScheme) -> tuple[int, int]:
     return max(node1, node2 if t2 else 0, 1), max(node2, node1 if t1 else 0, 1)
 
 
-def _rate_model(
-    scheme: ZfScheme, channel: ChannelRealization
-) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
-    """Per message: k_i and the squared singular values of its projected channel."""
-    diagnostics, projected1, projected2 = _receiver_model(scheme, channel)
-    if not diagnostics.all_decodable:
+def _rate_models(
+    schemes: list[ZfScheme], channels: list[ChannelRealization]
+) -> list[tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]]:
+    """Per scheme, from one batched receiver model (the schemes share config
+    and point): per message, k_i and the squared projected singular values."""
+    models = _receiver_models(schemes, channels)
+    if not all(diagnostics.all_decodable for diagnostics, _, _ in models):
         raise UndecodableSchemeError(
             "scheme fails decodability diagnostics on this channel; "
             "rates are undefined"
         )
-    k1, k2 = _streams_per_node(scheme)
-    return (k1, projected1**2), (k2, projected2**2)
+    return [
+        ((k1, projected1**2), (k2, projected2**2))
+        for (k1, k2), (_, projected1, projected2) in zip(map(_streams_per_node, schemes), models)
+    ]
 
 
 def _rates_at(model, rho: float) -> tuple[float, float]:
@@ -136,11 +140,8 @@ def _rates_at(model, rho: float) -> tuple[float, float]:
     )
 
 
-def _rate_curve(
-    scheme: ZfScheme, channel: ChannelRealization, grid: tuple[float, ...]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _rate_curve(model, grid: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Both messages' rates over the grid, from one receiver model."""
-    model = _rate_model(scheme, channel)
     r1_rates, r2_rates = zip(*(_rates_at(model, rho) for rho in grid))
     return r1_rates, r2_rates
 
@@ -151,7 +152,7 @@ def achievable_rates(
     """Rates (bits/channel use) of both messages at transmit power rho."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return _rates_at(_rate_model(scheme, channel), rho)
+    return _rates_at(_rate_models([scheme], [channel])[0], rho)
 
 
 def fit_loglinear_slope(
@@ -191,7 +192,7 @@ def estimate_dof_slope(
 ) -> RateSweep:
     """Evaluate rates over the grid and fit the empirical DOF slope."""
     grid = _validate_grid(rho_grid)
-    r1_rates, r2_rates = _rate_curve(scheme, channel, grid)
+    r1_rates, r2_rates = _rate_curve(_rate_models([scheme], [channel])[0], grid)
     sums = np.array(r1_rates) + np.array(r2_rates)
     slope, intercept = fit_loglinear_slope(np.array(grid), sums)
     return RateSweep(
@@ -232,10 +233,13 @@ def simulate_point(
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
     r1_acc = np.zeros(len(grid))
     r2_acc = np.zeros(len(grid))
-    for trial in range(trials):
-        channel = sample_channel(config, seed=seed + trial)
-        scheme = build_scheme(config, scenario, d1, d2, channel, seed=seed + trial)
-        r1_rates, r2_rates = _rate_curve(scheme, channel, grid)
+    channels = [sample_channel(config, seed=seed + trial) for trial in range(trials)]
+    schemes = [
+        build_scheme(config, scenario, d1, d2, channel, seed=seed + trial)
+        for trial, channel in enumerate(channels)
+    ]
+    for model in _rate_models(schemes, channels):
+        r1_rates, r2_rates = _rate_curve(model, grid)
         r1_acc += np.array(r1_rates)
         r2_acc += np.array(r2_rates)
     r1_mean = r1_acc / trials

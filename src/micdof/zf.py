@@ -8,6 +8,17 @@ streams are isotropic on the unit sphere of the active transmit space.  W2 is
 built symmetrically against receiver 1.  A cognitive receiver subtracts every
 stream of the message it knows, so no nulling is aimed at it.  Decodability
 is verified by subspace rank diagnostics on concrete channels.
+
+Trials are judged in batches that share (config, point); scenario, channel
+and seed are per-item data, stacked on a leading axis.  W1 and W2 are
+embedded in the full (m1+m2)-dim transmit space, so each rank costs one
+batched SVD per batch, and a cognitive receiver's interference rank is
+masked to 0.  Items are projected off their interference span in groups of
+equal interference rank, through views with one scheme's own shapes and
+strides: numpy picks its BLAS call by both, so a zero-masked wider span
+would change the last bits.  A single scheme is a batch of one.  The null
+residual stays a norm per nulled vector, which a batched norm would not
+reproduce to the bit.
 """
 
 from __future__ import annotations
@@ -22,8 +33,7 @@ from .channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
-    _rank,
-    _singular_values,
+    _ranks,
     matrix_rank,
     null_space,
     sample_channel,
@@ -71,14 +81,14 @@ class ZfScheme:
         return _embedded(self.w2_vectors, self.config.m1 + self.config.m2, at_end=True)
 
 
-def _embedded(vectors: tuple[np.ndarray, ...], dim: int, at_end: bool) -> np.ndarray:
+def _embedded(vectors, dim: int, at_end: bool) -> np.ndarray:
     """Vectors of an active transmit space as columns of R^dim.
 
     W1's active space (transmitter 1, then transmitter 2 when cognitive) is a
     prefix of the full transmit space; W2's is a suffix.
     """
     out = np.zeros((dim, len(vectors)))
-    if vectors:
+    if len(vectors):
         cols = np.array(vectors).T
         start = dim - cols.shape[0] if at_end else 0
         out[start : start + cols.shape[0]] = cols
@@ -109,13 +119,16 @@ class SchemeDiagnostics:
         return self.decodable_w1 and self.decodable_w2
 
 
-def _cross_link_w1(t2: bool) -> str:
-    """Name of the link from W1's active transmit space to receiver 2."""
-    return "rx2" if t2 else "h41"
+def _cross_links(scenario: CognitionScenario) -> tuple[str, str]:
+    """The links from W1's active transmit space to receiver 2, and W2's to 1."""
+    return ("rx2" if scenario.t2 else "h41"), ("rx1" if scenario.t1 else "h32")
 
 
-def _cross_link_w2(t1: bool) -> str:
-    return "rx1" if t1 else "h32"
+def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int]:
+    """r1, r2: how many streams of W1 (W2) fit in the cross channel's kernel."""
+    m1, m2 = config.m1, config.m2
+    r1 = _pos(m1 + (m2 if scenario.t2 else 0) - config.n2)
+    return r1, _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
 
 
 def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -127,22 +140,35 @@ def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / norm
 
 
-def _message_vectors(
-    rng: np.random.Generator,
-    streams: int,
-    active_dim: int,
-    channel: ChannelRealization,
-    cross_link: str,
-    opposite_cognitive: bool,
-) -> list[np.ndarray]:
-    vectors: list[np.ndarray] = []
-    if streams == 0:
+def _scheme_vectors(config, scenario, d1, d2, channel, seed) -> tuple[list, list]:
+    """W1's and W2's transmit vectors, each in its message's active space.
+
+    A message takes its first streams from the null basis of its cross link
+    (none when the opposite receiver is cognitive) and draws the rest
+    isotropically, W1's before W2's, from one generator seeded by
+    (seed, d1, d2).  The generator is built at the first isotropic draw, so a
+    point whose streams are all nulled builds none.
+    """
+    rng = None
+
+    def message(streams, active_dim, cross_link, opposite_cognitive):
+        nonlocal rng
+        vectors: list[np.ndarray] = []
+        if streams == 0:
+            return vectors
+        if not opposite_cognitive:
+            vectors.extend(channel.null_basis(cross_link)[:streams])
+        if len(vectors) < streams and rng is None:
+            rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
+        while len(vectors) < streams:
+            vectors.append(_isotropic(rng, active_dim))
         return vectors
-    if not opposite_cognitive:
-        vectors.extend(channel.null_basis(cross_link)[:streams])
-    while len(vectors) < streams:
-        vectors.append(_isotropic(rng, active_dim))
-    return vectors
+
+    m1, m2 = config.m1, config.m2
+    link1, link2 = _cross_links(scenario)
+    w1 = message(d1, m1 + (m2 if scenario.t2 else 0), link1, scenario.r2)
+    w2 = message(d2, (m1 if scenario.t1 else 0) + m2, link2, scenario.r1)
+    return w1, w2
 
 
 def build_scheme(
@@ -167,99 +193,90 @@ def build_scheme(
             f"point ({d1},{d2}) is not in the achievable integer set for "
             f"config {config}, scenario {scenario}"
         )
-    m1, m2 = config.m1, config.m2
-    r1 = _pos(m1 + (m2 if scenario.t2 else 0) - config.n2)
-    r2 = _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
-    rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
-    w1 = _message_vectors(
-        rng,
-        streams=d1,
-        active_dim=m1 + (m2 if scenario.t2 else 0),
-        channel=channel,
-        cross_link=_cross_link_w1(scenario.t2),
-        opposite_cognitive=scenario.r2,
-    )
-    w2 = _message_vectors(
-        rng,
-        streams=d2,
-        active_dim=(m1 if scenario.t1 else 0) + m2,
-        channel=channel,
-        cross_link=_cross_link_w2(scenario.t1),
-        opposite_cognitive=scenario.r1,
-    )
-    return ZfScheme(
-        config=config,
-        scenario=scenario,
-        d1=d1,
-        d2=d2,
-        r1=r1,
-        r2=r2,
-        w1_vectors=tuple(w1),
-        w2_vectors=tuple(w2),
-    )
+    w1, w2 = _scheme_vectors(config, scenario, d1, d2, channel, seed)
+    return ZfScheme(config, scenario, d1, d2, *_nullable(config, scenario), tuple(w1), tuple(w2))
 
 
-def _receiver(
-    channel: ChannelRealization,
-    link: str,
-    signal_cols: np.ndarray,
-    interference_cols: np.ndarray | None,
-    antennas: int,
-) -> tuple[int, int, int, bool, np.ndarray]:
-    """One receiver of a scheme on a channel.
+def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
+    """One receiver for a batch of B schemes that share (config, point).
 
-    Returns the ranks of the received intended streams H W_s and of the
-    residual interference H W_i, the dimension of their intersection (the
-    signal dimensions lost when H W_s is projected off the span of H W_i),
-    whether the message is decodable, and the singular values of the
-    projected signal: the effective channel the receiver decodes in.  Every
-    rank is relative to the receiver's channel norm.
+    ``rx`` (B, n, m1+m2) and ``scale`` (B,) are each item's channel to the
+    receiver and its spectral norm, ``signal`` and ``interference`` the
+    embedded vectors of the intended and the other message, and
+    ``cognitive`` flags receivers that subtract the other message.  Returns
+    lists of the per-item ranks of H W_s and of the residual interference
+    H W_i, the dimension of their intersection (the signal dimensions lost
+    when H W_s is projected off the span of H W_i) and whether the message is
+    decodable, and the singular values of the projected signal
+    (B, min(n, d)), the effective channel decoded in.  Ranks are relative to
+    the channel norm.
     """
-    full_channel, scale = getattr(channel, link), channel.spectral_norm(link)
-    received = full_channel @ signal_cols
-    projected = _singular_values(received)  # until interference is projected off
-    signal_dim = _rank(projected, scale)
-    interference_dim = intersection_dim = 0
-    if interference_cols is not None and interference_cols.shape[1] > 0:
-        u, interference, _ = np.linalg.svd(
-            full_channel @ interference_cols, full_matrices=False
-        )
-        interference_dim = _rank(interference, scale)
-    if interference_dim:
-        span = u[:, :interference_dim]
-        projected = _singular_values(received - span @ (span.T @ received))
-        intersection_dim = max(signal_dim - _rank(projected, scale), 0)
-    decodable = (
-        signal_dim == signal_cols.shape[1]
-        and intersection_dim == 0
-        and signal_dim + interference_dim <= antennas
-    )
+    batch, _, streams = signal.shape
+    received = rx @ signal
+    projected = np.linalg.svd(received, compute_uv=False)  # until interference is off
+    signal_dim = _ranks(projected, scale).tolist()
+    interference_dim = intersection_dim = [0] * batch
+    if interference.shape[2] and not all(cognitive):
+        u, spectrum, _ = np.linalg.svd(rx @ interference, full_matrices=False)
+        ranks = _ranks(spectrum, scale).tolist()
+        interference_dim = [0 if c else r for c, r in zip(cognitive, ranks)]
+        if streams and any(interference_dim):
+            # Groups of equal rank, one scheme's shapes (see module docstring).
+            kept = received.copy()
+            for dim in set(interference_dim) - {0}:
+                sel = [i == dim for i in interference_dim]
+                sel = slice(None) if all(sel) else np.array(sel)
+                span = u[sel][:, :, :dim]
+                kept[sel] = received[sel] - span @ (np.swapaxes(span, 1, 2) @ received[sel])
+            projected = np.linalg.svd(kept, compute_uv=False)
+            ranks = _ranks(projected, scale).tolist()
+            intersection_dim = [max(s - r, 0) for s, r in zip(signal_dim, ranks)]
+    decodable = [
+        s == streams and x == 0 and s + i <= antennas
+        for s, i, x in zip(signal_dim, interference_dim, intersection_dim)
+    ]
     return signal_dim, interference_dim, intersection_dim, decodable, projected
 
 
-def _receiver_model(
-    scheme: ZfScheme, channel: ChannelRealization
-) -> tuple[SchemeDiagnostics, np.ndarray, np.ndarray]:
-    """Both receivers of a scheme on a concrete channel.
+def _receivers(config: AntennaConfig, items: list[tuple]):
+    """Both receivers for a batch of trials that share (config, point).
 
-    Receiver 1 decodes W1 against the W2 streams, receiver 2 decodes W2
-    against the W1 streams; a cognitive receiver subtracts the message it
-    knows, so it sees no residual interference.  Returns the rank
-    diagnostics and, per receiver, the projected singular values.
+    Each item is (scenario, channel, w1_vectors, w2_vectors), with d1 and d2
+    vectors.  Receiver 1 decodes W1 against W2, receiver 2 decodes W2 against
+    W1.  Returns both receivers' ``_receiver`` results and the embedded
+    vectors, (B, m1+m2, d1) and (B, m1+m2, d2).
     """
-    if not channel.matches(scheme.config):
+    dim = config.m1 + config.m2
+    w1 = np.array([_embedded(it[2], dim, at_end=False) for it in items])
+    w2 = np.array([_embedded(it[3], dim, at_end=True) for it in items])
+    rx1, rx2 = (
+        _receiver(
+            np.array([getattr(ch, link) for _, ch, _, _ in items]),
+            ChannelRealization.spectral_norms([ch for _, ch, _, _ in items], link),
+            signal, interference, [getattr(sc, flag) for sc, *_ in items], antennas,
+        )
+        for link, flag, signal, interference, antennas in (
+            ("rx1", "r1", w1, w2, config.n1), ("rx2", "r2", w2, w1, config.n2),
+        )
+    )
+    return rx1, rx2, w1, w2
+
+
+def _receiver_models(
+    schemes: list[ZfScheme], channels: list[ChannelRealization]
+) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
+    """Both receivers of schemes that share (config, point), each on its channel.
+
+    Returns, per scheme, the rank diagnostics and, per receiver, the
+    projected singular values.
+    """
+    config = schemes[0].config
+    if not all(ch.matches(config) for ch in channels):
         raise ValueError("channel does not match the scheme's configuration")
-    w1_cols = scheme.w1_embedded()
-    w2_cols = scheme.w2_embedded()
-    r1, r2 = scheme.scenario.r1, scheme.scenario.r2
-    n1, n2 = scheme.config.n1, scheme.config.n2
-    s1, i1, x1, dec1, projected1 = _receiver(
-        channel, "rx1", w1_cols, None if r1 else w2_cols, n1
-    )
-    s2, i2, x2, dec2, projected2 = _receiver(
-        channel, "rx2", w2_cols, None if r2 else w1_cols, n2
-    )
-    return SchemeDiagnostics(s1, i1, x1, s2, i2, x2, dec1, dec2), projected1, projected2
+    items = [(s.scenario, ch, s.w1_vectors, s.w2_vectors) for s, ch in zip(schemes, channels)]
+    rx1, rx2, _, _ = _receivers(config, items)
+    counts = zip(*rx1[:3], *rx2[:3], rx1[3], rx2[3])
+    return [(SchemeDiagnostics(*c), p1, p2) for c, p1, p2 in zip(counts, rx1[4], rx2[4])]
 
 
 def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
@@ -270,46 +287,69 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
     the known message), and the dimension of their intersection: the signal
     dimensions lost when the signal is projected off the interference span.
     """
-    return _receiver_model(scheme, channel)[0]
+    return _receiver_models([scheme], [channel])[0][0]
 
 
-def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
-    """Worst relative leakage of the nulled streams at the opposite receiver."""
+def _residual(config, scenario, channel, w1_vectors, w2_vectors) -> float:
+    """Worst relative leakage ||H v|| / ||H|| of the nulled vectors, one at a time."""
+    r1, r2 = _nullable(config, scenario)
     worst = 0.0
-    for link, nulled in (
-        (_cross_link_w1(scheme.scenario.t2), scheme.w1_vectors[: scheme.w1_nulled]),
-        (_cross_link_w2(scheme.scenario.t1), scheme.w2_vectors[: scheme.w2_nulled]),
+    for link, nulled in zip(
+        _cross_links(scenario),
+        (() if scenario.r2 else w1_vectors[:r1], () if scenario.r1 else w2_vectors[:r2]),
     ):
-        cross = getattr(channel, link)
         for v in nulled:
-            leak = float(np.linalg.norm(cross @ v))
+            leak = float(np.linalg.norm(getattr(channel, link) @ v))
             worst = max(worst, leak / channel.spectral_norm(link))
     return worst
 
 
+def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
+    """Worst relative leakage of the nulled streams at the opposite receiver."""
+    return _residual(
+        scheme.config, scheme.scenario, channel, scheme.w1_vectors, scheme.w2_vectors
+    )
+
+
+def _transmit_ranks(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Rank of each item's d1 + d2 embedded transmit vectors, at unit scale."""
+    stacked = np.concatenate([w1, w2], axis=2)
+    return _ranks(np.linalg.svd(stacked, compute_uv=False), np.ones(len(stacked)))
+
+
 def transmit_rank(scheme: ZfScheme) -> int:
     """Rank of all d1 + d2 transmit vectors embedded in R^(m1+m2)."""
-    stacked = np.hstack([scheme.w1_embedded(), scheme.w2_embedded()])
-    return matrix_rank(stacked, scale=1.0)
+    return int(_transmit_ranks(scheme.w1_embedded()[None], scheme.w2_embedded()[None])[0])
+
+
+def _verdicts(
+    config: AntennaConfig, point: tuple[int, int], items: list[tuple]
+) -> list[tuple[tuple[str, ...], float]]:
+    """Judge a batch of trials that share (config, point) by the pass rule.
+
+    Items are as for ``_receivers``.  Returns per item the criteria it fails
+    (empty when it passes): "decodable" (both receivers' diagnostics), "null
+    residual" (at most RANK_RTOL) and "transmit rank" (the d1 + d2 vectors
+    are independent); and its null residual.
+    """
+    rx1, rx2, w1, w2 = _receivers(config, items)
+    residuals = [_residual(config, *item) for item in items]
+    names = ("decodable", "null residual", "transmit rank")
+    verdicts = []
+    for dec1, dec2, residual, rank in zip(
+        rx1[3], rx2[3], residuals, _transmit_ranks(w1, w2).tolist()
+    ):
+        oks = (dec1 and dec2, residual <= RANK_RTOL, rank == sum(point))
+        verdicts.append((tuple(n for n, ok in zip(names, oks) if not ok), residual))
+    return verdicts
 
 
 def _trial_verdict(
     scheme: ZfScheme, channel: ChannelRealization
 ) -> tuple[tuple[str, ...], float]:
-    """Judge one trial by the achievability pass rule.
-
-    Returns the criteria the trial fails (empty when it passes) and the
-    scheme's null residual.  The criteria are "decodable" (both messages
-    pass the receiver rank diagnostics), "null residual" (at most RANK_RTOL)
-    and "transmit rank" (the d1 + d2 transmit vectors are independent).
-    """
-    residual = null_residual(scheme, channel)
-    checks = (
-        ("decodable", verify_scheme(scheme, channel).all_decodable),
-        ("null residual", residual <= RANK_RTOL),
-        ("transmit rank", transmit_rank(scheme) == scheme.d1 + scheme.d2),
-    )
-    return tuple(name for name, ok in checks if not ok), residual
+    """Judge one trial by the achievability pass rule: a batch of one."""
+    item = (scheme.scenario, channel, scheme.w1_vectors, scheme.w2_vectors)
+    return _verdicts(scheme.config, (scheme.d1, scheme.d2), [item])[0]
 
 
 @dataclass(frozen=True)
@@ -363,29 +403,27 @@ class SweepReport:
         return [c.to_json_dict() for c in self.cells]
 
 
-def _cell_passes(
-    config: AntennaConfig,
-    scenario: CognitionScenario,
-    point: tuple[int, int],
-    channels: list[ChannelRealization],
-    seed: int,
-) -> SweepCell:
-    d1, d2 = point
-    passes = 0
-    worst = 0.0
-    for trial, ch in enumerate(channels):
-        scheme = build_scheme(config, scenario, d1, d2, ch, seed=seed + trial)
-        failed, residual = _trial_verdict(scheme, ch)
-        worst = max(worst, residual)
-        passes += int(not failed)
-    return SweepCell(
-        config=config,
-        scenario=scenario,
-        point=point,
-        trials=len(channels),
-        passes=passes,
-        worst_null_residual=worst,
-    )
+def _sweep_cells(config: AntennaConfig, cells: list[tuple]) -> list[SweepCell]:
+    """Sweep cells (scenario, point, channels, seed) of one configuration.
+
+    Trial t of a cell runs on channels[t] with vector seed seed + t.  The
+    trials of all cells that share a point are judged in one batch.
+    """
+    groups: dict[tuple[int, int], list[tuple]] = {}
+    for scenario, point, channels, seed in cells:
+        groups.setdefault(point, []).extend(
+            (scenario, ch, *_scheme_vectors(config, scenario, *point, ch, seed + trial))
+            for trial, ch in enumerate(channels)
+        )
+    # A group's verdicts come back in the order its cells were added.
+    verdicts = {point: iter(_verdicts(config, point, items)) for point, items in groups.items()}
+    tallies = []
+    for scenario, point, channels, _ in cells:
+        chunk = list(itertools.islice(verdicts[point], len(channels)))
+        passes = sum(not failed for failed, _ in chunk)
+        worst = max((residual for _, residual in chunk), default=0.0)
+        tallies.append(SweepCell(config, scenario, point, len(chunk), passes, worst))
+    return tallies
 
 
 def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepReport:
@@ -406,6 +444,7 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
     scenarios = CognitionScenario.all_scenarios()
     for counts in itertools.product(range(1, max_antennas + 1), repeat=4):
         config = AntennaConfig(*counts)
+        config_cells = []
         for s_index, scenario in enumerate(scenarios):
             cell_seed = _derived_seed(seed, counts, s_index)
             channels = [
@@ -413,9 +452,8 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
                 for trial in range(trials)
             ]
             for point in sorted(inner_points(config, scenario).points):
-                cells.append(
-                    _cell_passes(config, scenario, point, channels, seed=cell_seed)
-                )
+                config_cells.append((scenario, point, channels, cell_seed))
+        cells.extend(_sweep_cells(config, config_cells))
     return SweepReport(cells=tuple(cells))
 
 

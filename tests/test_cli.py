@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -144,6 +145,22 @@ def test_verify_fails_on_wrong_formula(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
     assert code == 1
     assert "FAIL: formula/LP mismatch" in out
+
+
+def test_verify_fails_on_float_vertices(capsys, monkeypatch):
+    # Float coordinates still compare equal to the inner region's ints and
+    # give the same LP value, so only the vertex type check can see them.
+    def floated(config, scenario):
+        region = outer_region(config, scenario)
+        vertices = tuple(v._replace(d1=float(v.d1), d2=float(v.d2)) for v in region.vertices)
+        return dataclasses.replace(region, vertices=vertices)
+
+    monkeypatch.setattr(micdof.cli, "outer_region", floated)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
+    assert code == 1
+    assert "FAIL: region mismatch" not in out and "FAIL: formula/LP mismatch" not in out
+    assert "FAIL: non-integer vertex at (1,1,1,1) [0,0,0,0]" in out
+    assert out.endswith("FAIL (256 of 256 checks)\n")
 
 
 def test_verify_fails_on_wrong_cooperation_dof(capsys, monkeypatch):

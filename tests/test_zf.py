@@ -289,25 +289,32 @@ def test_sweep_matches_a_loop_without_shared_geometry():
 def test_sweep_derives_each_channel_geometry_once(monkeypatch):
     # Operation counts, not timings: the spectral norms and null-space bases
     # of a channel are computed once and shared by all points of its cell.
+    # Every spectral norm is one row of a batched SVD in
+    # ChannelRealization.spectral_norms.
     counts = {"channels": 0, "spectral_norms": 0, "null_space_svds": 0}
-    sample, norm, svd = zf.sample_channel, np.linalg.norm, np.linalg.svd
+    sample, norms, svd = zf.sample_channel, ChannelRealization.spectral_norms, np.linalg.svd
+    in_norms = [False]
 
     def counted_sample(*args, **kwargs):
         counts["channels"] += 1
         return sample(*args, **kwargs)
 
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
-            counts["spectral_norms"] += 1
-        return norm(x, ord, *args, **kwargs)
+    def counted_norms(channels, link):
+        in_norms[0] = True
+        try:
+            return norms(channels, link)
+        finally:
+            in_norms[0] = False
 
     def counted_svd(a, full_matrices=True, *args, **kwargs):
-        if full_matrices and kwargs.get("compute_uv", True):
+        if in_norms[0]:
+            counts["spectral_norms"] += len(a)
+        elif full_matrices and kwargs.get("compute_uv", True):
             counts["null_space_svds"] += 1
         return svd(a, full_matrices, *args, **kwargs)
 
     monkeypatch.setattr(zf, "sample_channel", counted_sample)
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(ChannelRealization, "spectral_norms", staticmethod(counted_norms))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     report = achievability_sweep(max_antennas=2, trials=1, seed=0)
     assert report.total_trials == 1290
@@ -366,3 +373,190 @@ def test_diagnostics_see_an_intersecting_interference():
     diag = verify_scheme(aligned, ch)
     assert diag.intersection_dim_rx1 == 1 and not diag.decodable_w1
     assert diag == _union_rank_diagnostics(aligned, ch)
+
+
+# ------------------------------------------------------------ stacked path
+
+
+def _group(config, point, trials=2, seed=40):
+    """Schemes and channels of one (config, point) batch: every scenario that
+    has the point, ``trials`` channels each, as the sweep stacks them."""
+    schemes, channels = [], []
+    for s_index, sc in enumerate(CognitionScenario.all_scenarios()):
+        if point not in inner_points(config, sc).points:
+            continue
+        for trial in range(trials):
+            channels.append(sample_channel(config, seed=seed + 100 * s_index + trial))
+            schemes.append(build_scheme(config, sc, *point, channels[-1], seed=seed + trial))
+    return schemes, channels
+
+
+def _items(schemes, channels):
+    return [(s.scenario, ch, s.w1_vectors, s.w2_vectors) for s, ch in zip(schemes, channels)]
+
+
+def _corrupt_one(config, point, bits, corrupt):
+    """Verdicts of a clean group and of the same group with one item of
+    scenario ``bits`` corrupted; returns (clean, dirty, corrupted index)."""
+    items = _items(*_group(config, point))
+    index = next(i for i, (sc, *_) in enumerate(items) if sc.bits == bits)
+    sc, ch, w1, w2 = items[index]
+    dirty = list(items)
+    dirty[index] = (sc, ch, *corrupt(ch, w1, w2))
+    assert len(items) >= 4
+    return zf._verdicts(config, point, items), zf._verdicts(config, point, dirty), index
+
+
+def _assert_only(clean, dirty, index, criterion):
+    assert all(failed == () for failed, _ in clean)
+    assert dirty[index][0] == (criterion,)
+    for i, (verdict, reference) in enumerate(zip(dirty, clean)):
+        if i != index:
+            assert verdict == reference  # same pass, same residual to the bit
+
+
+def test_stacked_verdict_fails_only_a_random_null_vector():
+    # Receiver 2 has room for the leak, so only the residual criterion fails.
+    def leaky(ch, w1, w2):
+        vec = np.random.default_rng(1).standard_normal(3)
+        return (vec / np.linalg.norm(vec),) + w1[1:], w2
+
+    clean, dirty, index = _corrupt_one(AntennaConfig(3, 1, 1, 2), (1, 0), (0, 0, 0, 0), leaky)
+    _assert_only(clean, dirty, index, "null residual")
+    assert dirty[index][1] > RANK_RTOL
+
+
+def test_stacked_verdict_fails_only_a_duplicated_vector():
+    # Both receivers are cognitive, so W2 reusing W1's vector costs only the
+    # transmit rank.
+    clean, dirty, index = _corrupt_one(
+        AntennaConfig(2, 2, 2, 2), (1, 1), (1, 1, 1, 1), lambda ch, w1, w2: (w1, w1)
+    )
+    _assert_only(clean, dirty, index, "transmit rank")
+
+
+def test_stacked_verdict_fails_only_an_aligned_interference():
+    # W2's stream is drawn so receiver 1 sees it along W1's direction; the
+    # vectors stay independent in transmit space and none is nulled.
+    def aligned(ch, w1, w2):
+        vec = np.linalg.solve(ch.h32, ch.h31 @ w1[0])
+        return w1, (vec / np.linalg.norm(vec),)
+
+    clean, dirty, index = _corrupt_one(AntennaConfig(2, 2, 2, 2), (1, 1), (0, 0, 0, 0), aligned)
+    _assert_only(clean, dirty, index, "decodable")
+
+
+def test_batch_of_one_matches_its_batch():
+    # Items with different scenarios and interference ranks share a batch;
+    # each gets the verdict, diagnostics and projected bits it gets alone.
+    config, point = AntennaConfig(3, 2, 2, 3), (1, 1)
+    schemes, channels = _group(config, point, trials=3)
+    items = _items(schemes, channels)
+    models = zf._receiver_models(schemes, channels)
+    assert len({diag.interference_dim_rx2 for diag, _, _ in models}) > 1
+    assert zf._verdicts(config, point, items) == [
+        zf._verdicts(config, point, [item])[0] for item in items
+    ]
+    for (diag, p1, p2), scheme, ch in zip(models, schemes, channels):
+        alone, q1, q2 = zf._receiver_models([scheme], [ch])[0]
+        assert diag == alone and p1.tobytes() == q1.tobytes() and p2.tobytes() == q2.tobytes()
+
+
+def test_verdict_svds_do_not_grow_with_trials(monkeypatch):
+    # Operation counts, not timings: the verdict stage makes a few batched
+    # SVD calls per (config, point) group, whatever the number of trials.
+    svd, verdicts = np.linalg.svd, zf._verdicts
+    counts = {"groups": 0, "svds": 0}
+    inside = [False]
+
+    def counted_svd(*args, **kwargs):
+        counts["svds"] += inside[0]
+        return svd(*args, **kwargs)
+
+    def within(flag, call, count=None):
+        def wrapped(*args, **kwargs):
+            if count:
+                counts[count] += 1
+            outer, inside[0] = inside[0], flag
+            try:
+                return call(*args, **kwargs)
+            finally:
+                inside[0] = outer
+        return wrapped
+
+    # Spectral norms are per-channel work (cached), even when a verdict asks.
+    norms = staticmethod(within(False, ChannelRealization.spectral_norms))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(zf, "_verdicts", within(True, verdicts, "groups"))
+    monkeypatch.setattr(ChannelRealization, "spectral_norms", norms)
+    seen = []
+    for trials in (1, 4):
+        counts.update(groups=0, svds=0)
+        report = achievability_sweep(max_antennas=2, trials=trials, seed=0)
+        assert report.total_trials == 1290 * trials and report.all_passed
+        seen.append(dict(counts))
+    groups = sum(
+        len(set().union(*(inner_points(AntennaConfig(*c), sc).points
+                          for sc in CognitionScenario.all_scenarios())))
+        for c in itertools.product((1, 2), repeat=4)
+    )
+    assert seen[0] == seen[1]
+    assert seen[0]["groups"] == groups
+    assert 0 < seen[0]["svds"] <= 7 * groups  # 3 per receiver, 1 transmit rank
+
+
+def _eager_vectors(config, sc, d1, d2, ch, seed):
+    # Reference: the generator is built before any stream is placed.
+    rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
+
+    def message(streams, active_dim, link, opposite_cognitive):
+        vectors = []
+        if streams and not opposite_cognitive:
+            vectors.extend(ch.null_basis(link)[:streams])
+        while len(vectors) < streams:
+            vectors.append(zf._isotropic(rng, active_dim))
+        return vectors
+
+    m1, m2 = config.m1, config.m2
+    return (
+        message(d1, m1 + m2 * sc.t2, "rx2" if sc.t2 else "h41", sc.r2),
+        message(d2, m1 * sc.t1 + m2, "rx1" if sc.t1 else "h32", sc.r1),
+    )
+
+
+def test_lazy_generator_matches_eager_and_skips_all_nulled_points(monkeypatch):
+    default_rng = np.random.default_rng
+    built = [0]
+
+    def counted_rng(*args, **kwargs):
+        built[0] += 1
+        return default_rng(*args, **kwargs)
+
+    all_nulled = 0
+    for counts in ((3, 3, 2, 2), (2, 2, 3, 3)):
+        config = AntennaConfig(*counts)
+        for s_index, sc in enumerate(CognitionScenario.all_scenarios()):
+            ch = sample_channel(config, seed=s_index)
+            for d1, d2 in sorted(inner_points(config, sc).points):
+                seed = 1000 * s_index + 10 * d1 + d2
+                monkeypatch.setattr(np.random, "default_rng", counted_rng)
+                built[0] = 0
+                scheme = build_scheme(config, sc, d1, d2, ch, seed=seed)
+                monkeypatch.setattr(np.random, "default_rng", default_rng)
+                w1, w2 = _eager_vectors(config, sc, d1, d2, ch, seed)
+                assert [v.tobytes() for v in scheme.w1_vectors + scheme.w2_vectors] == [
+                    v.tobytes() for v in w1 + w2
+                ]
+                nulled = scheme.w1_nulled == d1 and scheme.w2_nulled == d2
+                assert built[0] == (0 if nulled else 1)
+                all_nulled += nulled and d1 + d2 > 0
+    assert all_nulled > 0
+
+
+def test_batched_spectral_norms_equal_the_scalar_ones():
+    channels = [sample_channel(AntennaConfig(3, 2, 2, 3), seed=s) for s in range(20)]
+    for link in ("rx1", "rx2", "h41"):
+        expected = [float(np.linalg.norm(getattr(ch, link), 2)) for ch in channels]
+        ChannelRealization.spectral_norms(channels[::3], link)  # a cached subset
+        assert ChannelRealization.spectral_norms(channels, link).tolist() == expected
+        assert [ch.spectral_norm(link) for ch in channels] == expected
