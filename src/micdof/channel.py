@@ -18,10 +18,11 @@ import numpy as np
 # The one rank rule: a singular value counts toward the rank when it exceeds
 # RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.  The scale
 # is the matrix's own largest singular value (`is_full_rank`, `null_space`,
-# and `matrix_rank` by default), or the spectral norm of the channel the
-# matrix was received through (the receiver model in `zf`), so that leakage
-# of ~1e-16 counts as rank zero rather than full rank.  Either way the rule is
-# scale-invariant and far above double noise.
+# and `matrix_rank` by default), the spectral norm of the channel the matrix
+# was received through (the receiver model in `zf`), so that leakage of
+# ~1e-16 counts as rank zero rather than full rank, or 1.0 for the stacked
+# transmit vectors, which have unit norm (`zf._transmit_ranks`).  Each way the
+# rule is scale-invariant and far above double noise.
 RANK_RTOL = 1e-9
 
 _RESAMPLE_ATTEMPTS = 8

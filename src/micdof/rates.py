@@ -1,25 +1,35 @@
 """Finite-SNR rates of ZF schemes and empirical DOF via sum-rate slopes.
 
 Rates are read from the same receiver model as the decodability
-diagnostics (``zf._receiver_models``; ``simulate_point`` runs all its
-trials through it as one batch): each receiver projects its observation
-off the residual interference subspace (a cognitive receiver first subtracts
-the message it knows, exactly) and decodes its own streams, with unit noise,
-in what is left.  Every transmitting node splits its power budget equally
-across its active streams, so all streams of a message get the same power
-rho / k (k: the stream count of the busiest node carrying the message), and
-the message's Gaussian log-det rate in bits per channel use is
+diagnostics (``zf._scheme_receivers``, one batch of schemes that share
+config and point): each receiver projects its observation off the residual
+interference subspace (a cognitive receiver first subtracts the message it
+knows, exactly) and decodes its own streams, with unit noise, in what is
+left.  Every transmitting node splits its power budget equally across its
+active streams, so all streams of a message get the same power rho / k (k:
+the stream count of the busiest node carrying the message), and the
+message's Gaussian log-det rate in bits per channel use is
 
     sum_i log2(1 + (rho / k) * sigma_i^2)
 
-over the singular values sigma_i of the projected effective channel.  One
-receiver model per (scheme, channel) therefore gives the whole rate curve.
-The empirical DOF is the fitted slope of the sum rate against log2 of the
+over the singular values sigma_i of the projected effective channel.  The
+empirical DOF is the fitted slope of the sum rate against log2 of the
 transmit power, which must match the closed-form value.
 
-The cooperation probe evaluates, per transmit antenna, the genie-bound term
-log2(1 + ||h11_j||^2 rho / (1 + ||h41_j||^2 rho)): it saturates in rho, which
-is exactly why full-duplex cooperation cannot buy additional DOF.
+Rates are arrays over (scheme, rho, stream): for B schemes and G powers,
+``_rate_curves`` evaluates the term on a (B, G, s) broadcast and sums the
+stream axis.  ``simulate_point`` averages the scheme axis,
+``estimate_dof_slope`` is a batch of one and ``achievable_rates`` a batch of
+one on a one-point grid.  The arrays give the bits of a loop over schemes
+and powers: each element goes through the same IEEE operations, a stream
+sum (at most 4 terms) and the sum over schemes both add in order.
+
+The cooperation probe evaluates, as a (rho, j) array, the genie-bound terms
+log2(1 + ||h11_j||^2 rho / (1 + ||h41_j||^2 rho)) for j < m1: row j of the
+node-1 self link h11 (m1 x m1) is paired with row j of h41 (n2 x m1), which
+is why it needs n2 >= m1 (a converse derivation that fixes this pairing is
+still open).  The terms saturate in rho, which is exactly why full-duplex
+cooperation cannot buy additional DOF.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _receiver_models, build_scheme
+from .zf import ZfScheme, _scheme_receivers, build_scheme
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -71,7 +81,8 @@ class RateSweep:
 
 @dataclass(frozen=True)
 class CooperationBoundProbe:
-    """Per-transmit-antenna genie-bound terms at one power level."""
+    """The genie-bound terms at one power: entry j pairs row j of h11 with
+    row j of h41, j < m1 (see the module docstring)."""
 
     per_antenna_terms: tuple[float, ...]
     rho: float
@@ -117,53 +128,46 @@ def _streams_per_node(scheme: ZfScheme) -> tuple[int, int]:
 
 def _rate_models(
     schemes: list[ZfScheme], channels: list[ChannelRealization]
-) -> list[tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]]:
-    """Per scheme, from one batched receiver model (the schemes share config
-    and point): per message, k_i and the squared projected singular values."""
-    models = _receiver_models(schemes, channels)
-    if not all(diagnostics.all_decodable for diagnostics, _, _ in models):
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Per message, k (B,) and the squared projected singular values (B, s),
+    read from one batched receiver model (the schemes share config and point)."""
+    rx1, rx2 = _scheme_receivers(schemes, channels)
+    if not (all(rx1[3]) and all(rx2[3])):
         raise UndecodableSchemeError(
             "scheme fails decodability diagnostics on this channel; "
             "rates are undefined"
         )
-    return [
-        ((k1, projected1**2), (k2, projected2**2))
-        for (k1, k2), (_, projected1, projected2) in zip(map(_streams_per_node, schemes), models)
-    ]
+    k1, k2 = np.array([_streams_per_node(s) for s in schemes]).T
+    return (k1, rx1[4] ** 2), (k2, rx2[4] ** 2)
 
 
-def _rates_at(model, rho: float) -> tuple[float, float]:
-    (k1, gains1), (k2, gains2) = model
-    return (
-        float(np.sum(np.log2(1.0 + (rho / k1) * gains1))),
-        float(np.sum(np.log2(1.0 + (rho / k2) * gains2))),
+def _rate_curves(models, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per message, the rates (B, G): log2(1 + (rho / k) sigma^2) over
+    (scheme, rho, stream), summed over the stream axis."""
+    return tuple(
+        np.log2(1.0 + (grid[None, :, None] / k[:, None, None]) * gains[:, None, :]).sum(axis=2)
+        for k, gains in models
     )
-
-
-def _rate_curve(model, grid: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Both messages' rates over the grid, from one receiver model."""
-    r1_rates, r2_rates = zip(*(_rates_at(model, rho) for rho in grid))
-    return r1_rates, r2_rates
 
 
 def achievable_rates(
     scheme: ZfScheme, channel: ChannelRealization, rho: float
 ) -> tuple[float, float]:
     """Rates (bits/channel use) of both messages at transmit power rho."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
-    return _rates_at(_rate_models([scheme], [channel])[0], rho)
+    r1, r2 = _rate_curves(_rate_models([scheme], [channel]), np.array([rho], dtype=float))
+    return float(r1[0, 0]), float(r2[0, 0])
 
 
-def fit_loglinear_slope(
-    rho_grid: np.ndarray, sum_rates: np.ndarray, fit_points: int = SLOPE_FIT_POINTS
-) -> tuple[float, float]:
-    """Least-squares line of rate against log2(rho), over the top grid points.
+def fit_loglinear_slope(rho_grid: np.ndarray, sum_rates: np.ndarray) -> tuple[float, float]:
+    """Least-squares line of rate against log2(rho), over the top
+    SLOPE_FIT_POINTS grid points.
 
     Restricting the fit to the largest powers suppresses the bounded
     additive terms that have not faded yet at the low end of the grid.
     """
-    take = min(fit_points, len(rho_grid))
+    take = min(SLOPE_FIT_POINTS, len(rho_grid))
     x = np.log2(np.asarray(rho_grid, dtype=float)[-take:])
     y = np.asarray(sum_rates, dtype=float)[-take:]
     slope, intercept = np.polyfit(x, y, 1)
@@ -173,6 +177,8 @@ def fit_loglinear_slope(
 def _check_grid(grid: tuple[float, ...]) -> None:
     if len(grid) < 3:
         raise ValueError("rho grid must have at least 3 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("rho grid must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("rho grid must be strictly increasing")
 
@@ -187,21 +193,22 @@ def _validate_grid(rho_grid) -> tuple[float, ...]:
     return grid
 
 
-def estimate_dof_slope(
-    scheme: ZfScheme, channel: ChannelRealization, rho_grid
+def _sweep(
+    schemes: list[ZfScheme], channels: list[ChannelRealization], grid: tuple[float, ...]
 ) -> RateSweep:
-    """Evaluate rates over the grid and fit the empirical DOF slope."""
-    grid = _validate_grid(rho_grid)
-    r1_rates, r2_rates = _rate_curve(_rate_models([scheme], [channel])[0], grid)
-    sums = np.array(r1_rates) + np.array(r2_rates)
-    slope, intercept = fit_loglinear_slope(np.array(grid), sums)
-    return RateSweep(
-        rho_grid=grid,
-        r1_rates=r1_rates,
-        r2_rates=r2_rates,
-        slope=slope,
-        intercept=intercept,
+    """Per-grid-point mean rates over the batch and the slope of their sum."""
+    r1_mean, r2_mean = (
+        rates.sum(axis=0) / len(schemes)
+        for rates in _rate_curves(_rate_models(schemes, channels), np.array(grid))
     )
+    slope, intercept = fit_loglinear_slope(np.array(grid), r1_mean + r2_mean)
+    return RateSweep(rho_grid=grid, r1_rates=tuple(r1_mean.tolist()),
+                     r2_rates=tuple(r2_mean.tolist()), slope=slope, intercept=intercept)
+
+
+def estimate_dof_slope(scheme: ZfScheme, channel: ChannelRealization, rho_grid) -> RateSweep:
+    """Evaluate rates over the grid and fit the empirical DOF slope."""
+    return _sweep([scheme], [channel], _validate_grid(rho_grid))
 
 
 def default_rho_grid(
@@ -210,6 +217,8 @@ def default_rho_grid(
     """Logarithmically spaced power grid."""
     if points < 3:
         raise ValueError("grid needs at least 3 points")
+    if not all(0 < rho < np.inf for rho in (rho_min, rho_max)):
+        raise ValueError("rho_min and rho_max must be positive and finite")
     return tuple(float(r) for r in np.logspace(np.log10(rho_min), np.log10(rho_max), points))
 
 
@@ -231,40 +240,19 @@ def simulate_point(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
-    r1_acc = np.zeros(len(grid))
-    r2_acc = np.zeros(len(grid))
     channels = [sample_channel(config, seed=seed + trial) for trial in range(trials)]
     schemes = [
         build_scheme(config, scenario, d1, d2, channel, seed=seed + trial)
         for trial, channel in enumerate(channels)
     ]
-    for model in _rate_models(schemes, channels):
-        r1_rates, r2_rates = _rate_curve(model, grid)
-        r1_acc += np.array(r1_rates)
-        r2_acc += np.array(r2_rates)
-    r1_mean = r1_acc / trials
-    r2_mean = r2_acc / trials
-    slope, intercept = fit_loglinear_slope(np.array(grid), r1_mean + r2_mean)
-    return RateSweep(
-        rho_grid=grid,
-        r1_rates=tuple(float(r) for r in r1_mean),
-        r2_rates=tuple(float(r) for r in r2_mean),
-        slope=slope,
-        intercept=intercept,
-    )
+    return _sweep(schemes, channels, grid)
 
 
-def cooperation_bound_term(
-    channel: ChannelRealization, rho: float
-) -> CooperationBoundProbe:
-    """Per-antenna genie-bound terms for the cooperation converse.
-
-    Needs the extended link set (for the node-1 self link h11) and n2 >= m1
-    so every transmit antenna of node 1 has a counterpart row at node 4.
-    """
+def _bound_terms(channel: ChannelRealization, grid: np.ndarray) -> np.ndarray:
+    """A channel's genie-bound terms (rho, j); row norms by BLAS dot, as np.dot."""
     if channel.extended_links is None:
         raise ValueError("cooperation bound terms need an extended channel realization")
-    if rho <= 0:
+    if not np.all(grid > 0):
         raise ValueError("rho must be positive")
     h11 = channel.extended_links[(1, 1)]
     h41 = channel.h41
@@ -273,43 +261,36 @@ def cooperation_bound_term(
         raise ValueError(
             f"cooperation bound requires n2 >= m1 (got n2={h41.shape[0]}, m1={m1})"
         )
-    terms = []
-    for j in range(m1):
-        direct = float(np.dot(h11[j], h11[j]))
-        quieting = float(np.dot(h41[j], h41[j]))
-        terms.append(float(np.log2(1.0 + direct * rho / (1.0 + quieting * rho))))
-    return CooperationBoundProbe(per_antenna_terms=tuple(terms), rho=rho)
+    direct, quieting = ((h[:m1, None, :] @ h[:m1, :, None])[:, 0, 0] for h in (h11, h41))
+    rho = grid[:, None]
+    return np.log2(1.0 + direct * rho / (1.0 + quieting * rho))
 
 
-def bound_term_slopes(
-    channel: ChannelRealization, rho_grid=COOP_RHO_GRID
-) -> list[float]:
-    """Finite-difference slope in log2(rho) of each per-antenna term."""
-    grid = tuple(float(r) for r in rho_grid)
-    probes = [cooperation_bound_term(channel, rho) for rho in grid]
-    n_terms = len(probes[0].per_antenna_terms)
-    slopes = []
-    for j in range(n_terms):
-        worst = 0.0
-        for k in range(len(grid) - 1):
-            dy = probes[k + 1].per_antenna_terms[j] - probes[k].per_antenna_terms[j]
-            dx = np.log2(grid[k + 1]) - np.log2(grid[k])
-            worst = max(worst, abs(dy / dx))
-        slopes.append(worst)
-    return slopes
+def cooperation_bound_term(channel: ChannelRealization, rho: float) -> CooperationBoundProbe:
+    """The genie-bound terms at one power: row j of h11 against row j of h41,
+    j < m1.  Needs the extended link set (for h11) and n2 >= m1."""
+    terms = _bound_terms(channel, np.array([rho], dtype=float))
+    return CooperationBoundProbe(per_antenna_terms=tuple(terms[0].tolist()), rho=rho)
+
+
+def bound_term_slopes(channel: ChannelRealization, rho_grid=COOP_RHO_GRID) -> list[float]:
+    """Per genie-bound term, its largest finite-difference slope in log2(rho)."""
+    grid = np.array(rho_grid, dtype=float)
+    _check_grid(grid)
+    steps = np.diff(_bound_terms(channel, grid), axis=0) / np.diff(np.log2(grid))[:, None]
+    return np.abs(steps).max(axis=0, initial=0.0).tolist()
 
 
 def cooperation_dof_gap_check(
     config: AntennaConfig,
     trials: int,
     seed: int = 0,
-    rho_grid=COOP_RHO_GRID,
     slope_threshold: float = 0.01,
 ) -> CooperationGapReport:
     """Confirm the genie-bound terms saturate, so cooperation adds no DOF.
 
-    Over ``trials`` random extended channels, every per-antenna term must be
-    flat (slope below the threshold) across the power grid; the report pairs
+    Over ``trials`` random extended channels, every genie-bound term must be
+    flat (slope below the threshold) across COOP_RHO_GRID; the report pairs
     that with the closed-form cooperation DOF and its upper bounds.
     """
     if config.n2 < config.m1:
@@ -322,14 +303,14 @@ def cooperation_dof_gap_check(
     worst = 0.0
     for trial in range(trials):
         channel = sample_channel(config, seed=seed + trial, extended=True)
-        worst = max(worst, max(bound_term_slopes(channel, rho_grid)))
+        worst = max(worst, max(bound_term_slopes(channel)))
     dof = dof_cooperation(config)
     bounds = dof_cooperation_upper_bounds(config)
     passed = worst < slope_threshold and dof <= min(bounds)
     return CooperationGapReport(
         config=config,
         trials=trials,
-        rho_grid=tuple(float(r) for r in rho_grid),
+        rho_grid=COOP_RHO_GRID,
         max_term_slope=worst,
         dof=dof,
         upper_bounds=bounds,

@@ -262,19 +262,22 @@ def _receivers(config: AntennaConfig, items: list[tuple]):
     return rx1, rx2, w1, w2
 
 
-def _receiver_models(
-    schemes: list[ZfScheme], channels: list[ChannelRealization]
-) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
-    """Both receivers of schemes that share (config, point), each on its channel.
-
-    Returns, per scheme, the rank diagnostics and, per receiver, the
-    projected singular values.
-    """
+def _scheme_receivers(schemes: list[ZfScheme], channels: list[ChannelRealization]):
+    """Both receivers' ``_receiver`` results for schemes that share (config,
+    point), each on its channel, over the batch axis."""
     config = schemes[0].config
     if not all(ch.matches(config) for ch in channels):
         raise ValueError("channel does not match the scheme's configuration")
     items = [(s.scenario, ch, s.w1_vectors, s.w2_vectors) for s, ch in zip(schemes, channels)]
-    rx1, rx2, _, _ = _receivers(config, items)
+    return _receivers(config, items)[:2]
+
+
+def _receiver_models(
+    schemes: list[ZfScheme], channels: list[ChannelRealization]
+) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
+    """Per scheme, the rank diagnostics and, per receiver, the projected
+    singular values (see ``_scheme_receivers``)."""
+    rx1, rx2 = _scheme_receivers(schemes, channels)
     counts = zip(*rx1[:3], *rx2[:3], rx1[3], rx2[3])
     return [(SchemeDiagnostics(*c), p1, p2) for c, p1, p2 in zip(counts, rx1[4], rx2[4])]
 

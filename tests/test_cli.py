@@ -278,6 +278,13 @@ def test_coop_bound_single_stream(capsys):
     ("coop-bound", "--config", "2,2,2,2", "--trials", "0"),
     ("achieve", "--config", "2,2,2,2", "--scenario", "0,1,0,1", "--point", "1,1",
      "--trials", "0"),
+    # A power at or below zero, or NaN, is refused before it reaches log10.
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--rho-min", "-5"),
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--rho-min", "0"),
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--rho-min", "nan"),
 ])
 def test_library_argument_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -285,6 +292,8 @@ def test_library_argument_errors_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if "--rho-min" in argv:
+        assert "rho" in err
 
 
 # ----------------------------------------------------------- reproducibility

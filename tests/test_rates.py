@@ -3,8 +3,10 @@ import pytest
 
 from micdof.channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
 from micdof.rates import (
+    COOP_RHO_GRID,
     RateSweep,
     UndecodableSchemeError,
+    _rate_models,
     achievable_rates,
     bound_term_slopes,
     cooperation_bound_term,
@@ -154,6 +156,102 @@ def test_slope_reads_one_receiver_model(monkeypatch):
     assert counts == {"svd": one_point["svd"], "slogdet": 0}
 
 
+# Max-sum points that the rate_mc benchmark checks, plus the single stream.
+RATE_CASES = [
+    ((1, 1, 1, 1), (0, 0, 0, 0), (1, 0)),
+    ((1, 3, 3, 1), (0, 1, 0, 0), (3, 0)),
+    ((2, 2, 2, 2), (0, 0, 0, 0), (1, 1)),
+    ((3, 1, 2, 4), (0, 1, 1, 0), (2, 1)),
+    ((4, 4, 4, 4), (1, 1, 0, 0), (4, 4)),
+]
+
+
+def _batch(counts, bits, point, trials, seed):
+    # The channels and schemes simulate_point draws for these arguments.
+    config = AntennaConfig(*counts)
+    channels = [sample_channel(config, seed=seed + t) for t in range(trials)]
+    schemes = [build_scheme(config, scenario(*bits), *point, ch, seed=seed + t)
+               for t, ch in enumerate(channels)]
+    return schemes, channels
+
+
+def _loop_mean_rates(models, grid, trials):
+    # Reference: one rate per (trial, rho, message) in scalar calls, summed
+    # into running accumulators, as the per-rho rate loop computed them.
+    acc = [np.zeros(len(grid)), np.zeros(len(grid))]
+    for t in range(trials):
+        for total, (k, gains) in zip(acc, models):
+            total += np.array([float(np.sum(np.log2(1.0 + (rho / int(k[t])) * gains[t])))
+                               for rho in grid])
+    return [total / trials for total in acc]
+
+
+def test_rate_arrays_match_the_per_rho_loop():
+    grid = default_rho_grid()
+    channels_seen = 0
+    for counts, bits, point in RATE_CASES:
+        schemes, channels = _batch(counts, bits, point, trials=12, seed=40)
+        sweep = simulate_point(AntennaConfig(*counts), scenario(*bits), *point,
+                               trials=12, seed=40, rho_grid=grid)
+        r1, r2 = _loop_mean_rates(_rate_models(schemes, channels), grid, 12)
+        assert np.array(sweep.r1_rates).tobytes() == r1.tobytes()
+        assert np.array(sweep.r2_rates).tobytes() == r2.tobytes()
+        assert (sweep.slope, sweep.intercept) == fit_loglinear_slope(np.array(grid), r1 + r2)
+        for scheme, ch in zip(schemes[:3], channels):
+            alone = estimate_dof_slope(scheme, ch, grid)
+            one_r1, one_r2 = _loop_mean_rates(_rate_models([scheme], [ch]), grid, 1)
+            assert np.array(alone.r1_rates).tobytes() == one_r1.tobytes()
+            assert np.array(alone.r2_rates).tobytes() == one_r2.tobytes()
+        channels_seen += len(channels)
+    assert channels_seen >= 50
+
+
+def _count_log2(monkeypatch):
+    counts = [0]
+    log2 = np.log2
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return log2(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log2", counted)
+    return counts
+
+
+def test_log2_calls_do_not_grow_with_trials_or_grid(monkeypatch):
+    # Operation counts: one log2 call per message for the whole rate array,
+    # whatever the number of trials T and grid points G.
+    config, sc = AntennaConfig(2, 2, 2, 2), scenario(0, 0, 0, 0)
+    counts = _count_log2(monkeypatch)
+    per_shape = []
+    for trials, points in ((2, 3), (20, 7)):
+        counts[0] = 0
+        simulate_point(config, sc, 1, 1, trials=trials, seed=0,
+                       rho_grid=default_rho_grid(points=points))
+        per_shape.append(counts[0])
+    assert per_shape[0] > 0
+    assert per_shape[0] == per_shape[1]
+
+
+def test_slope_error_is_the_slope_of_the_mean_remainder():
+    # Each stream's rate is log2(rho) + log2(sigma^2 / k) + log2(1 + k / (rho
+    # sigma^2)), and the least-squares slope is linear in the data: the fitted
+    # slope minus d1 + d2 is the fitted slope of the mean remainder.
+    grid = default_rho_grid()
+    rho = np.array(grid)[None, :, None]
+    for counts, bits, point in RATE_CASES:
+        for seed in range(30):
+            schemes, channels = _batch(counts, bits, point, trials=3, seed=100 * seed)
+            sweep = simulate_point(AntennaConfig(*counts), scenario(*bits), *point,
+                                   trials=3, seed=100 * seed, rho_grid=grid)
+            remainder = sum(
+                np.log2(1.0 + k[:, None, None] / (rho * gains[:, None, :])).sum(axis=2)
+                for k, gains in _rate_models(schemes, channels)
+            ).mean(axis=0)
+            remainder_slope, _ = fit_loglinear_slope(np.array(grid), remainder)
+            assert abs(sweep.slope - sum(point) - remainder_slope) <= 1e-12
+
+
 # -------------------------------------------------------------- regression
 
 
@@ -175,6 +273,25 @@ def test_rate_sweep_validates_grid():
     with pytest.raises(ValueError, match="nondecreasing"):
         RateSweep(rho_grid=(1.0, 2.0, 4.0), r1_rates=(1.0, 0.5, 2.0),
                   r2_rates=(0.0, 0.0, 0.0), slope=0.0, intercept=0.0)
+
+
+def test_invalid_powers_are_rejected():
+    config, sc = AntennaConfig(2, 2, 2, 2), scenario(0, 0, 0, 0)
+    ch = sample_channel(config, seed=0, extended=True)
+    with pytest.raises(ValueError, match="rho"):
+        achievable_rates(build_scheme(config, sc, 1, 1, ch, seed=0), ch, float("nan"))
+    with pytest.raises(ValueError, match="rho"):
+        cooperation_bound_term(ch, float("nan"))
+    with pytest.raises(ValueError, match="increasing"):
+        bound_term_slopes(ch, (1e6, 1e6, 1e8))
+    with pytest.raises(ValueError, match="rho"):
+        simulate_point(config, sc, 1, 1, trials=1, rho_grid=(1e5, float("nan"), 1e9))
+    with pytest.raises(ValueError, match="rho"):
+        RateSweep(rho_grid=(float("nan"),) * 3, r1_rates=(0, 0, 0), r2_rates=(0, 0, 0),
+                  slope=0.0, intercept=0.0)
+    for rho_min in (-5.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho"):
+            default_rho_grid(rho_min, 1e10)
 
 
 def test_estimate_grid_bounds():
@@ -222,6 +339,28 @@ def test_bound_term_zero_direct_row():
         assert probe.per_antenna_terms[1] > 0.0
 
 
+def test_bound_term_pairs_rows_of_h11_and_h41():
+    # n2 = 3 > m1 = 2: term j uses row j of h41, not its column j or row 2.
+    # Squared norms: h11 rows 2, 4 (columns 5, 1); h41 rows 1, 9 (columns 26, 34).
+    h11 = np.array([[1.0, 1.0], [2.0, 0.0]])
+    h41 = np.array([[1.0, 0.0], [0.0, 3.0], [5.0, 5.0]])
+    ident = np.eye(2)
+    links = {(i, j): ident for i in range(1, 5) for j in range(1, 5)}
+    links[(1, 1)] = h11
+    links[(4, 1)] = h41
+    ch = ChannelRealization(h31=ident, h32=ident, h41=h41, h42=np.ones((3, 2)),
+                            seed=0, extended_links=links)
+    rho = 10.0
+
+    def term(direct, quieting):
+        return np.log2(1.0 + direct * rho / (1.0 + quieting * rho))
+
+    got = cooperation_bound_term(ch, rho).per_antenna_terms
+    assert got == pytest.approx([term(2.0, 1.0), term(4.0, 9.0)], rel=1e-12)
+    assert got[0] != pytest.approx(term(2.0, 26.0), rel=1e-3)
+    assert got[1] != pytest.approx(term(4.0, 34.0), rel=1e-3)
+
+
 def test_bound_term_equal_rows_saturate_at_one_bit():
     row = np.array([[3.0, 4.0]])
     stack = np.vstack([row, row])
@@ -238,6 +377,58 @@ def test_bound_term_equal_rows_saturate_at_one_bit():
 def test_bound_term_slopes_vanish():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0, extended=True)
     assert max(bound_term_slopes(ch, (1e6, 1e8, 1e10))) < 0.01
+
+
+def _loop_bound_terms(ch, rho):
+    # Reference: the terms one row pair at a time, in scalar calls.
+    h11, h41 = ch.extended_links[(1, 1)], ch.h41
+    return [
+        float(np.log2(1.0 + float(np.dot(h11[j], h11[j])) * rho
+                      / (1.0 + float(np.dot(h41[j], h41[j])) * rho)))
+        for j in range(h11.shape[1])
+    ]
+
+
+def _loop_slopes(ch, grid):
+    # Reference: the per-term, per-interval double loop.
+    terms = [_loop_bound_terms(ch, rho) for rho in grid]
+    slopes = []
+    for j in range(len(terms[0])):
+        worst = 0.0
+        for k in range(len(grid) - 1):
+            dx = np.log2(grid[k + 1]) - np.log2(grid[k])
+            worst = max(worst, abs((terms[k + 1][j] - terms[k][j]) / dx))
+        slopes.append(worst)
+    return slopes
+
+
+def test_bound_term_arrays_match_the_per_row_loop():
+    grids = (COOP_RHO_GRID, (1e2, 1e4, 1e6, 1e8, 1e10))
+    channels = [
+        sample_channel(AntennaConfig(*counts), seed=seed, extended=True)
+        for counts in ((3, 1, 2, 4), (4, 4, 4, 4), (2, 2, 2, 2), (1, 3, 3, 1), (1, 2, 4, 4))
+        for seed in range(10)
+    ]
+    assert len(channels) >= 50
+    for ch in channels:
+        for rho in (1.0, 1e6, 1e10):
+            got = cooperation_bound_term(ch, rho).per_antenna_terms
+            assert np.array(got).tobytes() == np.array(_loop_bound_terms(ch, rho)).tobytes()
+        for grid in grids:
+            got = bound_term_slopes(ch, grid)
+            assert np.array(got).tobytes() == np.array(_loop_slopes(ch, grid)).tobytes()
+
+
+def test_bound_term_slope_log2_calls_do_not_grow_with_grid(monkeypatch):
+    ch = sample_channel(AntennaConfig(3, 3, 3, 3), seed=1, extended=True)
+    counts = _count_log2(monkeypatch)
+    per_grid = []
+    for grid in ((1e6, 1e8, 1e10), (1e2, 1e4, 1e6, 1e8, 1e10)):
+        counts[0] = 0
+        bound_term_slopes(ch, grid)
+        per_grid.append(counts[0])
+    assert per_grid[0] > 0
+    assert per_grid[0] == per_grid[1]
 
 
 def test_bound_term_without_quieting_grows_one_bit_per_doubling():
