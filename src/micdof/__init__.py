@@ -12,6 +12,7 @@ from .channel import (
     DegenerateChannelError,
     RANK_RTOL,
     sample_channel,
+    sample_channels,
     swap_users,
 )
 from .regions import (
@@ -61,6 +62,7 @@ __all__ = [
     "DegenerateChannelError",
     "RANK_RTOL",
     "sample_channel",
+    "sample_channels",
     "swap_users",
     "AchievableSet",
     "DofPoint",

@@ -5,6 +5,14 @@ transmitters (``m1``/``m2`` antennas), node 3 and node 4 the receivers
 (``n1``/``n2`` antennas).  ``h{ji}`` is the link matrix from node ``i`` to
 node ``j``; the cooperation variant additionally carries the full 4x4 set of
 directed links (every node is full duplex, self-links included).
+
+Sampling is batched: ``sample_channels`` draws one realization per seed,
+checks every link of the batch for full rank with one SVD per link shape, and
+keeps the largest singular values of h31..h42 as their spectral norms.  Each
+seed's matrices depend on that seed alone, so a batch gives the bytes its
+seeds give one at a time; ``sample_channel`` is the batch of one.  Null bases
+of many realizations likewise come from one batched SVD
+(``ChannelRealization.null_bases``).
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import numpy as np
 # The one rank rule: a singular value counts toward the rank when it exceeds
 # RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.  The scale
 # is the matrix's own largest singular value (`is_full_rank`, `null_space`,
-# and `matrix_rank` by default), the spectral norm of the channel the matrix
+# `matrix_rank` by default, and the batched checks in `sample_channels` and
+# `ChannelRealization.null_bases`), the spectral norm of the channel the matrix
 # was received through (the receiver model in `zf`), so that leakage of
 # ~1e-16 counts as rank zero rather than full rank, or 1.0 for the stacked
 # transmit vectors, which have unit norm (`zf._transmit_ranks`).  Each way the
@@ -119,9 +128,10 @@ class ChannelRealization:
     Geometry derived from the links (the stacked receiver matrices ``rx1`` and
     ``rx2``, spectral norms, null-space bases) is computed on first use and
     cached on the realization, so every DOF point, verdict and rate evaluated
-    on the same channel shares it.  Cached arrays are read-only, like the
-    links themselves: writing to them raises ValueError.  Realizations compare
-    and hash by identity.
+    on the same channel shares it; ``sample_channels`` fills the spectral
+    norms of h31..h42 from its rank check.  Cached arrays are read-only, like
+    the links themselves: writing to them raises ValueError.  Realizations
+    compare and hash by identity.
     """
 
     h31: np.ndarray
@@ -172,10 +182,22 @@ class ChannelRealization:
 
     def null_basis(self, link: str) -> tuple[np.ndarray, ...]:
         """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
+        return ChannelRealization.null_bases([self], link)[0]
+
+    @staticmethod
+    def null_bases(
+        channels: list["ChannelRealization"], link: str
+    ) -> list[tuple[np.ndarray, ...]]:
+        """``null_basis(link)`` of each channel; the uncached ones come from
+        one batched full SVD, each cut at its own rank as ``null_space`` cuts."""
         key = ("null", link)
-        if key not in self._memo:
-            self._memo[key] = tuple(_freeze(v) for v in null_space(getattr(self, link)))
-        return self._memo[key]
+        missing = [ch for ch in channels if key not in ch._memo]
+        if missing:
+            stack = np.array([getattr(ch, link) for ch in missing])
+            _, singular, vt = np.linalg.svd(stack, full_matrices=True)
+            for ch, rank, basis in zip(missing, _ranks(singular, singular[:, 0]).tolist(), vt):
+                ch._memo[key] = tuple(_freeze(v) for v in basis[rank:])
+        return [ch._memo[key] for ch in channels]
 
     def matches(self, config: AntennaConfig) -> bool:
         m1, m2, n1, n2 = config.counts
@@ -212,7 +234,8 @@ def _rank(singular: np.ndarray, scale: float | None = None) -> int:
 
 
 def _ranks(singular: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`_rank` over a leading batch axis, for positive scales (B,)."""
+    """`_rank` over a leading batch axis, for scales (B,) that are positive or
+    each item's own largest singular value (a zero one gives rank 0 then)."""
     return (singular > RANK_RTOL * scale[:, None]).sum(axis=1)
 
 
@@ -253,28 +276,123 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
 def sample_channel(
     config: AntennaConfig, seed: int, extended: bool = False
 ) -> ChannelRealization:
-    """Sample i.i.d. standard-normal channel matrices, deterministic in seed.
+    """One seed's channel: ``sample_channels`` for a batch of one."""
+    return sample_channels(config, [seed], extended)[0]
+
+
+def sample_channels(
+    config: AntennaConfig, seeds, extended: bool = False
+) -> list[ChannelRealization]:
+    """Sample i.i.d. standard-normal channel matrices, one realization per seed.
 
     Entries are real, zero mean, unit variance.  Continuous sampling makes
-    every matrix full rank almost surely; a rank failure at tolerance is
-    retried with a derived seed up to 8 times before giving up.
+    every matrix full rank almost surely; a seed whose draw fails the rank
+    rule at tolerance is redrawn with a derived seed, up to 8 attempts before
+    giving up.  Each seed's draw depends on that seed alone: attempt a draws
+    its links in pair order from one generator seeded by (seed, a).  The
+    rank checks of a batch run as one SVD per link shape, and their largest
+    singular values are cached as the spectral norms of h31..h42.
     """
-    pairs = _ALL_PAIRS if extended else _LINK_PAIRS
-    entropy = seed & (2**64 - 1)
+    layout = _layout(config.counts, extended)
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    accepted: list = [None] * len(seeds)
+    pending = list(range(len(seeds)))
     for attempt in range(_RESAMPLE_ATTEMPTS):
-        rng = np.random.default_rng([entropy, attempt])
-        links = {
-            (i, j): rng.standard_normal((config.node_antennas(i), config.node_antennas(j)))
-            for i, j in pairs
-        }
-        if all(is_full_rank(m) for m in links.values()):
-            links = {pair: _freeze(m) for pair, m in links.items()}
-            return ChannelRealization(
-                *(links[pair] for pair in _LINK_PAIRS),
-                seed=seed,
-                extended_links=links if extended else None,
-            )
+        # One standard_normal call draws the numbers that one call per link would.
+        draws = np.array([
+            np.random.default_rng([seeds[k] & (2**64 - 1), attempt]).standard_normal(layout.size)
+            for k in pending
+        ])
+        # Per seed, the singular values of all its links, one group at a time.
+        spectra = np.concatenate([
+            np.linalg.svd(draws[:, columns].reshape(-1, *shape), compute_uv=False)
+            .reshape(len(pending), -1)
+            for shape, columns in layout.groups
+        ], axis=1)
+        # A link is full rank when its smallest singular value counts toward
+        # the rank, i.e. _ranks(s, s[:, 0]) == min(n, m); a zero scale fails.
+        top, low = spectra[:, layout.top], spectra[:, layout.low]
+        full_rank = (low > RANK_RTOL * top).all(axis=1).tolist()
+        norms = spectra[:, layout.norms].tolist()
+        # Read-only views, one per (seed, link), of the frozen draws.
+        _freeze(draws)
+        links = zip(*(list(draws[:, span].reshape(-1, *shape)) for shape, span in layout.spans))
+        for k, ok, seed_links, seed_norms in zip(pending, full_rank, links, norms):
+            if ok:
+                accepted[k] = (seed_links, seed_norms)
+        pending = [k for k, ok in zip(pending, full_rank) if not ok]
+        if not pending:
+            return [layout.realization(seed, *accepted[k]) for k, seed in enumerate(seeds)]
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
         f"{_RESAMPLE_ATTEMPTS} attempts; the generator looks degenerate"
+    )
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a configuration's links sit in one seed's flat draw.
+
+    ``spans`` gives each link's shape and slice, in pair order.  Each entry
+    of ``groups`` is a link shape and the columns of the draw holding its
+    links (a slice when they are adjacent), so ``draws[:, columns]``
+    reshapes to a stack of that shape.  A seed's spectra, concatenated in
+    group order, hold each link's largest singular value at ``top`` and its
+    smallest at ``low``; ``norms`` are the ``top`` entries of h31..h42, and
+    ``base`` picks h31..h42 from the links in pair order.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    spans: tuple[tuple[tuple[int, int], slice], ...]
+    groups: tuple[tuple[tuple[int, int], slice | np.ndarray], ...]
+    top: np.ndarray
+    low: np.ndarray
+    norms: list[int]
+    base: tuple[int, ...]
+    size: int
+    extended: bool
+
+    def realization(self, seed: int, links, norms: list[float]) -> ChannelRealization:
+        """A seed's accepted links (pair order), with the spectral norms of
+        h31..h42 in the cache."""
+        channel = ChannelRealization(
+            *(links[p] for p in self.base),
+            seed=seed,
+            extended_links=dict(zip(self.pairs, links)) if self.extended else None,
+        )
+        channel._memo.update(zip(_NORM_KEYS, norms))
+        return channel
+
+
+_NORM_KEYS = tuple(("norm", f"h{i}{j}") for i, j in _LINK_PAIRS)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(counts: tuple[int, int, int, int], extended: bool) -> _Layout:
+    """The flat-draw layout of the links sampled for ``counts``."""
+    pairs = _ALL_PAIRS if extended else _LINK_PAIRS
+    spans, start = [], 0
+    for i, j in pairs:
+        shape = (counts[i - 1], counts[j - 1])
+        spans.append((shape, slice(start, start + shape[0] * shape[1])))
+        start += shape[0] * shape[1]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for p, (shape, _) in enumerate(spans):
+        by_shape.setdefault(shape, []).append(p)
+    groups, top, low, offset = [], {}, {}, 0
+    for shape, links in by_shape.items():
+        if links == list(range(links[0], links[-1] + 1)):
+            columns = slice(spans[links[0]][1].start, spans[links[-1]][1].stop)
+        else:
+            columns = np.array([np.arange(spans[p][1].start, spans[p][1].stop) for p in links])
+        groups.append((shape, columns))
+        for p in links:
+            top[p], low[p] = offset, offset + min(shape) - 1
+            offset += min(shape)
+    base = tuple(pairs.index(pair) for pair in _LINK_PAIRS)
+    return _Layout(
+        pairs, tuple(spans), tuple(groups), np.array(list(top.values())),
+        np.array(list(low.values())), [top[p] for p in base], base, start, extended,
     )

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .channel import AntennaConfig, CognitionScenario, sample_channel
+from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
     _achievable,
     dof_cooperation,
@@ -304,7 +304,7 @@ def _cmd_achieve(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     _check_point(args)
-    channels = [sample_channel(args.config, seed=args.seed + t) for t in range(args.trials)]
+    channels = sample_channels(args.config, range(args.seed, args.seed + args.trials))
     cell = _sweep_cells(args.config, [(args.scenario, args.point, channels, args.seed)])[0]
     if args.format == "json":
         print(json.dumps(cell.to_json_dict()))

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
+from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channels
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _scheme_receivers, build_scheme
+from .zf import ZfScheme, _fill_null_bases, _scheme_receivers, build_scheme
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -240,7 +240,8 @@ def simulate_point(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
-    channels = [sample_channel(config, seed=seed + trial) for trial in range(trials)]
+    channels = sample_channels(config, range(seed, seed + trials))
+    _fill_null_bases([(scenario, (d1, d2), channels)])
     schemes = [
         build_scheme(config, scenario, d1, d2, channel, seed=seed + trial)
         for trial, channel in enumerate(channels)
@@ -301,8 +302,7 @@ def cooperation_dof_gap_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     worst = 0.0
-    for trial in range(trials):
-        channel = sample_channel(config, seed=seed + trial, extended=True)
+    for channel in sample_channels(config, range(seed, seed + trials), extended=True):
         worst = max(worst, max(bound_term_slopes(channel)))
     dof = dof_cooperation(config)
     bounds = dof_cooperation_upper_bounds(config)

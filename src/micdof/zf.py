@@ -18,7 +18,8 @@ equal interference rank, through views with one scheme's own shapes and
 strides: numpy picks its BLAS call by both, so a zero-masked wider span
 would change the last bits.  A single scheme is a batch of one.  The null
 residual stays a norm per nulled vector, which a batched norm would not
-reproduce to the bit.
+reproduce to the bit.  Before vectors are drawn, the null bases that a batch
+of cells reads are cached with one batched SVD per cross link.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .channel import (
     _ranks,
     matrix_rank,
     null_space,
-    sample_channel,
+    sample_channels,
 )
 from .regions import _achievable, _pos, inner_points
 
@@ -122,6 +123,21 @@ class SchemeDiagnostics:
 def _cross_links(scenario: CognitionScenario) -> tuple[str, str]:
     """The links from W1's active transmit space to receiver 2, and W2's to 1."""
     return ("rx2" if scenario.t2 else "h41"), ("rx1" if scenario.t1 else "h32")
+
+
+def _fill_null_bases(cells) -> None:
+    """Cache the null bases that the cells' schemes read, one batched SVD per
+    cross link: a message with streams reads its cross link's basis unless
+    the opposite receiver is cognitive.  Each cell is (scenario, point,
+    channels)."""
+    by_link: dict[str, dict] = {}
+    for scenario, (d1, d2), channels in cells:
+        link1, link2 = _cross_links(scenario)
+        for link, streams, cognitive in ((link1, d1, scenario.r2), (link2, d2, scenario.r1)):
+            if streams and not cognitive:
+                by_link.setdefault(link, {}).update(dict.fromkeys(channels))
+    for link, channels in by_link.items():
+        ChannelRealization.null_bases(list(channels), link)
 
 
 def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int]:
@@ -410,8 +426,10 @@ def _sweep_cells(config: AntennaConfig, cells: list[tuple]) -> list[SweepCell]:
     """Sweep cells (scenario, point, channels, seed) of one configuration.
 
     Trial t of a cell runs on channels[t] with vector seed seed + t.  The
-    trials of all cells that share a point are judged in one batch.
+    null bases the cells read come from one batched SVD per cross link, and
+    the trials of all cells that share a point are judged in one batch.
     """
+    _fill_null_bases([cell[:3] for cell in cells])
     groups: dict[tuple[int, int], list[tuple]] = {}
     for scenario, point, channels, seed in cells:
         groups.setdefault(point, []).extend(
@@ -434,8 +452,9 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
 
     Covers all antenna configurations with counts in 1..max_antennas, all 16
     cognition scenarios, every point of the achievable integer set, and
-    ``trials`` random channels per point.  Failures are recorded in the
-    report, not raised.
+    ``trials`` random channels per point; a configuration's channels, all
+    scenarios' trials, are sampled as one batch.  Failures are recorded in
+    the report, not raised.
     """
     if max_antennas < 1:
         raise ValueError("max_antennas must be >= 1")
@@ -447,13 +466,13 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
     scenarios = CognitionScenario.all_scenarios()
     for counts in itertools.product(range(1, max_antennas + 1), repeat=4):
         config = AntennaConfig(*counts)
+        cell_seeds = [_derived_seed(seed, counts, s) for s in range(len(scenarios))]
+        sampled = sample_channels(
+            config, [cell_seed + trial for cell_seed in cell_seeds for trial in range(trials)]
+        )
         config_cells = []
-        for s_index, scenario in enumerate(scenarios):
-            cell_seed = _derived_seed(seed, counts, s_index)
-            channels = [
-                sample_channel(config, seed=cell_seed + trial)
-                for trial in range(trials)
-            ]
+        for s_index, (scenario, cell_seed) in enumerate(zip(scenarios, cell_seeds)):
+            channels = sampled[s_index * trials : (s_index + 1) * trials]
             for point in sorted(inner_points(config, scenario).points):
                 config_cells.append((scenario, point, channels, cell_seed))
         cells.extend(_sweep_cells(config, config_cells))

@@ -289,38 +289,86 @@ def test_sweep_matches_a_loop_without_shared_geometry():
 def test_sweep_derives_each_channel_geometry_once(monkeypatch):
     # Operation counts, not timings: the spectral norms and null-space bases
     # of a channel are computed once and shared by all points of its cell.
-    # Every spectral norm is one row of a batched SVD in
-    # ChannelRealization.spectral_norms.
-    counts = {"channels": 0, "spectral_norms": 0, "null_space_svds": 0}
-    sample, norms, svd = zf.sample_channel, ChannelRealization.spectral_norms, np.linalg.svd
-    in_norms = [False]
+    # Channels are the seeds passed to sample_channels; every spectral norm
+    # and null basis is one row of a batched SVD in
+    # ChannelRealization.spectral_norms or ChannelRealization.null_bases.
+    counts = {"channels": 0, "spectral_norms": 0, "null_bases": 0, "other_full_svds": 0}
+    sample, svd = zf.sample_channels, np.linalg.svd
+    inside = [None]
 
-    def counted_sample(*args, **kwargs):
-        counts["channels"] += 1
-        return sample(*args, **kwargs)
+    def counted_sample(config, seeds, *args, **kwargs):
+        seeds = list(seeds)
+        counts["channels"] += len(seeds)
+        return sample(config, seeds, *args, **kwargs)
 
-    def counted_norms(channels, link):
-        in_norms[0] = True
-        try:
-            return norms(channels, link)
-        finally:
-            in_norms[0] = False
+    def within(name, call):
+        def wrapped(*args, **kwargs):
+            inside[0] = name
+            try:
+                return call(*args, **kwargs)
+            finally:
+                inside[0] = None
+        return staticmethod(wrapped)
 
     def counted_svd(a, full_matrices=True, *args, **kwargs):
-        if in_norms[0]:
-            counts["spectral_norms"] += len(a)
+        if inside[0]:
+            counts[inside[0]] += len(a)
         elif full_matrices and kwargs.get("compute_uv", True):
-            counts["null_space_svds"] += 1
+            counts["other_full_svds"] += 1
         return svd(a, full_matrices, *args, **kwargs)
 
-    monkeypatch.setattr(zf, "sample_channel", counted_sample)
-    monkeypatch.setattr(ChannelRealization, "spectral_norms", staticmethod(counted_norms))
+    monkeypatch.setattr(zf, "sample_channels", counted_sample)
+    for name in ("spectral_norms", "null_bases"):
+        monkeypatch.setattr(ChannelRealization, name,
+                            within(name, getattr(ChannelRealization, name)))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     report = achievability_sweep(max_antennas=2, trials=1, seed=0)
     assert report.total_trials == 1290
     assert counts["channels"] == 256
     assert counts["spectral_norms"] <= 4 * counts["channels"]
-    assert counts["null_space_svds"] <= 2 * counts["channels"]
+    assert counts["null_bases"] <= 2 * counts["channels"]
+    assert counts["other_full_svds"] == 0
+
+
+def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
+    # Operation counts: sampling makes one SVD per link shape and null bases
+    # one per cross link, whatever the number of trials.
+    from micdof import rates
+
+    svd = np.linalg.svd
+    counts = {"svds": 0}
+    inside = [False]
+
+    def counted_svd(*args, **kwargs):
+        counts["svds"] += inside[0]
+        return svd(*args, **kwargs)
+
+    def within(call):
+        def wrapped(*args, **kwargs):
+            inside[0] = True
+            try:
+                return call(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for module in (zf, rates):
+        monkeypatch.setattr(module, "sample_channels", within(module.sample_channels))
+    monkeypatch.setattr(ChannelRealization, "null_bases",
+                        staticmethod(within(ChannelRealization.null_bases)))
+
+    def svds(run, trials):
+        counts["svds"] = 0
+        run(trials)
+        return counts["svds"]
+
+    # (2,4,3,3): link shapes 3x2 and 3x4; W2 is nulled against h32.
+    config, sc = AntennaConfig(2, 4, 3, 3), scenario(0, 1, 0, 1)
+    point = lambda trials: rates.simulate_point(config, sc, 2, 2, trials=trials, seed=3)
+    assert svds(point, 2) == svds(point, 50) == 3
+    sweep = lambda trials: achievability_sweep(max_antennas=2, trials=trials, seed=0)
+    assert 0 < svds(sweep, 1) == svds(sweep, 4)
 
 
 def _union_rank_diagnostics(scheme, ch):
