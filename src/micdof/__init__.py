@@ -11,6 +11,7 @@ from .channel import (
     CognitionScenario,
     DegenerateChannelError,
     RANK_RTOL,
+    null_space,
     sample_channel,
     sample_channels,
     swap_users,
@@ -38,7 +39,6 @@ from .zf import (
     ZfScheme,
     achievability_sweep,
     build_scheme,
-    null_space,
     verify_scheme,
 )
 from .rates import (

@@ -7,12 +7,13 @@ node ``j``; the cooperation variant additionally carries the full 4x4 set of
 directed links (every node is full duplex, self-links included).
 
 Sampling is batched: ``sample_channels`` draws one realization per seed,
-checks every link of the batch for full rank with one SVD per link shape, and
-keeps the largest singular values of h31..h42 as their spectral norms.  Each
-seed's matrices depend on that seed alone, so a batch gives the bytes its
-seeds give one at a time; ``sample_channel`` is the batch of one.  Null bases
-of many realizations likewise come from one batched SVD
-(``ChannelRealization.null_bases``).
+checks each link of the batch for full rank with one batched SVD, and keeps
+the largest singular values of h31..h42 as their spectral norms.  Each seed's
+matrices depend on that seed alone, so a batch gives the bytes its seeds give
+one at a time; ``sample_channel`` is the batch of one.  Null bases of many
+realizations likewise come from one batched SVD (``_null_rows``, behind
+``ChannelRealization.null_bases``), and ``null_space`` is its batch of one.
+Every rank in micdof is counted by one rule, ``_ranks``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The one rank rule: a singular value counts toward the rank when it exceeds
-# RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.  The scale
-# is the matrix's own largest singular value (`is_full_rank`, `null_space`,
-# `matrix_rank` by default, and the batched checks in `sample_channels` and
-# `ChannelRealization.null_bases`), the spectral norm of the channel the matrix
-# was received through (the receiver model in `zf`), so that leakage of
-# ~1e-16 counts as rank zero rather than full rank, or 1.0 for the stacked
+# The one rank rule (`_ranks`): a singular value counts toward the rank when
+# it exceeds RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.
+# The scale is the matrix's own largest singular value (the full-rank check
+# in `sample_channels`, and the null bases of `null_space` and
+# `ChannelRealization.null_bases`), the spectral norm of the channel the
+# matrix was received through (the receiver model in `zf`), so that leakage
+# of ~1e-16 counts as rank zero rather than full rank, or 1.0 for the stacked
 # transmit vectors, which have unit norm (`zf._transmit_ranks`).  Each way the
 # rule is scale-invariant and far above double noise.
 RANK_RTOL = 1e-9
@@ -189,14 +190,13 @@ class ChannelRealization:
         channels: list["ChannelRealization"], link: str
     ) -> list[tuple[np.ndarray, ...]]:
         """``null_basis(link)`` of each channel; the uncached ones come from
-        one batched full SVD, each cut at its own rank as ``null_space`` cuts."""
+        one batched full SVD (``_null_rows``, as for ``null_space``)."""
         key = ("null", link)
         missing = [ch for ch in channels if key not in ch._memo]
         if missing:
-            stack = np.array([getattr(ch, link) for ch in missing])
-            _, singular, vt = np.linalg.svd(stack, full_matrices=True)
-            for ch, rank, basis in zip(missing, _ranks(singular, singular[:, 0]).tolist(), vt):
-                ch._memo[key] = tuple(_freeze(v) for v in basis[rank:])
+            bases = _null_rows(np.array([getattr(ch, link) for ch in missing]))
+            for ch, basis in zip(missing, bases):
+                ch._memo[key] = tuple(_freeze(v) for v in basis)
         return [ch._memo[key] for ch in channels]
 
     def matches(self, config: AntennaConfig) -> bool:
@@ -220,39 +220,21 @@ def swap_users(
     return swapped_config, swapped_scenario
 
 
-def _rank(singular: np.ndarray, scale: float | None = None) -> int:
-    """Count of singular values above RANK_RTOL * scale (see RANK_RTOL).
-
-    ``singular`` is sorted descending, as numpy returns it; the scale
-    defaults to its largest entry, and an empty spectrum has rank 0.
-    """
-    if scale is None:
-        scale = singular[0] if singular.size else 0.0
-    if scale <= 0.0:
-        return 0
-    return int(np.count_nonzero(singular > RANK_RTOL * scale))
-
-
 def _ranks(singular: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`_rank` over a leading batch axis, for scales (B,) that are positive or
-    each item's own largest singular value (a zero one gives rank 0 then)."""
+    """The rank rule (see RANK_RTOL) over a leading batch axis: per item of
+    ``singular`` (B, k), the count of values above RANK_RTOL * scale, for
+    scales (B,) that are positive or each item's own largest singular value
+    (a zero one gives rank 0 then)."""
     return (singular > RANK_RTOL * scale[:, None]).sum(axis=1)
 
 
-def _singular_values(matrix: np.ndarray) -> np.ndarray:
-    if matrix.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(matrix, compute_uv=False)
-
-
-def matrix_rank(matrix: np.ndarray, scale: float | None = None) -> int:
-    """Rank under the RANK_RTOL rule, relative to ``scale`` when given."""
-    return _rank(_singular_values(matrix), scale)
-
-
-def is_full_rank(matrix: np.ndarray) -> bool:
-    """True when every singular value counts toward the rank."""
-    return matrix.size > 0 and matrix_rank(matrix) == min(matrix.shape)
+def _null_rows(stack: np.ndarray) -> list[np.ndarray]:
+    """Per matrix of a stack (B, n, m), the rows of its V^T past its rank:
+    one full SVD, each matrix cut at ``_ranks`` of its own largest singular
+    value (0 for an empty spectrum, which has rank 0)."""
+    _, singular, vt = np.linalg.svd(stack, full_matrices=True)
+    ranks = _ranks(singular, singular.max(axis=1, initial=0.0)).tolist()
+    return [basis[rank:] for rank, basis in zip(ranks, vt)]
 
 
 def null_space(matrix: np.ndarray) -> list[np.ndarray]:
@@ -264,8 +246,7 @@ def null_space(matrix: np.ndarray) -> list[np.ndarray]:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] < 1:
         raise ValueError("matrix must have at least one column")
-    _, singular, vt = np.linalg.svd(matrix, full_matrices=True)
-    return list(vt[_rank(singular):])
+    return list(_null_rows(matrix[None])[0])
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -289,110 +270,66 @@ def sample_channels(
     every matrix full rank almost surely; a seed whose draw fails the rank
     rule at tolerance is redrawn with a derived seed, up to 8 attempts before
     giving up.  Each seed's draw depends on that seed alone: attempt a draws
-    its links in pair order from one generator seeded by (seed, a).  The
-    rank checks of a batch run as one SVD per link shape, and their largest
-    singular values are cached as the spectral norms of h31..h42.
+    its links in pair order from one generator seeded by (seed, a).  Each
+    link of a batch is checked with one SVD, and the largest singular values
+    are cached as the spectral norms of h31..h42.
     """
-    layout = _layout(config.counts, extended)
+    spans, size = _spans(config.counts, extended)
     seeds = list(seeds)
     if not seeds:
         return []
     accepted: list = [None] * len(seeds)
     pending = list(range(len(seeds)))
     for attempt in range(_RESAMPLE_ATTEMPTS):
-        # One standard_normal call draws the numbers that one call per link would.
-        draws = np.array([
-            np.random.default_rng([seeds[k] & (2**64 - 1), attempt]).standard_normal(layout.size)
+        # One standard_normal call draws the numbers that one call per link
+        # would; the links are read-only views, one per (seed, link), of it.
+        draws = _freeze(np.array([
+            np.random.default_rng([seeds[k] & (2**64 - 1), attempt]).standard_normal(size)
             for k in pending
-        ])
-        # Per seed, the singular values of all its links, one group at a time.
-        spectra = np.concatenate([
-            np.linalg.svd(draws[:, columns].reshape(-1, *shape), compute_uv=False)
-            .reshape(len(pending), -1)
-            for shape, columns in layout.groups
-        ], axis=1)
-        # A link is full rank when its smallest singular value counts toward
-        # the rank, i.e. _ranks(s, s[:, 0]) == min(n, m); a zero scale fails.
-        top, low = spectra[:, layout.top], spectra[:, layout.low]
-        full_rank = (low > RANK_RTOL * top).all(axis=1).tolist()
-        norms = spectra[:, layout.norms].tolist()
-        # Read-only views, one per (seed, link), of the frozen draws.
-        _freeze(draws)
-        links = zip(*(list(draws[:, span].reshape(-1, *shape)) for shape, span in layout.spans))
-        for k, ok, seed_links, seed_norms in zip(pending, full_rank, links, norms):
+        ]))
+        full_rank = np.ones(len(pending), dtype=bool)
+        links, base, norms = [], [], []
+        for pair, (n, m), span in spans:
+            stack = draws[:, span].reshape(-1, n, m)
+            singular = np.linalg.svd(stack, compute_uv=False)
+            full_rank &= _ranks(singular, singular[:, 0]) == min(n, m)
+            links.append(list(stack))
+            if pair in _LINK_PAIRS:
+                base.append(links[-1])
+                norms.append(singular[:, 0].tolist())
+        full_rank = full_rank.tolist()
+        for k, ok, *seed_links in zip(pending, full_rank, zip(*base), zip(*links), zip(*norms)):
             if ok:
-                accepted[k] = (seed_links, seed_norms)
+                accepted[k] = seed_links
         pending = [k for k, ok in zip(pending, full_rank) if not ok]
         if not pending:
-            return [layout.realization(seed, *accepted[k]) for k, seed in enumerate(seeds)]
+            return [_realization(seed, extended, *accepted[k]) for k, seed in enumerate(seeds)]
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
         f"{_RESAMPLE_ATTEMPTS} attempts; the generator looks degenerate"
     )
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Where a configuration's links sit in one seed's flat draw.
-
-    ``spans`` gives each link's shape and slice, in pair order.  Each entry
-    of ``groups`` is a link shape and the columns of the draw holding its
-    links (a slice when they are adjacent), so ``draws[:, columns]``
-    reshapes to a stack of that shape.  A seed's spectra, concatenated in
-    group order, hold each link's largest singular value at ``top`` and its
-    smallest at ``low``; ``norms`` are the ``top`` entries of h31..h42, and
-    ``base`` picks h31..h42 from the links in pair order.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    spans: tuple[tuple[tuple[int, int], slice], ...]
-    groups: tuple[tuple[tuple[int, int], slice | np.ndarray], ...]
-    top: np.ndarray
-    low: np.ndarray
-    norms: list[int]
-    base: tuple[int, ...]
-    size: int
-    extended: bool
-
-    def realization(self, seed: int, links, norms: list[float]) -> ChannelRealization:
-        """A seed's accepted links (pair order), with the spectral norms of
-        h31..h42 in the cache."""
-        channel = ChannelRealization(
-            *(links[p] for p in self.base),
-            seed=seed,
-            extended_links=dict(zip(self.pairs, links)) if self.extended else None,
-        )
-        channel._memo.update(zip(_NORM_KEYS, norms))
-        return channel
-
-
 _NORM_KEYS = tuple(("norm", f"h{i}{j}") for i, j in _LINK_PAIRS)
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(counts: tuple[int, int, int, int], extended: bool) -> _Layout:
-    """The flat-draw layout of the links sampled for ``counts``."""
-    pairs = _ALL_PAIRS if extended else _LINK_PAIRS
-    spans, start = [], 0
-    for i, j in pairs:
-        shape = (counts[i - 1], counts[j - 1])
-        spans.append((shape, slice(start, start + shape[0] * shape[1])))
-        start += shape[0] * shape[1]
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for p, (shape, _) in enumerate(spans):
-        by_shape.setdefault(shape, []).append(p)
-    groups, top, low, offset = [], {}, {}, 0
-    for shape, links in by_shape.items():
-        if links == list(range(links[0], links[-1] + 1)):
-            columns = slice(spans[links[0]][1].start, spans[links[-1]][1].stop)
-        else:
-            columns = np.array([np.arange(spans[p][1].start, spans[p][1].stop) for p in links])
-        groups.append((shape, columns))
-        for p in links:
-            top[p], low[p] = offset, offset + min(shape) - 1
-            offset += min(shape)
-    base = tuple(pairs.index(pair) for pair in _LINK_PAIRS)
-    return _Layout(
-        pairs, tuple(spans), tuple(groups), np.array(list(top.values())),
-        np.array(list(low.values())), [top[p] for p in base], base, start, extended,
+def _realization(seed: int, extended: bool, base, links, norms) -> ChannelRealization:
+    """A seed's accepted links (h31..h42, then every sampled link in pair
+    order), with the spectral norms of h31..h42 in the cache."""
+    channel = ChannelRealization(
+        *base, seed=seed, extended_links=dict(zip(_ALL_PAIRS, links)) if extended else None
     )
+    channel._memo.update(zip(_NORM_KEYS, norms))
+    return channel
+
+
+@functools.lru_cache(maxsize=None)
+def _spans(counts: tuple[int, int, int, int], extended: bool) -> tuple[tuple, int]:
+    """Each sampled link's pair, shape and slice of one seed's flat draw, in
+    pair order, and the size of that draw."""
+    spans, start = [], 0
+    for i, j in _ALL_PAIRS if extended else _LINK_PAIRS:
+        n, m = counts[i - 1], counts[j - 1]
+        spans.append(((i, j), (n, m), slice(start, start + n * m)))
+        start += n * m
+    return tuple(spans), start

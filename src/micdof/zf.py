@@ -35,8 +35,6 @@ from .channel import (
     ChannelRealization,
     CognitionScenario,
     _ranks,
-    matrix_rank,
-    null_space,
     sample_channels,
 )
 from .regions import _achievable, _pos, inner_points

@@ -2,14 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from micdof.channel import (
+    RANK_RTOL,
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
     DegenerateChannelError,
-    is_full_rank,
+    _ranks,
     null_space,
     sample_channel,
     sample_channels,
@@ -131,9 +132,45 @@ def test_derived_geometry_is_cached_and_read_only():
         basis[0][0] = 1.0
 
 
-def test_is_full_rank_detects_degeneracy():
-    assert is_full_rank(np.eye(3))
-    assert not is_full_rank(np.array([[1.0, 1.0], [1.0, 1.0]]))
+def _scalar_rank(matrix, scale=None):
+    # Reference: the rank rule on one matrix, with a 2-D SVD.  The scale
+    # defaults to the largest singular value; an empty spectrum or a zero
+    # scale gives rank 0.
+    s = np.linalg.svd(matrix, compute_uv=False)
+    if scale is None:
+        scale = s[0] if s.size else 0.0
+    return int(np.count_nonzero(s > RANK_RTOL * scale)) if scale > 0 else 0
+
+
+def _scalar_null_space(matrix):
+    # Reference: the rows of one full 2-D SVD's V^T past the scalar rank.
+    vt = np.linalg.svd(matrix, full_matrices=True)[2]
+    return list(vt[_scalar_rank(matrix):])
+
+
+def test_ranks_detects_degeneracy():
+    for matrix, scale, rank in (
+        (np.eye(3), 1.0, 3),
+        (np.ones((2, 2)), 2.0, 1),
+        (np.zeros((2, 2)), 0.0, 0),
+    ):
+        singular = np.linalg.svd(matrix[None], compute_uv=False)
+        assert _ranks(singular, np.array([scale])).tolist() == [rank]
+        assert _scalar_rank(matrix) == rank
+
+
+def test_null_space_edge_cases():
+    # Rank 0 (no rows, or all zeros) keeps every direction; a 1-D input is one row.
+    for matrix in (np.zeros((0, 3)), np.zeros((2, 3))):
+        basis = null_space(matrix)
+        assert len(basis) == 3
+        assert np.allclose(np.array(basis) @ np.array(basis).T, np.eye(3), atol=1e-12)
+        assert [v.tobytes() for v in basis] == [v.tobytes() for v in _scalar_null_space(matrix)]
+    basis = null_space([1.0, 2.0])
+    assert len(basis) == 1
+    assert basis[0].tobytes() == _scalar_null_space(np.array([[1.0, 2.0]]))[0].tobytes()
+    with pytest.raises(ValueError, match="column"):
+        null_space(np.zeros((2, 0)))
 
 
 class _ConstantGenerator:
@@ -172,7 +209,7 @@ def _reference_links(config, seed, extended=False):
              else [(3, 1), (3, 2), (4, 1), (4, 2)])
     for attempt in range(8):
         links = _draw(config, seed, attempt, pairs)
-        if all(is_full_rank(m) for m in links.values()):
+        if all(_scalar_rank(m) == min(m.shape) for m in links.values()):
             return links
     raise DegenerateChannelError("degenerate")
 
@@ -234,15 +271,63 @@ def test_sampling_caches_the_link_spectral_norms(monkeypatch):
 
 
 def test_null_bases_equal_null_space():
+    # Batched bases, the batch of one and the scalar reference agree to the bit.
     for counts in ((3, 2, 2, 3), (4, 1, 2, 1), (1, 3, 3, 1), (2, 2, 2, 2)):
         channels = sample_channels(AntennaConfig(*counts), range(12))
         for link in ("h31", "h32", "h41", "h42", "rx1", "rx2"):
             channels[5].null_basis(link)  # one cached channel in the batch
             bases = ChannelRealization.null_bases(channels, link)
             for ch, basis in zip(channels, bases):
-                expected = null_space(getattr(ch, link))
-                assert [v.tobytes() for v in basis] == [v.tobytes() for v in expected]
+                expected = [v.tobytes() for v in _scalar_null_space(getattr(ch, link))]
+                assert [v.tobytes() for v in basis] == expected
+                assert [v.tobytes() for v in null_space(getattr(ch, link))] == expected
                 assert basis is ch.null_basis(link)
+
+
+_PAIR_NAMES = {(3, 1): "h31", (3, 2): "h32", (4, 1): "h41", (4, 2): "h42"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.tuples(*[st.integers(min_value=2, max_value=4)] * 4),
+    pair=st.sampled_from(list(_PAIR_NAMES)),
+    log_ratio=st.floats(min_value=np.log(RANK_RTOL / 4), max_value=np.log(4 * RANK_RTOL)),
+    basis_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(counts=(2, 3, 4, 2), pair=(3, 2), log_ratio=np.log(RANK_RTOL / 4), basis_seed=0)
+@example(counts=(2, 3, 4, 2), pair=(3, 2), log_ratio=np.log(4 * RANK_RTOL), basis_seed=0)
+def test_sampling_decides_like_the_scalar_rule_at_the_edge(counts, pair, log_ratio, basis_seed):
+    # A link U diag(s) V^T with s_min / s_max near RANK_RTOL replaces its span
+    # of attempt 0's draw; the other links stay generic.  Attempt 0 is kept
+    # exactly when the scalar rule accepts every attempt-0 link.
+    config, seed = AntennaConfig(*counts), 21
+    shape = (config.node_antennas(pair[0]), config.node_antennas(pair[1]))
+    rng = np.random.default_rng(basis_seed)
+    u = np.linalg.qr(rng.standard_normal((shape[0], shape[0])))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))[0]
+    k = min(shape)
+    s = 3.0 * np.exp(np.linspace(0.0, log_ratio, k))
+    edge = u[:, :k] @ np.diag(s) @ v[:, :k].T
+    pairs = list(_PAIR_NAMES)
+    attempt0 = _draw(config, seed, 0, pairs)
+    attempt0[pair] = edge
+    default_rng = np.random.default_rng
+
+    class Rigged:
+        def standard_normal(self, size):
+            flat = np.concatenate([m.ravel() for m in attempt0.values()])
+            assert flat.size == size
+            return flat
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng",
+                   lambda entropy: Rigged() if list(entropy) == [seed, 0] else default_rng(entropy))
+        ch = sample_channel(config, seed)
+    kept = all(_scalar_rank(m) == min(m.shape) for m in attempt0.values())
+    expected = attempt0 if kept else _draw(config, seed, 1, pairs)
+    assert _link_bytes(ch) == {p: m.tobytes() for p, m in expected.items()}
+    name = _PAIR_NAMES[pair]
+    assert ch._memo[("norm", name)] == float(np.linalg.norm(getattr(ch, name), 2))
 
 
 def test_swap_users_example():

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from micdof.channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channel
+from micdof.channel import (
+    AntennaConfig,
+    ChannelRealization,
+    CognitionScenario,
+    sample_channel,
+    sample_channels,
+)
+from micdof.cli import SLOPE_TOLERANCE
 from micdof.rates import (
     COOP_RHO_GRID,
     RateSweep,
     UndecodableSchemeError,
     _rate_models,
+    _sweep,
     achievable_rates,
     bound_term_slopes,
     cooperation_bound_term,
@@ -17,7 +25,7 @@ from micdof.rates import (
     simulate_point,
 )
 from micdof.regions import dof_formula, inner_points
-from micdof.zf import ZfScheme, build_scheme
+from micdof.zf import ZfScheme, build_scheme, verify_scheme
 
 
 def scenario(*bits):
@@ -311,6 +319,25 @@ def test_monte_carlo_slope_hits_dof(counts, bits, point, target):
     sweep = simulate_point(config, scenario(*bits), *point, trials=10, seed=0,
                            rho_grid=default_rho_grid(1e4, 1e9, 7))
     assert sweep.slope == pytest.approx(target, rel=0.03)
+
+
+def test_slope_check_catches_a_weak_but_decodable_channel():
+    # Negative control: scaling one channel's receiver-1 links by 1e-4 keeps
+    # its scheme decodable (ranks are relative to the channel norm) but pulls
+    # the 10-trial slope past the CLI's 3% tolerance.
+    config, sc = AntennaConfig(2, 2, 2, 2), scenario(0, 0, 0, 0)
+    channels = sample_channels(config, range(10))
+    ch = channels[0]
+    weak = ChannelRealization(ch.h31 * 1e-4, ch.h32 * 1e-4, ch.h41, ch.h42, seed=ch.seed)
+
+    def miss(batch):
+        schemes = [build_scheme(config, sc, 1, 1, c, seed=t) for t, c in enumerate(batch)]
+        return abs(_sweep(schemes, batch, default_rho_grid()).slope - 2.0) / 2.0, schemes[0]
+
+    assert miss(channels)[0] <= SLOPE_TOLERANCE
+    weak_miss, weak_scheme = miss([weak] + channels[1:])
+    assert weak_miss > SLOPE_TOLERANCE
+    assert verify_scheme(weak_scheme, weak).all_decodable
 
 
 def test_slope_never_beats_converse():

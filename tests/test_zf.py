@@ -11,6 +11,7 @@ from micdof.channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    null_space,
     sample_channel,
 )
 from micdof.regions import inner_points
@@ -23,7 +24,6 @@ from micdof.zf import (
     achievability_sweep,
     build_scheme,
     null_residual,
-    null_space,
     transmit_rank,
     verify_scheme,
 )
@@ -331,7 +331,7 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
 
 
 def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
-    # Operation counts: sampling makes one SVD per link shape and null bases
+    # Operation counts: sampling makes one SVD per sampled link and null bases
     # one per cross link, whatever the number of trials.
     from micdof import rates
 
@@ -363,12 +363,22 @@ def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
         run(trials)
         return counts["svds"]
 
-    # (2,4,3,3): link shapes 3x2 and 3x4; W2 is nulled against h32.
+    # (2,4,3,3): four links; W2 is nulled against h32.
     config, sc = AntennaConfig(2, 4, 3, 3), scenario(0, 1, 0, 1)
     point = lambda trials: rates.simulate_point(config, sc, 2, 2, trials=trials, seed=3)
-    assert svds(point, 2) == svds(point, 50) == 3
+    assert svds(point, 2) == svds(point, 50) == 5
+    # Extended channels: sixteen links, no null basis.
+    coop = lambda trials: rates.cooperation_dof_gap_check(AntennaConfig(4, 4, 4, 4), trials=trials)
+    assert svds(coop, 1) == svds(coop, 10) == 16
     sweep = lambda trials: achievability_sweep(max_antennas=2, trials=trials, seed=0)
     assert 0 < svds(sweep, 1) == svds(sweep, 4)
+
+
+def _scalar_rank(matrix, scale):
+    # Reference: the rank rule on one matrix, with a 2-D SVD; a zero scale
+    # gives rank 0.
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(s > RANK_RTOL * scale)) if scale > 0 else 0
 
 
 def _union_rank_diagnostics(scheme, ch):
@@ -376,13 +386,13 @@ def _union_rank_diagnostics(scheme, ch):
     # the union rank taken from the stacked received columns.
     def receiver(full, scale, signal_cols, interference_cols, antennas, streams):
         signal = full @ signal_cols
-        s = zf.matrix_rank(signal, scale=scale)
+        s = _scalar_rank(signal, scale)
         if interference_cols is None or interference_cols.shape[1] == 0:
             i = x = 0
         else:
             intf = full @ interference_cols
-            i = zf.matrix_rank(intf, scale=scale)
-            x = max(s + i - zf.matrix_rank(np.hstack([signal, intf]), scale=scale), 0)
+            i = _scalar_rank(intf, scale)
+            x = max(s + i - _scalar_rank(np.hstack([signal, intf]), scale), 0)
         return s, i, x, s == streams and x == 0 and s + i <= antennas
 
     w1, w2 = scheme.w1_embedded(), scheme.w2_embedded()
