@@ -67,12 +67,6 @@ class AntennaConfig:
     def counts(self) -> tuple[int, int, int, int]:
         return (self.m1, self.m2, self.n1, self.n2)
 
-    def node_antennas(self, node: int) -> int:
-        """Antennas at node 1..4 (transmitters first, then receivers)."""
-        if node not in (1, 2, 3, 4):
-            raise ValueError(f"node must be in 1..4, got {node}")
-        return self.counts[node - 1]
-
     def to_json_dict(self) -> dict[str, int]:
         return {"m1": self.m1, "m2": self.m2, "n1": self.n1, "n2": self.n2}
 
@@ -181,14 +175,16 @@ class ChannelRealization:
                 ch._memo[key] = top
         return np.array([ch._memo[key] for ch in channels])
 
-    def null_basis(self, link: str) -> tuple[np.ndarray, ...]:
-        """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
-        return ChannelRealization.null_bases([self], link)[0]
+    def null_basis(self, link: str) -> np.ndarray:
+        """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``,
+        ``rx2``), one basis vector per row: (nullity, columns)."""
+        key = ("null", link)
+        if key not in self._memo:
+            ChannelRealization.null_bases([self], link)
+        return self._memo[key]
 
     @staticmethod
-    def null_bases(
-        channels: list["ChannelRealization"], link: str
-    ) -> list[tuple[np.ndarray, ...]]:
+    def null_bases(channels: list["ChannelRealization"], link: str) -> list[np.ndarray]:
         """``null_basis(link)`` of each channel; the uncached ones come from
         one batched full SVD (``_null_rows``, as for ``null_space``)."""
         key = ("null", link)
@@ -196,7 +192,7 @@ class ChannelRealization:
         if missing:
             bases = _null_rows(np.array([getattr(ch, link) for ch in missing]))
             for ch, basis in zip(missing, bases):
-                ch._memo[key] = tuple(_freeze(v) for v in basis)
+                ch._memo[key] = _freeze(basis)
         return [ch._memo[key] for ch in channels]
 
     def matches(self, config: AntennaConfig) -> bool:

@@ -1,7 +1,7 @@
 """Finite-SNR rates of ZF schemes and empirical DOF via sum-rate slopes.
 
 Rates are read from the same receiver model as the decodability
-diagnostics (``zf._scheme_receivers``, one batch of schemes that share
+diagnostics (``zf._receiver_models``, one batch of schemes that share
 config and point): each receiver projects its observation off the residual
 interference subspace (a cognitive receiver first subtracts the message it
 knows, exactly) and decodes its own streams, with unit noise, in what is
@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channels
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _fill_null_bases, _scheme_receivers, build_scheme
+from .zf import ZfScheme, _fill_null_bases, _receiver_models, build_scheme
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -131,14 +131,16 @@ def _rate_models(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Per message, k (B,) and the squared projected singular values (B, s),
     read from one batched receiver model (the schemes share config and point)."""
-    rx1, rx2 = _scheme_receivers(schemes, channels)
-    if not (all(rx1[3]) and all(rx2[3])):
+    models = _receiver_models(schemes, channels)
+    if not all(diag.all_decodable for diag, _, _ in models):
         raise UndecodableSchemeError(
             "scheme fails decodability diagnostics on this channel; "
             "rates are undefined"
         )
     k1, k2 = np.array([_streams_per_node(s) for s in schemes]).T
-    return (k1, rx1[4] ** 2), (k2, rx2[4] ** 2)
+    p1 = np.array([p for _, p, _ in models])
+    p2 = np.array([p for _, _, p in models])
+    return (k1, p1 ** 2), (k2, p2 ** 2)
 
 
 def _rate_curves(models, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Zero-forcing beamforming schemes realizing achievable DOF points.
 
-For a target point (d1, d2), message W1 is sent from transmitter 1 (joined by
-transmitter 2 when that one is cognitive, as a stacked vector), and up to
+For a target point (d1, d2), message W1 is sent from transmitter 1, joined by
+transmitter 2 when that one is cognitive, and up to
 r1 = (m1 + t2*m2 - n2)^+ of its streams are placed in the null space of the
 cross channel to receiver 2 so they cause no interference there; remaining
 streams are isotropic on the unit sphere of the active transmit space.  W2 is
@@ -9,17 +9,20 @@ built symmetrically against receiver 1.  A cognitive receiver subtracts every
 stream of the message it knows, so no nulling is aimed at it.  Decodability
 is verified by subspace rank diagnostics on concrete channels.
 
-Trials are judged in batches that share (config, point); scenario, channel
-and seed are per-item data, stacked on a leading axis.  W1 and W2 are
-embedded in the full (m1+m2)-dim transmit space, so each rank costs one
-batched SVD per batch, and a cognitive receiver's interference rank is
-masked to 0.  Items are projected off their interference span in groups of
-equal interference rank, through views with one scheme's own shapes and
-strides: numpy picks its BLAS call by both, so a zero-masked wider span
-would change the last bits.  A single scheme is a batch of one.  The null
-residual stays a norm per nulled vector, which a batched norm would not
-reproduce to the bit.  Before vectors are drawn, the null bases that a batch
-of cells reads are cached with one batched SVD per cross link.
+A message's precoder is one (m1+m2, d) block over the full transmit space,
+zero on the rows of a transmitter that does not carry it.  Trials are judged
+in batches that share (config, point); scenario, channel and blocks are
+per-scheme data, stacked on a leading axis, so each rank costs one batched
+SVD per batch, and a cognitive receiver's interference rank is masked to 0.
+Schemes are projected off their interference span in groups of equal
+interference rank, through views with one scheme's own shapes and strides:
+numpy picks its BLAS call by both, so a zero-masked wider span would change
+the last bits.  A single scheme is a batch of one.  Isotropic streams are
+normalised one at a time, and the null residual is a norm per nulled column,
+taken on a contiguous copy of its active rows: a batched norm or a strided
+column would not reproduce the bits either.  Before blocks are drawn, the
+null bases that a batch of cells reads are cached with one batched SVD per
+cross link.
 """
 
 from __future__ import annotations
@@ -44,54 +47,41 @@ class AchievabilityError(ValueError):
     """Raised for DOF points outside the achievable integer set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZfScheme:
     """Transmit vectors and stream counts realizing one DOF point.
 
-    ``w1_vectors`` live in W1's active transmit space (length m1 + t2*m2,
-    transmitter 1 stacked over transmitter 2 when the latter is cognitive);
-    ``w2_vectors`` live in W2's (length t1*m1 + m2).  ``r1``/``r2`` are the
-    nullable stream counts against the opposite receiver.
+    ``w1`` (m1+m2, d1) and ``w2`` (m1+m2, d2) hold each message's unit
+    transmit vectors as columns of the full transmit space, transmitter 1's
+    rows over transmitter 2's.  W1's active rows (transmitter 1, then
+    transmitter 2 when cognitive) are a prefix, W2's a suffix, and every other
+    entry is 0.  ``r1``/``r2`` are the nullable stream counts against the
+    opposite receiver.  Schemes compare and hash by identity.
     """
 
     config: AntennaConfig
     scenario: CognitionScenario
     d1: int
     d2: int
-    r1: int
-    r2: int
-    w1_vectors: tuple[np.ndarray, ...]
-    w2_vectors: tuple[np.ndarray, ...]
+    w1: np.ndarray
+    w2: np.ndarray
+
+    @property
+    def r1(self) -> int:
+        return _nullable(self.config, self.scenario)[0]
+
+    @property
+    def r2(self) -> int:
+        return _nullable(self.config, self.scenario)[1]
 
     @property
     def w1_nulled(self) -> int:
-        """How many W1 vectors were drawn from the cross-channel kernel."""
-        return 0 if self.scenario.r2 else min(self.d1, self.r1)
+        """How many W1 columns were drawn from the cross-channel kernel."""
+        return _nulled(self)[0]
 
     @property
     def w2_nulled(self) -> int:
-        return 0 if self.scenario.r1 else min(self.d2, self.r2)
-
-    def w1_embedded(self) -> np.ndarray:
-        """W1 vectors as columns in the full (m1+m2)-dim transmit space."""
-        return _embedded(self.w1_vectors, self.config.m1 + self.config.m2, at_end=False)
-
-    def w2_embedded(self) -> np.ndarray:
-        return _embedded(self.w2_vectors, self.config.m1 + self.config.m2, at_end=True)
-
-
-def _embedded(vectors, dim: int, at_end: bool) -> np.ndarray:
-    """Vectors of an active transmit space as columns of R^dim.
-
-    W1's active space (transmitter 1, then transmitter 2 when cognitive) is a
-    prefix of the full transmit space; W2's is a suffix.
-    """
-    out = np.zeros((dim, len(vectors)))
-    if len(vectors):
-        cols = np.array(vectors).T
-        start = dim - cols.shape[0] if at_end else 0
-        out[start : start + cols.shape[0]] = cols
-    return out
+        return _nulled(self)[1]
 
 
 @dataclass(frozen=True)
@@ -145,6 +135,14 @@ def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, 
     return r1, _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
 
 
+def _nulled(scheme: ZfScheme) -> tuple[int, int]:
+    """How many W1 (W2) streams are nulled: none when the opposite receiver is
+    cognitive, else as many as fit in the cross channel's kernel."""
+    r1, r2 = _nullable(scheme.config, scheme.scenario)
+    sc = scheme.scenario
+    return (0 if sc.r2 else min(scheme.d1, r1)), (0 if sc.r1 else min(scheme.d2, r2))
+
+
 def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.standard_normal(dim)
     norm = np.linalg.norm(vec)
@@ -154,34 +152,36 @@ def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / norm
 
 
-def _scheme_vectors(config, scenario, d1, d2, channel, seed) -> tuple[list, list]:
-    """W1's and W2's transmit vectors, each in its message's active space.
+def _scheme_vectors(config, scenario, d1, d2, channel, seed) -> tuple[np.ndarray, np.ndarray]:
+    """W1's and W2's (m1+m2, d) blocks.
 
     A message takes its first streams from the null basis of its cross link
     (none when the opposite receiver is cognitive) and draws the rest
-    isotropically, W1's before W2's, from one generator seeded by
-    (seed, d1, d2).  The generator is built at the first isotropic draw, so a
-    point whose streams are all nulled builds none.
+    isotropically on its active rows, W1's before W2's, from one generator
+    seeded by (seed, d1, d2).  The generator is built at the first isotropic
+    draw, so a point whose streams are all nulled builds none.
     """
     rng = None
+    dim = config.m1 + config.m2
 
-    def message(streams, active_dim, cross_link, opposite_cognitive):
+    def message(streams, rows, cross_link, opposite_cognitive):
         nonlocal rng
-        vectors: list[np.ndarray] = []
-        if streams == 0:
-            return vectors
-        if not opposite_cognitive:
-            vectors.extend(channel.null_basis(cross_link)[:streams])
-        if len(vectors) < streams and rng is None:
+        block = np.zeros((dim, streams))
+        nulled = 0
+        if streams and not opposite_cognitive:
+            basis = channel.null_basis(cross_link)[:streams]
+            nulled = len(basis)
+        if nulled:
+            block[rows, :nulled] = basis.T
+        if nulled < streams and rng is None:
             rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
-        while len(vectors) < streams:
-            vectors.append(_isotropic(rng, active_dim))
-        return vectors
+        for j in range(nulled, streams):
+            block[rows, j] = _isotropic(rng, rows.stop - rows.start)
+        return block
 
-    m1, m2 = config.m1, config.m2
     link1, link2 = _cross_links(scenario)
-    w1 = message(d1, m1 + (m2 if scenario.t2 else 0), link1, scenario.r2)
-    w2 = message(d2, (m1 if scenario.t1 else 0) + m2, link2, scenario.r1)
+    w1 = message(d1, slice(0, dim if scenario.t2 else config.m1), link1, scenario.r2)
+    w2 = message(d2, slice(0 if scenario.t1 else config.m1, dim), link2, scenario.r1)
     return w1, w2
 
 
@@ -208,7 +208,7 @@ def build_scheme(
             f"config {config}, scenario {scenario}"
         )
     w1, w2 = _scheme_vectors(config, scenario, d1, d2, channel, seed)
-    return ZfScheme(config, scenario, d1, d2, *_nullable(config, scenario), tuple(w1), tuple(w2))
+    return ZfScheme(config, scenario, d1, d2, w1, w2)
 
 
 def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
@@ -216,7 +216,7 @@ def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
 
     ``rx`` (B, n, m1+m2) and ``scale`` (B,) are each item's channel to the
     receiver and its spectral norm, ``signal`` and ``interference`` the
-    embedded vectors of the intended and the other message, and
+    stacked blocks of the intended and the other message, and
     ``cognitive`` flags receivers that subtract the other message.  Returns
     lists of the per-item ranks of H W_s and of the residual interference
     H W_i, the dimension of their intersection (the signal dimensions lost
@@ -252,46 +252,36 @@ def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
     return signal_dim, interference_dim, intersection_dim, decodable, projected
 
 
-def _receivers(config: AntennaConfig, items: list[tuple]):
-    """Both receivers for a batch of trials that share (config, point).
-
-    Each item is (scenario, channel, w1_vectors, w2_vectors), with d1 and d2
-    vectors.  Receiver 1 decodes W1 against W2, receiver 2 decodes W2 against
-    W1.  Returns both receivers' ``_receiver`` results and the embedded
-    vectors, (B, m1+m2, d1) and (B, m1+m2, d2).
+def _receivers(schemes: list[ZfScheme], channels: list[ChannelRealization]):
+    """Both receivers' ``_receiver`` results for schemes that share (config,
+    point), each on its channel, over the batch axis.  Receiver 1 decodes W1
+    against W2, receiver 2 decodes W2 against W1.
     """
-    dim = config.m1 + config.m2
-    w1 = np.array([_embedded(it[2], dim, at_end=False) for it in items])
-    w2 = np.array([_embedded(it[3], dim, at_end=True) for it in items])
-    rx1, rx2 = (
+    config = schemes[0].config
+    w1 = np.array([s.w1 for s in schemes])
+    w2 = np.array([s.w2 for s in schemes])
+    return tuple(
         _receiver(
-            np.array([getattr(ch, link) for _, ch, _, _ in items]),
-            ChannelRealization.spectral_norms([ch for _, ch, _, _ in items], link),
-            signal, interference, [getattr(sc, flag) for sc, *_ in items], antennas,
+            np.array([getattr(ch, link) for ch in channels]),
+            ChannelRealization.spectral_norms(channels, link),
+            signal, interference, [getattr(s.scenario, flag) for s in schemes], antennas,
         )
         for link, flag, signal, interference, antennas in (
             ("rx1", "r1", w1, w2, config.n1), ("rx2", "r2", w2, w1, config.n2),
         )
     )
-    return rx1, rx2, w1, w2
-
-
-def _scheme_receivers(schemes: list[ZfScheme], channels: list[ChannelRealization]):
-    """Both receivers' ``_receiver`` results for schemes that share (config,
-    point), each on its channel, over the batch axis."""
-    config = schemes[0].config
-    if not all(ch.matches(config) for ch in channels):
-        raise ValueError("channel does not match the scheme's configuration")
-    items = [(s.scenario, ch, s.w1_vectors, s.w2_vectors) for s, ch in zip(schemes, channels)]
-    return _receivers(config, items)[:2]
 
 
 def _receiver_models(
     schemes: list[ZfScheme], channels: list[ChannelRealization]
 ) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
     """Per scheme, the rank diagnostics and, per receiver, the projected
-    singular values (see ``_scheme_receivers``)."""
-    rx1, rx2 = _scheme_receivers(schemes, channels)
+    singular values (see ``_receiver``).  Channels must match the schemes'
+    configuration."""
+    config = schemes[0].config
+    if not all(ch.matches(config) for ch in channels):
+        raise ValueError("channel does not match the scheme's configuration")
+    rx1, rx2 = _receivers(schemes, channels)
     counts = zip(*rx1[:3], *rx2[:3], rx1[3], rx2[3])
     return [(SchemeDiagnostics(*c), p1, p2) for c, p1, p2 in zip(counts, rx1[4], rx2[4])]
 
@@ -307,66 +297,58 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
     return _receiver_models([scheme], [channel])[0][0]
 
 
-def _residual(config, scenario, channel, w1_vectors, w2_vectors) -> float:
-    """Worst relative leakage ||H v|| / ||H|| of the nulled vectors, one at a time."""
-    r1, r2 = _nullable(config, scenario)
+def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
+    """Worst relative leakage ||H w|| / ||H|| of the nulled streams at the
+    opposite receiver, one column at a time."""
     worst = 0.0
-    for link, nulled in zip(
-        _cross_links(scenario),
-        (() if scenario.r2 else w1_vectors[:r1], () if scenario.r1 else w2_vectors[:r2]),
+    for link, block, nulled, at_end in zip(
+        _cross_links(scheme.scenario), (scheme.w1, scheme.w2), _nulled(scheme), (False, True)
     ):
-        for v in nulled:
-            leak = float(np.linalg.norm(getattr(channel, link) @ v))
-            worst = max(worst, leak / channel.spectral_norm(link))
+        if nulled:
+            h = getattr(channel, link)
+            rows = slice(len(block) - h.shape[1], None) if at_end else slice(h.shape[1])
+            norm = channel.spectral_norm(link)
+            for j in range(nulled):
+                # A contiguous copy: a strided column changes the product's last bits.
+                worst = max(worst, float(np.linalg.norm(h @ block[rows, j].copy())) / norm)
     return worst
 
 
-def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
-    """Worst relative leakage of the nulled streams at the opposite receiver."""
-    return _residual(
-        scheme.config, scheme.scenario, channel, scheme.w1_vectors, scheme.w2_vectors
+def _transmit_ranks(schemes: list[ZfScheme]) -> np.ndarray:
+    """Rank of each scheme's d1 + d2 transmit vectors, at unit scale."""
+    stacked = np.concatenate(
+        [np.array([s.w1 for s in schemes]), np.array([s.w2 for s in schemes])], axis=2
     )
-
-
-def _transmit_ranks(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Rank of each item's d1 + d2 embedded transmit vectors, at unit scale."""
-    stacked = np.concatenate([w1, w2], axis=2)
     return _ranks(np.linalg.svd(stacked, compute_uv=False), np.ones(len(stacked)))
 
 
 def transmit_rank(scheme: ZfScheme) -> int:
-    """Rank of all d1 + d2 transmit vectors embedded in R^(m1+m2)."""
-    return int(_transmit_ranks(scheme.w1_embedded()[None], scheme.w2_embedded()[None])[0])
+    """Rank of all d1 + d2 transmit vectors in R^(m1+m2)."""
+    return int(_transmit_ranks([scheme])[0])
 
 
 def _verdicts(
-    config: AntennaConfig, point: tuple[int, int], items: list[tuple]
+    schemes: list[ZfScheme], channels: list[ChannelRealization]
 ) -> list[tuple[tuple[str, ...], float]]:
-    """Judge a batch of trials that share (config, point) by the pass rule.
+    """Judge a batch of trials that share (config, point) by the pass rule,
+    each scheme on its channel.
 
-    Items are as for ``_receivers``.  Returns per item the criteria it fails
-    (empty when it passes): "decodable" (both receivers' diagnostics), "null
-    residual" (at most RANK_RTOL) and "transmit rank" (the d1 + d2 vectors
-    are independent); and its null residual.
+    Returns per trial the criteria it fails (empty when it passes):
+    "decodable" (both receivers' diagnostics), "null residual" (at most
+    RANK_RTOL) and "transmit rank" (the d1 + d2 vectors are independent); and
+    its null residual.
     """
-    rx1, rx2, w1, w2 = _receivers(config, items)
-    residuals = [_residual(config, *item) for item in items]
+    rx1, rx2 = _receivers(schemes, channels)
+    streams = schemes[0].d1 + schemes[0].d2
     names = ("decodable", "null residual", "transmit rank")
     verdicts = []
-    for dec1, dec2, residual, rank in zip(
-        rx1[3], rx2[3], residuals, _transmit_ranks(w1, w2).tolist()
+    for scheme, channel, dec1, dec2, rank in zip(
+        schemes, channels, rx1[3], rx2[3], _transmit_ranks(schemes).tolist()
     ):
-        oks = (dec1 and dec2, residual <= RANK_RTOL, rank == sum(point))
+        residual = null_residual(scheme, channel)
+        oks = (dec1 and dec2, residual <= RANK_RTOL, rank == streams)
         verdicts.append((tuple(n for n, ok in zip(names, oks) if not ok), residual))
     return verdicts
-
-
-def _trial_verdict(
-    scheme: ZfScheme, channel: ChannelRealization
-) -> tuple[tuple[str, ...], float]:
-    """Judge one trial by the achievability pass rule: a batch of one."""
-    item = (scheme.scenario, channel, scheme.w1_vectors, scheme.w2_vectors)
-    return _verdicts(scheme.config, (scheme.d1, scheme.d2), [item])[0]
 
 
 @dataclass(frozen=True)
@@ -428,14 +410,17 @@ def _sweep_cells(config: AntennaConfig, cells: list[tuple]) -> list[SweepCell]:
     the trials of all cells that share a point are judged in one batch.
     """
     _fill_null_bases([cell[:3] for cell in cells])
-    groups: dict[tuple[int, int], list[tuple]] = {}
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
     for scenario, point, channels, seed in cells:
-        groups.setdefault(point, []).extend(
-            (scenario, ch, *_scheme_vectors(config, scenario, *point, ch, seed + trial))
+        schemes, group_channels = groups.setdefault(point, ([], []))
+        schemes.extend(
+            ZfScheme(config, scenario, *point,
+                     *_scheme_vectors(config, scenario, *point, ch, seed + trial))
             for trial, ch in enumerate(channels)
         )
+        group_channels.extend(channels)
     # A group's verdicts come back in the order its cells were added.
-    verdicts = {point: iter(_verdicts(config, point, items)) for point, items in groups.items()}
+    verdicts = {point: iter(_verdicts(*group)) for point, group in groups.items()}
     tallies = []
     for scenario, point, channels, _ in cells:
         chunk = list(itertools.islice(verdicts[point], len(channels)))

@@ -199,7 +199,7 @@ def test_degenerate_generator_raises_after_retries(monkeypatch):
 
 def _draw(config, seed, attempt, pairs):
     rng = np.random.default_rng([seed & (2**64 - 1), attempt])
-    return {(i, j): rng.standard_normal((config.node_antennas(i), config.node_antennas(j)))
+    return {(i, j): rng.standard_normal((config.counts[i - 1], config.counts[j - 1]))
             for i, j in pairs}
 
 
@@ -301,7 +301,7 @@ def test_sampling_decides_like_the_scalar_rule_at_the_edge(counts, pair, log_rat
     # of attempt 0's draw; the other links stay generic.  Attempt 0 is kept
     # exactly when the scalar rule accepts every attempt-0 link.
     config, seed = AntennaConfig(*counts), 21
-    shape = (config.node_antennas(pair[0]), config.node_antennas(pair[1]))
+    shape = (config.counts[pair[0] - 1], config.counts[pair[1] - 1])
     rng = np.random.default_rng(basis_seed)
     u = np.linalg.qr(rng.standard_normal((shape[0], shape[0])))[0]
     v = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))[0]

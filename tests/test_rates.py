@@ -48,7 +48,7 @@ def test_single_stream_rate_is_scalar_shannon():
     scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 0, ch, seed=0)
     # effective scalar gain: the one transmit vector through both channels,
     # then projection away from the (empty) interference at rx1
-    v = scheme.w1_vectors[0]
+    v = scheme.w1[:1, 0]
     gain = float((ch.h31 @ v).item() ** 2)
     for rho in (1.0, 10.0, 1e4):
         r1, r2 = achievable_rates(scheme, ch, rho)
@@ -61,13 +61,12 @@ def test_rates_refuse_undecodable_scheme():
     ch = sample_channel(config, seed=6)
     good = build_scheme(config, scenario(1, 1, 0, 0), 2, 2, ch, seed=0)
     rng = np.random.default_rng(1)
-    dirty = tuple(
-        v + 1e-2 * rng.standard_normal(v.shape) for v in good.w1_vectors
-    )
+    dirty = good.w1.copy()
+    for j in range(good.d1):  # W1 is active on all four rows
+        dirty[:, j] += 1e-2 * rng.standard_normal(4)
     corrupted = ZfScheme(
         config=good.config, scenario=good.scenario,
-        d1=good.d1, d2=good.d2, r1=good.r1, r2=good.r2,
-        w1_vectors=dirty, w2_vectors=good.w2_vectors,
+        d1=good.d1, d2=good.d2, w1=dirty, w2=good.w2,
     )
     with pytest.raises(UndecodableSchemeError):
         achievable_rates(corrupted, ch, 100.0)
@@ -103,7 +102,7 @@ def _slogdet_rates(scheme, ch, rho):
                  default=0.0)
     share2 = min((rho / n for n, used in ((node1, sc.t1), (node2, True)) if used and n),
                  default=0.0)
-    w1, w2 = scheme.w1_embedded(), scheme.w2_embedded()
+    w1, w2 = scheme.w1, scheme.w2
     rates = []
     for full, norm, signal, intf, share in (
         (ch.rx1, ch.spectral_norm("rx1"), w1, None if sc.r1 else w2, share1),
