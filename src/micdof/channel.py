@@ -10,7 +10,9 @@ Sampling is batched: ``sample_channels`` draws one realization per seed,
 checks each link of the batch for full rank with one batched SVD, and keeps
 the largest singular values of h31..h42 as their spectral norms.  Each seed's
 matrices depend on that seed alone, so a batch gives the bytes its seeds give
-one at a time; ``sample_channel`` is the batch of one.  Null bases of many
+one at a time; ``sample_channel`` is the batch of one.  The generator states
+of a batch, equal to ``np.random.default_rng``'s, are computed at once
+(``_generators``), here and for the vectors in ``zf``.  Null bases of many
 realizations likewise come from one batched SVD (``_null_rows``, behind
 ``ChannelRealization.null_bases``), and ``null_space`` is its batch of one.
 Every rank in micdof is counted by one rule, ``_ranks``.
@@ -250,6 +252,88 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+# SeedSequence (NEP 19) and PCG64 seeding, as in numpy's bit_generator.pyx and
+# pcg64.h.  Hash call k of a SeedSequence xors with INIT * MULT**k and then
+# multiplies by INIT * MULT**(k + 1) (mod 2**32), whatever the data.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..calls, as a (calls + 1, 1) column."""
+    powers = [init * pow(mult, k, 2**32) % 2**32 for k in range(calls + 1)]
+    return _freeze(np.array(powers, dtype=np.uint32)[:, None])
+
+
+# Pool word s is hashed into the other three by calls 4 + 3s..; with a 0 in
+# row s of these (4, 1) columns, each step of that mix runs on the whole pool.
+_SPREAD = [[np.insert(_hash_consts(_INIT_A, _MULT_A, 16)[4 + 3 * s + o:7 + 3 * s + o], s, 0, 0)
+            for o in (0, 1)] for s in range(4)]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    x = (values ^ xor) * mult
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = _MIX_L * x - _MIX_R * y
+    x ^= x >> 16
+    return x
+
+
+def _pool_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``generate_state(4, uint64)`` for each column of uint32
+    entropy words (n, B), every column at once.  Returns (4, B) uint64."""
+    n = len(words)
+    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(n - 4, 0))
+    pool = np.zeros((4, words.shape[1]), dtype=np.uint32)
+    pool[:n] = words[:4]
+    pool = _hashmix(pool, a[:4], a[1:5])
+    for src, (xor, mult) in enumerate(_SPREAD):
+        mixed = _mix(pool, _hashmix(pool[src], xor, mult))
+        mixed[src] = pool[src]
+        pool = mixed
+    for src in range(4, n):  # words past the pool mix into every pool word
+        pool = _mix(pool, _hashmix(words[src], a[4 * src:4 * src + 4], a[4 * src + 1:4 * src + 5]))
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    out = _hashmix(np.concatenate((pool, pool)), b[:8], b[1:])
+    return out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << 32)
+
+
+def _generators(entropy):
+    """Per row of ``entropy`` (B, k), integers in [0, 2**64), a generator in the
+    state that ``np.random.default_rng(list(row))`` starts in, bit for bit.
+
+    The SeedSequence states are computed for the whole batch, in groups of one
+    word layout (a value below 2**32 is one uint32 word, a larger one two),
+    and seed PCG64 in Python ints.  One Generator serves the batch, its state
+    set before each row is yielded: draw from it before taking the next row.
+    """
+    if not len(entropy):
+        return
+    rows = np.asarray(entropy, dtype=np.uint64)
+    lo, hi = (rows & 0xFFFFFFFF).astype(np.uint32), (rows >> 32).astype(np.uint32)
+    layouts = ((hi != 0) << np.arange(rows.shape[1])).sum(axis=1)
+    states = np.empty((4, len(rows)), dtype=np.uint64)
+    with np.errstate(over="ignore"):  # the uint32 hash products wrap by design
+        for layout in set(layouts.tolist()):
+            sel = np.flatnonzero(layouts == layout)
+            words = [w for j in range(rows.shape[1])
+                     for w in ((lo[sel, j], hi[sel, j]) if layout >> j & 1 else (lo[sel, j],))]
+            states[:, sel] = _pool_states(np.array(words))
+    rng = np.random.Generator(np.random.PCG64(0))  # each row's state replaces this one
+    for s0, s1, q0, q1 in states.T.tolist():
+        inc = ((q0 << 65) | (q1 << 1) | 1) & (2**128 - 1)
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & (2**128 - 1)
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                   "uinteger": 0, "state": {"state": state, "inc": inc}}
+        yield rng
+
+
 def sample_channel(
     config: AntennaConfig, seed: int, extended: bool = False
 ) -> ChannelRealization:
@@ -266,9 +350,11 @@ def sample_channels(
     every matrix full rank almost surely; a seed whose draw fails the rank
     rule at tolerance is redrawn with a derived seed, up to 8 attempts before
     giving up.  Each seed's draw depends on that seed alone: attempt a draws
-    its links in pair order from one generator seeded by (seed, a).  Each
-    link of a batch is checked with one SVD, and the largest singular values
-    are cached as the spectral norms of h31..h42.
+    its links in pair order from one generator in the state that
+    ``np.random.default_rng([seed mod 2**64, a])`` starts in, and the states
+    of an attempt's pending seeds are computed as one batch (``_generators``).
+    Each link of a batch is checked with one SVD, and the largest singular
+    values are cached as the spectral norms of h31..h42.
     """
     spans, size = _spans(config.counts, extended)
     seeds = list(seeds)
@@ -279,10 +365,8 @@ def sample_channels(
     for attempt in range(_RESAMPLE_ATTEMPTS):
         # One standard_normal call draws the numbers that one call per link
         # would; the links are read-only views, one per (seed, link), of it.
-        draws = _freeze(np.array([
-            np.random.default_rng([seeds[k] & (2**64 - 1), attempt]).standard_normal(size)
-            for k in pending
-        ]))
+        entropy = [(seeds[k] & (2**64 - 1), attempt) for k in pending]
+        draws = _freeze(np.array([rng.standard_normal(size) for rng in _generators(entropy)]))
         full_rank = np.ones(len(pending), dtype=bool)
         links, base, norms = [], [], []
         for pair, (n, m), span in spans:

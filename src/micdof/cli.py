@@ -19,7 +19,6 @@ import sys
 
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
-    _achievable,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
@@ -31,7 +30,7 @@ from .regions import (
     scenario_ordering_holds,
     sum_dof_lp,
 )
-from .zf import _sweep_cells
+from .zf import _require_achievable, _sweep_cells
 from .rates import (
     cooperation_dof_gap_check,
     default_rho_grid,
@@ -265,21 +264,16 @@ def _cmd_verify(args) -> int:
         return 2
     total_checks = 0
     failures: list[str] = []
-    if args.which in ("regions", "all"):
-        checks, fails = _verify_regions(args.max_antennas)
-        total_checks += checks
-        failures += fails
-        print(f"regions: {checks} config/scenario cases checked")
-    if args.which in ("lemma5", "all"):
-        checks, fails = _verify_lemma5()
-        total_checks += checks
-        failures += fails
-        print(f"lemma5: {checks} (c, d) pairs checked")
-    if args.which in ("ordering", "all"):
-        checks, fails = _verify_ordering(args.max_antennas)
-        total_checks += checks
-        failures += fails
-        print(f"ordering: {checks} configs checked")
+    for name, run, counted in (
+        ("regions", lambda: _verify_regions(args.max_antennas), "config/scenario cases"),
+        ("lemma5", _verify_lemma5, "(c, d) pairs"),
+        ("ordering", lambda: _verify_ordering(args.max_antennas), "configs"),
+    ):
+        if args.which in (name, "all"):
+            checks, fails = run()
+            total_checks += checks
+            failures += fails
+            print(f"{name}: {checks} {counted} checked")
     if failures:
         for line in failures:
             print(f"FAIL: {line}")
@@ -289,21 +283,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _check_point(args) -> None:
-    """Reject a --point outside the achievable set (exit 2 through main)."""
-    if not _achievable(args.config, args.scenario, *args.point):
-        d1, d2 = args.point
-        raise ValueError(
-            f"point ({d1},{d2}) is not in the achievable integer set "
-            f"for config {args.config}, scenario {args.scenario}"
-        )
-
-
 def _cmd_achieve(args) -> int:
     """One sweep cell: the point's trials on channels seeded --seed + trial."""
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    _check_point(args)
+    _require_achievable(args.config, args.scenario, *args.point)
     channels = sample_channels(args.config, range(args.seed, args.seed + args.trials))
     cell = _sweep_cells(args.config, [(args.scenario, args.point, channels, args.seed)])[0]
     if args.format == "json":
@@ -317,7 +301,7 @@ def _cmd_achieve(args) -> int:
 def _cmd_simulate(args) -> int:
     config, scenario = args.config, args.scenario
     d1, d2 = args.point
-    _check_point(args)
+    _require_achievable(args.config, args.scenario, *args.point)
     grid = default_rho_grid(args.rho_min, args.rho_max, args.points)
     sweep = simulate_point(config, scenario, d1, d2, trials=args.trials,
                            seed=args.seed, rho_grid=grid)

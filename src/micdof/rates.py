@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channels
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _fill_null_bases, _receiver_models, build_scheme
+from .zf import ZfScheme, _receiver_models, _require_achievable, _schemes
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -242,12 +242,9 @@ def simulate_point(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
+    _require_achievable(config, scenario, d1, d2)
     channels = sample_channels(config, range(seed, seed + trials))
-    _fill_null_bases([(scenario, (d1, d2), channels)])
-    schemes = [
-        build_scheme(config, scenario, d1, d2, channel, seed=seed + trial)
-        for trial, channel in enumerate(channels)
-    ]
+    schemes = _schemes(config, [(scenario, (d1, d2), channels, seed)])
     return _sweep(schemes, channels, grid)
 
 

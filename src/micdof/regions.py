@@ -64,17 +64,14 @@ def _convex_hull(points: Iterable[tuple[int, int]]) -> list[DofPoint]:
     pts = sorted({DofPoint(x, y) for x, y in points})
     if len(pts) <= 2:
         return pts
-    lower: list[DofPoint] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[DofPoint] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull: list[DofPoint] = []
+    for chain_points in (pts, pts[::-1]):  # the lower chain, then the upper
+        chain: list[DofPoint] = []
+        for p in chain_points:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
     return hull if len(hull) >= 3 else sorted(set(hull))
 
 

@@ -20,14 +20,16 @@ numpy picks its BLAS call by both, so a zero-masked wider span would change
 the last bits.  A single scheme is a batch of one.  Isotropic streams are
 normalised one at a time, and the null residual is a norm per nulled column,
 taken on a contiguous copy of its active rows: a batched norm or a strided
-column would not reproduce the bits either.  Before blocks are drawn, the
-null bases that a batch of cells reads are cached with one batched SVD per
-cross link.
+column would not reproduce the bits either.  ``_schemes`` builds a batch of
+cells with one batched SVD per cross link for the null bases and one batch of
+generator states, equal to ``np.random.default_rng``'s, for the trials that
+draw isotropic streams.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ from .channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    _generators,
     _ranks,
     sample_channels,
 )
@@ -113,21 +116,6 @@ def _cross_links(scenario: CognitionScenario) -> tuple[str, str]:
     return ("rx2" if scenario.t2 else "h41"), ("rx1" if scenario.t1 else "h32")
 
 
-def _fill_null_bases(cells) -> None:
-    """Cache the null bases that the cells' schemes read, one batched SVD per
-    cross link: a message with streams reads its cross link's basis unless
-    the opposite receiver is cognitive.  Each cell is (scenario, point,
-    channels)."""
-    by_link: dict[str, dict] = {}
-    for scenario, (d1, d2), channels in cells:
-        link1, link2 = _cross_links(scenario)
-        for link, streams, cognitive in ((link1, d1, scenario.r2), (link2, d2, scenario.r1)):
-            if streams and not cognitive:
-                by_link.setdefault(link, {}).update(dict.fromkeys(channels))
-    for link, channels in by_link.items():
-        ChannelRealization.null_bases(list(channels), link)
-
-
 def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int]:
     """r1, r2: how many streams of W1 (W2) fit in the cross channel's kernel."""
     m1, m2 = config.m1, config.m2
@@ -143,46 +131,74 @@ def _nulled(scheme: ZfScheme) -> tuple[int, int]:
     return (0 if sc.r2 else min(scheme.d1, r1)), (0 if sc.r1 else min(scheme.d2, r2))
 
 
+def _norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D real vector, to the bit: numpy takes
+    sqrt(vec . vec) too, and both square roots are correctly rounded."""
+    return math.sqrt(float(vec.dot(vec)))
+
+
 def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.standard_normal(dim)
-    norm = np.linalg.norm(vec)
+    norm = _norm(vec)
     while norm == 0.0:  # probability zero, but keep the loop total
         vec = rng.standard_normal(dim)
-        norm = np.linalg.norm(vec)
+        norm = _norm(vec)
     return vec / norm
 
 
-def _scheme_vectors(config, scenario, d1, d2, channel, seed) -> tuple[np.ndarray, np.ndarray]:
-    """W1's and W2's (m1+m2, d) blocks.
+def _schemes(config: AntennaConfig, cells) -> list[ZfScheme]:
+    """The schemes of cells (scenario, point, channels, seed), trial by trial:
+    trial t of a cell runs on channels[t] with vector seed seed + t.
 
-    A message takes its first streams from the null basis of its cross link
-    (none when the opposite receiver is cognitive) and draws the rest
-    isotropically on its active rows, W1's before W2's, from one generator
-    seeded by (seed, d1, d2).  The generator is built at the first isotropic
-    draw, so a point whose streams are all nulled builds none.
+    W1's and W2's (m1+m2, d) blocks: a message takes its first streams from
+    the null basis of its cross link (none when the opposite receiver is
+    cognitive) and draws the rest isotropically on its active rows, W1's
+    before W2's, from a generator in the state that
+    ``np.random.default_rng([seed mod 2**64, d1, d2])`` starts in.  The null
+    bases the cells read come from one batched SVD per cross link, and the
+    states of the trials that draw from one batch (``_generators``); a trial
+    whose streams are all nulled computes none.
     """
-    rng = None
     dim = config.m1 + config.m2
+    plans, by_link, schemes, draws, entropy = [], {}, [], [], []
+    for scenario, (d1, d2), channels, seed in cells:
+        link1, link2 = _cross_links(scenario)
+        messages = (  # (streams, active rows, cross link, nulled against it)
+            (d1, slice(0, dim if scenario.t2 else config.m1), link1, d1 and not scenario.r2),
+            (d2, slice(0 if scenario.t1 else config.m1, dim), link2, d2 and not scenario.r1),
+        )
+        for _, _, link, nullable in messages:
+            if nullable:
+                by_link.setdefault(link, {}).update(dict.fromkeys(channels))
+        plans.append((scenario, d1, d2, channels, seed, messages))
+    for link, linked in by_link.items():
+        ChannelRealization.null_bases(list(linked), link)
+    for scenario, d1, d2, channels, seed, messages in plans:
+        for trial, channel in enumerate(channels):
+            blocks = []
+            for streams, rows, link, nullable in messages:
+                basis = channel.null_basis(link)[:streams] if nullable else ()
+                block = np.zeros((dim, streams))
+                if nullable:
+                    block[rows, :len(basis)] = basis.T
+                blocks.append((block, rows, len(basis)))
+            if any(nulled < block.shape[1] for block, _, nulled in blocks):
+                draws.append(blocks)
+                entropy.append(((seed + trial) & (2**64 - 1), d1, d2))
+            schemes.append(ZfScheme(config, scenario, d1, d2, blocks[0][0], blocks[1][0]))
+    for blocks, rng in zip(draws, _generators(entropy)):
+        for block, rows, nulled in blocks:
+            for j in range(nulled, block.shape[1]):
+                block[rows, j] = _isotropic(rng, rows.stop - rows.start)
+    return schemes
 
-    def message(streams, rows, cross_link, opposite_cognitive):
-        nonlocal rng
-        block = np.zeros((dim, streams))
-        nulled = 0
-        if streams and not opposite_cognitive:
-            basis = channel.null_basis(cross_link)[:streams]
-            nulled = len(basis)
-        if nulled:
-            block[rows, :nulled] = basis.T
-        if nulled < streams and rng is None:
-            rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
-        for j in range(nulled, streams):
-            block[rows, j] = _isotropic(rng, rows.stop - rows.start)
-        return block
 
-    link1, link2 = _cross_links(scenario)
-    w1 = message(d1, slice(0, dim if scenario.t2 else config.m1), link1, scenario.r2)
-    w2 = message(d2, slice(0 if scenario.t1 else config.m1, dim), link2, scenario.r1)
-    return w1, w2
+def _require_achievable(config: AntennaConfig, scenario: CognitionScenario, d1, d2) -> None:
+    if (d1, d2) != (int(d1), int(d2)) or not _achievable(config, scenario, d1, d2):
+        raise AchievabilityError(
+            f"point ({d1},{d2}) is not in the achievable integer set for "
+            f"config {config}, scenario {scenario}"
+        )
 
 
 def build_scheme(
@@ -193,7 +209,8 @@ def build_scheme(
     channel: ChannelRealization,
     seed: int,
 ) -> ZfScheme:
-    """Construct the zero-forcing scheme for an achievable point.
+    """Construct the zero-forcing scheme for an achievable point: ``_schemes``
+    for one cell of one trial.
 
     Deterministic given all arguments.  Rejects points outside the
     achievable integer set and channels that do not match the configuration.
@@ -202,13 +219,8 @@ def build_scheme(
         raise ValueError(
             f"channel realization has shapes for {channel.config}, expected {config}"
         )
-    if (d1, d2) != (int(d1), int(d2)) or not _achievable(config, scenario, d1, d2):
-        raise AchievabilityError(
-            f"point ({d1},{d2}) is not in the achievable integer set for "
-            f"config {config}, scenario {scenario}"
-        )
-    w1, w2 = _scheme_vectors(config, scenario, d1, d2, channel, seed)
-    return ZfScheme(config, scenario, d1, d2, w1, w2)
+    _require_achievable(config, scenario, d1, d2)
+    return _schemes(config, [(scenario, (d1, d2), [channel], seed)])[0]
 
 
 def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
@@ -310,7 +322,7 @@ def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
             norm = channel.spectral_norm(link)
             for j in range(nulled):
                 # A contiguous copy: a strided column changes the product's last bits.
-                worst = max(worst, float(np.linalg.norm(h @ block[rows, j].copy())) / norm)
+                worst = max(worst, _norm(h @ block[rows, j].copy()) / norm)
     return worst
 
 
@@ -405,19 +417,15 @@ class SweepReport:
 def _sweep_cells(config: AntennaConfig, cells: list[tuple]) -> list[SweepCell]:
     """Sweep cells (scenario, point, channels, seed) of one configuration.
 
-    Trial t of a cell runs on channels[t] with vector seed seed + t.  The
-    null bases the cells read come from one batched SVD per cross link, and
-    the trials of all cells that share a point are judged in one batch.
+    Trial t of a cell runs on channels[t] with vector seed seed + t; the
+    schemes of all cells are built as one batch (``_schemes``), and the
+    trials of all cells that share a point are judged in one batch.
     """
-    _fill_null_bases([cell[:3] for cell in cells])
+    schemes = iter(_schemes(config, cells))
     groups: dict[tuple[int, int], tuple[list, list]] = {}
-    for scenario, point, channels, seed in cells:
-        schemes, group_channels = groups.setdefault(point, ([], []))
-        schemes.extend(
-            ZfScheme(config, scenario, *point,
-                     *_scheme_vectors(config, scenario, *point, ch, seed + trial))
-            for trial, ch in enumerate(channels)
-        )
+    for _, point, channels, _ in cells:
+        group_schemes, group_channels = groups.setdefault(point, ([], []))
+        group_schemes.extend(itertools.islice(schemes, len(channels)))
         group_channels.extend(channels)
     # A group's verdicts come back in the order its cells were added.
     verdicts = {point: iter(_verdicts(*group)) for point, group in groups.items()}

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from micdof import channel
 from micdof.channel import (
     RANK_RTOL,
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
     DegenerateChannelError,
+    _generators,
     _ranks,
     null_space,
     sample_channel,
@@ -183,15 +185,27 @@ class _ConstantGenerator:
         return np.full(size, self.value)
 
 
+def _rig_generators(monkeypatch, rigged):
+    # Sampling draws through channel._generators; rigged(row) gives the
+    # stand-in generator for an entropy row, or None to keep the real one.
+    generators = channel._generators
+
+    def patched(entropy):
+        for row, rng in zip(entropy, generators(entropy)):
+            yield rigged(list(row)) or rng
+
+    monkeypatch.setattr(channel, "_generators", patched)
+
+
 def test_degenerate_generator_raises_after_retries(monkeypatch):
     # All-zero draws have scale 0, hence rank 0: every attempt is rejected.
     attempts = []
 
-    def zero_rng(entropy):
-        attempts.append(tuple(entropy))
+    def zero_rng(row):
+        attempts.append(tuple(row))
         return _ConstantGenerator(0.0)
 
-    monkeypatch.setattr(np.random, "default_rng", zero_rng)
+    _rig_generators(monkeypatch, zero_rng)
     with pytest.raises(DegenerateChannelError, match="degenerate"):
         sample_channel(AntennaConfig(2, 2, 2, 2), seed=5)
     assert attempts == [(5, attempt) for attempt in range(8)]
@@ -225,12 +239,7 @@ def test_a_rejected_seed_is_redrawn_alone(monkeypatch):
     # attempt 1; the others keep their attempt-0 draws.
     config = AntennaConfig(2, 3, 2, 2)
     seeds = [10, 11, 12, 13, 14]
-    default_rng = np.random.default_rng
-
-    def rigged(entropy):
-        return _ConstantGenerator(1.0) if list(entropy) == [12, 0] else default_rng(entropy)
-
-    monkeypatch.setattr(np.random, "default_rng", rigged)
+    _rig_generators(monkeypatch, lambda row: _ConstantGenerator(1.0) if row == [12, 0] else None)
     batch = [_link_bytes(ch) for ch in sample_channels(config, seeds)]
     single = [_link_bytes(sample_channel(config, seed)) for seed in seeds]
     monkeypatch.undo()
@@ -254,6 +263,41 @@ def test_sample_channels_match_the_scalar_loop():
                 assert _link_bytes(ch) == expected and ch.seed == seed
                 assert (ch.extended_links is not None) == extended
     assert sample_channels(AntennaConfig(2, 2, 2, 2), []) == []
+
+
+def _assert_generators_match_default_rng(rows):
+    # Reference: numpy's own seeding, one default_rng per entropy row.
+    drawn = 0
+    for row, rng in zip(rows, _generators(rows)):
+        expected = np.random.default_rng(list(row))
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.standard_normal(7).tobytes() == expected.standard_normal(7).tobytes()
+        drawn += 1
+    assert drawn == len(rows)
+
+
+def test_generators_match_default_rng_at_the_edges():
+    # Batches that mix every word layout: 0 and values below 2**32 are one
+    # uint32 word, larger ones two; masked negative seeds; d1 = d2 = 0; and
+    # 3-value rows of up to six words, more than SeedSequence's pool of four.
+    mask = 2**64 - 1
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1 & mask, -12345 & mask, 2**63 + 5]
+    pairs = [(a, b) for a in edges for b in (0, 1, 7, 2**32 - 1, 2**32)]
+    triples = [(a, d1, d2) for a in edges
+               for d1, d2 in ((0, 0), (3, 1), (2**32, 0), (2**64 - 1, 2**40))]
+    for rows in (pairs, triples, triples[::-1], [(e,) for e in edges], pairs[:1]):
+        _assert_generators_match_default_rng(rows)
+    assert list(_generators([])) == []
+
+
+_entropy_values = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[_entropy_values] * k), min_size=1, max_size=6)))
+def test_generators_match_default_rng(rows):
+    _assert_generators_match_default_rng(rows)
 
 
 def test_sampling_caches_the_link_spectral_norms(monkeypatch):
@@ -311,7 +355,6 @@ def test_sampling_decides_like_the_scalar_rule_at_the_edge(counts, pair, log_rat
     pairs = list(_PAIR_NAMES)
     attempt0 = _draw(config, seed, 0, pairs)
     attempt0[pair] = edge
-    default_rng = np.random.default_rng
 
     class Rigged:
         def standard_normal(self, size):
@@ -320,8 +363,7 @@ def test_sampling_decides_like_the_scalar_rule_at_the_edge(counts, pair, log_rat
             return flat
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.random, "default_rng",
-                   lambda entropy: Rigged() if list(entropy) == [seed, 0] else default_rng(entropy))
+        _rig_generators(mp, lambda row: Rigged() if row == [seed, 0] else None)
         ch = sample_channel(config, seed)
     kept = all(_scalar_rank(m) == min(m.shape) for m in attempt0.values())
     expected = attempt0 if kept else _draw(config, seed, 1, pairs)

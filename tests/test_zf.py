@@ -218,6 +218,22 @@ def test_null_residual_matches_a_per_vector_reference_to_the_bit():
         assert null_residual(scheme, ch) == expected
 
 
+def test_norm_matches_numpy_to_the_bit():
+    # zf._norm stands in for np.linalg.norm of 1-D real vectors (isotropic
+    # draws, null residuals): random vectors of the sweep's lengths over wide
+    # scales, and 1-row links times a vector, as at a 1-antenna receiver.
+    rng = np.random.default_rng(12)
+    for dim in range(1, 9):
+        for scale in (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e150):
+            for _ in range(40):
+                vec = scale * rng.standard_normal(dim)
+                assert zf._norm(vec) == float(np.linalg.norm(vec))
+    for cols in range(1, 9):
+        for _ in range(40):
+            vec = rng.standard_normal((1, cols)) @ rng.standard_normal(cols)
+            assert vec.shape == (1,) and zf._norm(vec) == float(np.linalg.norm(vec))
+
+
 # ----------------------------------------------------------- trial verdict
 
 
@@ -433,6 +449,38 @@ def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
     assert svds(coop, 1) == svds(coop, 10) == 16
     sweep = lambda trials: achievability_sweep(max_antennas=2, trials=trials, seed=0)
     assert 0 < svds(sweep, 1) == svds(sweep, 4)
+
+
+def test_seeding_is_batched_and_skips_all_nulled_points(monkeypatch):
+    # Operation counts: seeded paths build no default_rng; sampling computes
+    # one batch of generator states per attempt and scheme building one per
+    # batch of cells, whatever the number of trials; and a point whose
+    # streams are all nulled computes no state for its vectors.
+    from micdof import channel, rates
+
+    def no_default_rng(*args, **kwargs):
+        raise AssertionError("a seeded path built np.random.default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    counts = {"channel": _count_states(monkeypatch, channel), "zf": _count_states(monkeypatch, zf)}
+
+    def calls(run, trials):
+        for count in counts.values():
+            count.update(calls=0, rows=0)
+        run(trials)
+        return {name: count["calls"] for name, count in counts.items()}
+
+    sweep = lambda trials: achievability_sweep(max_antennas=2, trials=trials, seed=0)
+    assert calls(sweep, 1) == calls(sweep, 5) == {"channel": 16, "zf": 16}  # one per config
+    config, sc = AntennaConfig(2, 4, 3, 3), scenario(0, 1, 0, 1)
+    point = lambda trials: rates.simulate_point(config, sc, 2, 2, trials=trials, seed=3)
+    assert calls(point, 1) == calls(point, 5) == {"channel": 1, "zf": 1}
+    assert counts["zf"]["rows"] == 5
+    # (3,3,2,2) without cognition: each stream of (1,1) is nulled.
+    config, sc = AntennaConfig(3, 3, 2, 2), scenario(0, 0, 0, 0)
+    nulled = lambda trials: rates.simulate_point(config, sc, 1, 1, trials=trials, seed=3)
+    assert calls(nulled, 5) == {"channel": 1, "zf": 1}
+    assert counts["channel"]["rows"] == 5 and counts["zf"]["rows"] == 0
 
 
 def _scalar_rank(matrix, scale):
@@ -653,14 +701,22 @@ def _eager_vectors(config, sc, d1, d2, ch, seed):
     )
 
 
+def _count_states(monkeypatch, module):
+    # Route module._generators through a wrapper that counts its calls and
+    # the entropy rows it computes states for.
+    generators, counts = module._generators, {"calls": 0, "rows": 0}
+
+    def counted(entropy):
+        counts["calls"] += 1
+        counts["rows"] += len(entropy)
+        return generators(entropy)
+
+    monkeypatch.setattr(module, "_generators", counted)
+    return counts
+
+
 def test_lazy_generator_matches_eager_and_skips_all_nulled_points(monkeypatch):
-    default_rng = np.random.default_rng
-    built = [0]
-
-    def counted_rng(*args, **kwargs):
-        built[0] += 1
-        return default_rng(*args, **kwargs)
-
+    built = _count_states(monkeypatch, zf)
     all_nulled = 0
     for counts in ((3, 3, 2, 2), (2, 2, 3, 3)):
         config = AntennaConfig(*counts)
@@ -668,15 +724,13 @@ def test_lazy_generator_matches_eager_and_skips_all_nulled_points(monkeypatch):
             ch = sample_channel(config, seed=s_index)
             for d1, d2 in sorted(inner_points(config, sc).points):
                 seed = 1000 * s_index + 10 * d1 + d2
-                monkeypatch.setattr(np.random, "default_rng", counted_rng)
-                built[0] = 0
+                built["rows"] = 0
                 scheme = build_scheme(config, sc, d1, d2, ch, seed=seed)
-                monkeypatch.setattr(np.random, "default_rng", default_rng)
                 w1, w2 = _eager_vectors(config, sc, d1, d2, ch, seed)
                 assert scheme.w1.shape == w1.shape and scheme.w1.tobytes() == w1.tobytes()
                 assert scheme.w2.shape == w2.shape and scheme.w2.tobytes() == w2.tobytes()
                 nulled = scheme.w1_nulled == d1 and scheme.w2_nulled == d2
-                assert built[0] == (0 if nulled else 1)
+                assert built["rows"] == (0 if nulled else 1)
                 all_nulled += nulled and d1 + d2 > 0
     assert all_nulled > 0
 
