@@ -6,15 +6,13 @@ transmitters (``m1``/``m2`` antennas), node 3 and node 4 the receivers
 node ``j``; the cooperation variant additionally carries the full 4x4 set of
 directed links (every node is full duplex, self-links included).
 
-Sampling is batched: ``sample_channels`` draws one realization per seed,
-checks each link of the batch for full rank with one batched SVD, and keeps
-the largest singular values of h31..h42 as their spectral norms.  Each seed's
-matrices depend on that seed alone, so a batch gives the bytes its seeds give
-one at a time; ``sample_channel`` is the batch of one.  The generator states
-of a batch, equal to ``np.random.default_rng``'s, are computed at once
-(``_generators``), here and for the vectors in ``zf``.  Null bases of many
-realizations likewise come from one batched SVD (``_null_rows``, behind
-``ChannelRealization.null_bases``), and ``null_space`` is its batch of one.
+Sampling is batched: ``sample_channels`` draws one realization per seed and
+checks each link of the batch for full rank with one batched SVD.  Each
+seed's matrices depend on that seed alone, so ``sample_channel`` is the batch
+of one.  The generator states of a batch, equal to
+``np.random.default_rng``'s, are computed at once (``_generators``), here and
+for the vectors in ``zf``.  Null bases and spectral norms of many
+realizations come from one batched SVD each, on link stacks (``_links``).
 Every rank in micdof is counted by one rule, ``_ranks``.
 """
 
@@ -28,13 +26,10 @@ import numpy as np
 
 # The one rank rule (`_ranks`): a singular value counts toward the rank when
 # it exceeds RANK_RTOL times a reference scale, and a scale <= 0 gives rank 0.
-# The scale is the matrix's own largest singular value (the full-rank check
-# in `sample_channels`, and the null bases of `null_space` and
-# `ChannelRealization.null_bases`), the spectral norm of the channel the
-# matrix was received through (the receiver model in `zf`), so that leakage
-# of ~1e-16 counts as rank zero rather than full rank, or 1.0 for the stacked
-# transmit vectors, which have unit norm (`zf._transmit_ranks`).  Each way the
-# rule is scale-invariant and far above double noise.
+# The scale is the matrix's own largest singular value (sampling's full-rank
+# check, null bases), the spectral norm of the channel the matrix was
+# received through (`zf`'s receiver model, so leakage of ~1e-16 counts as
+# rank zero), or 1.0 for the unit transmit vectors (`zf._transmit_ranks`).
 RANK_RTOL = 1e-9
 
 _RESAMPLE_ATTEMPTS = 8
@@ -122,13 +117,12 @@ class ChannelRealization:
     every ordered node pair (i, j) to the matrix of the link from node j to
     node i, sixteen in total; otherwise it is None.
 
-    Geometry derived from the links (the stacked receiver matrices ``rx1`` and
+    Geometry derived from the links (the receiver matrices ``rx1`` and
     ``rx2``, spectral norms, null-space bases) is computed on first use and
-    cached on the realization, so every DOF point, verdict and rate evaluated
-    on the same channel shares it; ``sample_channels`` fills the spectral
-    norms of h31..h42 from its rank check.  Cached arrays are read-only, like
-    the links themselves: writing to them raises ValueError.  Realizations
-    compare and hash by identity.
+    cached, so every point, verdict and rate on the channel shares it;
+    ``sample_channels`` fills what its rank check already knows.  Cached
+    arrays are read-only, like the links.  Realizations compare and hash by
+    identity.
     """
 
     h31: np.ndarray
@@ -141,29 +135,22 @@ class ChannelRealization:
 
     @property
     def config(self) -> AntennaConfig:
-        return AntennaConfig(
-            m1=self.h31.shape[1],
-            m2=self.h32.shape[1],
-            n1=self.h31.shape[0],
-            n2=self.h41.shape[0],
-        )
+        (n1, m1), m2, n2 = self.h31.shape, self.h32.shape[1], self.h41.shape[0]
+        return AntennaConfig(m1=m1, m2=m2, n1=n1, n2=n2)
 
     @functools.cached_property
     def rx1(self) -> np.ndarray:
         """[h31 h32]: the channel from both transmitters to receiver 1."""
-        return _freeze(np.hstack([self.h31, self.h32]))
+        return _freeze(_links([self], "rx1")[0])
 
     @functools.cached_property
     def rx2(self) -> np.ndarray:
         """[h41 h42]: the channel from both transmitters to receiver 2."""
-        return _freeze(np.hstack([self.h41, self.h42]))
+        return _freeze(_links([self], "rx2")[0])
 
     def spectral_norm(self, link: str) -> float:
         """Largest singular value of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
-        key = ("norm", link)
-        if key not in self._memo:
-            ChannelRealization.spectral_norms([self], link)
-        return self._memo[key]
+        return float(ChannelRealization.spectral_norms([self], link)[0])
 
     @staticmethod
     def spectral_norms(channels: list["ChannelRealization"], link: str) -> np.ndarray:
@@ -172,7 +159,7 @@ class ChannelRealization:
         key = ("norm", link)
         missing = [ch for ch in channels if key not in ch._memo]
         if missing:
-            stack = np.array([getattr(ch, link) for ch in missing])
+            stack = _links(missing, link)
             for ch, top in zip(missing, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
                 ch._memo[key] = top
         return np.array([ch._memo[key] for ch in channels])
@@ -180,10 +167,7 @@ class ChannelRealization:
     def null_basis(self, link: str) -> np.ndarray:
         """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``,
         ``rx2``), one basis vector per row: (nullity, columns)."""
-        key = ("null", link)
-        if key not in self._memo:
-            ChannelRealization.null_bases([self], link)
-        return self._memo[key]
+        return ChannelRealization.null_bases([self], link)[0]
 
     @staticmethod
     def null_bases(channels: list["ChannelRealization"], link: str) -> list[np.ndarray]:
@@ -192,24 +176,30 @@ class ChannelRealization:
         key = ("null", link)
         missing = [ch for ch in channels if key not in ch._memo]
         if missing:
-            bases = _null_rows(np.array([getattr(ch, link) for ch in missing]))
+            bases = _null_rows(_links(missing, link))
             for ch, basis in zip(missing, bases):
                 ch._memo[key] = _freeze(basis)
         return [ch._memo[key] for ch in channels]
 
     def matches(self, config: AntennaConfig) -> bool:
         m1, m2, n1, n2 = config.counts
-        return (
-            self.h31.shape == (n1, m1)
-            and self.h32.shape == (n1, m2)
-            and self.h41.shape == (n2, m1)
-            and self.h42.shape == (n2, m2)
-        )
+        shapes = (self.h31.shape, self.h32.shape, self.h41.shape, self.h42.shape)
+        return shapes == ((n1, m1), (n1, m2), (n2, m1), (n2, m2))
 
 
-def swap_users(
-    config: AntennaConfig, scenario: CognitionScenario
-) -> tuple[AntennaConfig, CognitionScenario]:
+_RX_PARTS = {"rx1": ("h31", "h32"), "rx2": ("h41", "h42")}
+
+
+def _links(channels: list[ChannelRealization], link: str) -> np.ndarray:
+    """One link of each channel, stacked (B, n, m); a receiver's ``rx1``/``rx2``
+    stack is its two h-link stacks, concatenated."""
+    if link in _RX_PARTS:
+        return np.concatenate([_links(channels, part) for part in _RX_PARTS[link]], axis=2)
+    return np.array([getattr(ch, link) for ch in channels])
+
+
+def swap_users(config: AntennaConfig,
+               scenario: CognitionScenario) -> tuple[AntennaConfig, CognitionScenario]:
     """Relabel user 1 as user 2 and vice versa.  Involution."""
     swapped_config = AntennaConfig(m1=config.m2, m2=config.m1, n1=config.n2, n2=config.n1)
     swapped_scenario = CognitionScenario(
@@ -252,12 +242,11 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-# SeedSequence (NEP 19) and PCG64 seeding, as in numpy's bit_generator.pyx and
-# pcg64.h.  Hash call k of a SeedSequence xors with INIT * MULT**k and then
-# multiplies by INIT * MULT**(k + 1) (mod 2**32), whatever the data.
+# SeedSequence (NEP 19) hashing, as in numpy's bit_generator.pyx.  Hash call
+# k of a SeedSequence xors with INIT * MULT**k and then multiplies by
+# INIT * MULT**(k + 1) (mod 2**32), whatever the data.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,46 +293,50 @@ def _pool_states(words: np.ndarray) -> np.ndarray:
     return out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << 32)
 
 
+class _Words:
+    """A seed sequence holding one row's PCG64 words, registered as numpy's
+    ISeedSequence on first use (importing micdof imports no numpy.random)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("_Words holds the four uint64 words of a PCG64 seed only")
+        return self.words
+
+
 def _generators(entropy):
     """Per row of ``entropy`` (B, k), integers in [0, 2**64), a generator in the
-    state that ``np.random.default_rng(list(row))`` starts in, bit for bit.
-
-    The SeedSequence states are computed for the whole batch, in groups of one
-    word layout (a value below 2**32 is one uint32 word, a larger one two),
-    and seed PCG64 in Python ints.  One Generator serves the batch, its state
-    set before each row is yielded: draw from it before taking the next row.
+    state that ``np.random.default_rng(list(row))`` starts in, bit for bit:
+    SeedSequence's states are computed for the batch, in groups of one word
+    layout (a value below 2**32 is one uint32 word, a larger one two), and
+    numpy's PCG64 seeding takes each row's four words (``_Words``).
     """
     if not len(entropy):
         return
     rows = np.asarray(entropy, dtype=np.uint64)
     lo, hi = (rows & 0xFFFFFFFF).astype(np.uint32), (rows >> 32).astype(np.uint32)
     layouts = ((hi != 0) << np.arange(rows.shape[1])).sum(axis=1)
-    states = np.empty((4, len(rows)), dtype=np.uint64)
+    states = np.empty((len(rows), 4), dtype=np.uint64)
     with np.errstate(over="ignore"):  # the uint32 hash products wrap by design
         for layout in set(layouts.tolist()):
             sel = np.flatnonzero(layouts == layout)
             words = [w for j in range(rows.shape[1])
                      for w in ((lo[sel, j], hi[sel, j]) if layout >> j & 1 else (lo[sel, j],))]
-            states[:, sel] = _pool_states(np.array(words))
-    rng = np.random.Generator(np.random.PCG64(0))  # each row's state replaces this one
-    for s0, s1, q0, q1 in states.T.tolist():
-        inc = ((q0 << 65) | (q1 << 1) | 1) & (2**128 - 1)
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & (2**128 - 1)
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                   "uinteger": 0, "state": {"state": state, "inc": inc}}
-        yield rng
+            states[sel] = _pool_states(np.array(words)).T
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    for words in states:
+        yield np.random.Generator(np.random.PCG64(_Words(words)))
 
 
-def sample_channel(
-    config: AntennaConfig, seed: int, extended: bool = False
-) -> ChannelRealization:
+def sample_channel(config: AntennaConfig, seed: int, extended: bool = False) -> ChannelRealization:
     """One seed's channel: ``sample_channels`` for a batch of one."""
     return sample_channels(config, [seed], extended)[0]
 
 
-def sample_channels(
-    config: AntennaConfig, seeds, extended: bool = False
-) -> list[ChannelRealization]:
+def sample_channels(config: AntennaConfig, seeds,
+                    extended: bool = False) -> list[ChannelRealization]:
     """Sample i.i.d. standard-normal channel matrices, one realization per seed.
 
     Entries are real, zero mean, unit variance.  Continuous sampling makes
@@ -353,10 +346,10 @@ def sample_channels(
     its links in pair order from one generator in the state that
     ``np.random.default_rng([seed mod 2**64, a])`` starts in, and the states
     of an attempt's pending seeds are computed as one batch (``_generators``).
-    Each link of a batch is checked with one SVD, and the largest singular
-    values are cached as the spectral norms of h31..h42.
+    Each link of a batch is checked with one SVD; the spectral norms of
+    h31..h42 and the null bases that check proves empty are cached.
     """
-    spans, size = _spans(config.counts, extended)
+    spans, size, empty = _spans(config.counts, extended)
     seeds = list(seeds)
     if not seeds:
         return []
@@ -383,7 +376,8 @@ def sample_channels(
                 accepted[k] = seed_links
         pending = [k for k, ok in zip(pending, full_rank) if not ok]
         if not pending:
-            return [_realization(seed, extended, *accepted[k]) for k, seed in enumerate(seeds)]
+            return [_realization(seed, extended, empty, *accepted[k])
+                    for k, seed in enumerate(seeds)]
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
         f"{_RESAMPLE_ATTEMPTS} attempts; the generator looks degenerate"
@@ -393,23 +387,30 @@ def sample_channels(
 _NORM_KEYS = tuple(("norm", f"h{i}{j}") for i, j in _LINK_PAIRS)
 
 
-def _realization(seed: int, extended: bool, base, links, norms) -> ChannelRealization:
+def _realization(seed: int, extended: bool, empty, base, links, norms) -> ChannelRealization:
     """A seed's accepted links (h31..h42, then every sampled link in pair
-    order), with the spectral norms of h31..h42 in the cache."""
+    order), with the norms of h31..h42 and the ``empty`` bases cached."""
     channel = ChannelRealization(
         *base, seed=seed, extended_links=dict(zip(_ALL_PAIRS, links)) if extended else None
     )
     channel._memo.update(zip(_NORM_KEYS, norms))
+    channel._memo.update(empty)
     return channel
 
 
 @functools.lru_cache(maxsize=None)
-def _spans(counts: tuple[int, int, int, int], extended: bool) -> tuple[tuple, int]:
+def _spans(counts: tuple[int, int, int, int], extended: bool) -> tuple[tuple, int, dict]:
     """Each sampled link's pair, shape and slice of one seed's flat draw, in
-    pair order, and the size of that draw."""
+    pair order; the size of that draw; and the null bases sampling proves
+    empty: those of h41 and h32 (the links zf nulls against; rx1/rx2 are not
+    rank-checked) with no more columns than rows, kept only at rank m by the
+    rule ``_null_rows`` cuts at."""
     spans, start = [], 0
     for i, j in _ALL_PAIRS if extended else _LINK_PAIRS:
         n, m = counts[i - 1], counts[j - 1]
         spans.append(((i, j), (n, m), slice(start, start + n * m)))
         start += n * m
-    return tuple(spans), start
+    m1, m2, n1, n2 = counts
+    empty = {("null", name): _freeze(np.empty((0, m)))
+             for name, n, m in (("h41", n2, m1), ("h32", n1, m2)) if m <= n}
+    return tuple(spans), start, empty

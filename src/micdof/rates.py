@@ -1,7 +1,7 @@
 """Finite-SNR rates of ZF schemes and empirical DOF via sum-rate slopes.
 
 Rates are read from the same receiver model as the decodability
-diagnostics (``zf._receiver_models``, one batch of schemes that share
+diagnostics (``zf._receivers``, one batch of trials that share
 config and point): each receiver projects its observation off the residual
 interference subspace (a cognitive receiver first subtracts the message it
 knows, exactly) and decodes its own streams, with unit noise, in what is
@@ -16,13 +16,11 @@ over the singular values sigma_i of the projected effective channel.  The
 empirical DOF is the fitted slope of the sum rate against log2 of the
 transmit power, which must match the closed-form value.
 
-Rates are arrays over (scheme, rho, stream): for B schemes and G powers,
-``_rate_curves`` evaluates the term on a (B, G, s) broadcast and sums the
-stream axis.  ``simulate_point`` averages the scheme axis,
-``estimate_dof_slope`` is a batch of one and ``achievable_rates`` a batch of
-one on a one-point grid.  The arrays give the bits of a loop over schemes
-and powers: each element goes through the same IEEE operations, a stream
-sum (at most 4 terms) and the sum over schemes both add in order.
+Rates are arrays over (trial, rho, stream), evaluated on a (B, G, s)
+broadcast (``_rate_curves``); ``simulate_point`` averages the trial axis,
+and ``estimate_dof_slope`` and ``achievable_rates`` are batches of one.  The
+arrays give the bits of a loop over trials and powers: each element goes
+through the same IEEE operations, and the sums add in order.
 
 The cooperation probe evaluates, as a (rho, j) array, the genie-bound terms
 log2(1 + ||h11_j||^2 rho / (1 + ||h41_j||^2 rho)) for j < m1: row j of the
@@ -40,7 +38,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channels
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
-from .zf import ZfScheme, _receiver_models, _require_achievable, _schemes
+from .zf import ZfScheme, _receivers, _require_achievable, _schemes, _stacked, _Trials
 
 SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
@@ -112,7 +110,7 @@ class CooperationGapReport:
         }
 
 
-def _streams_per_node(scheme: ZfScheme) -> tuple[int, int]:
+def _streams_per_node(scenario: CognitionScenario, d1: int, d2: int) -> tuple[int, int]:
     """Per message, the stream count of the busiest node that carries it.
 
     Each node splits its power budget equally across the streams it
@@ -120,27 +118,24 @@ def _streams_per_node(scheme: ZfScheme) -> tuple[int, int]:
     smaller of the two per-node shares and every node stays within its
     budget: each stream of message i gets rho / k_i.
     """
-    t1, t2 = scheme.scenario.t1, scheme.scenario.t2
-    node1 = scheme.d1 + (scheme.d2 if t1 else 0)
-    node2 = (scheme.d1 if t2 else 0) + scheme.d2
+    t1, t2 = scenario.t1, scenario.t2
+    node1 = d1 + (d2 if t1 else 0)
+    node2 = (d1 if t2 else 0) + d2
     return max(node1, node2 if t2 else 0, 1), max(node2, node1 if t1 else 0, 1)
 
 
-def _rate_models(
-    schemes: list[ZfScheme], channels: list[ChannelRealization]
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per message, k (B,) and the squared projected singular values (B, s),
-    read from one batched receiver model (the schemes share config and point)."""
-    models = _receiver_models(schemes, channels)
-    if not all(diag.all_decodable for diag, _, _ in models):
+    read from the batch's receiver stacks (``zf._receivers``)."""
+    rx1, rx2 = _receivers(trials)
+    if not all(rx1[3]) or not all(rx2[3]):
         raise UndecodableSchemeError(
             "scheme fails decodability diagnostics on this channel; "
             "rates are undefined"
         )
-    k1, k2 = np.array([_streams_per_node(s) for s in schemes]).T
-    p1 = np.array([p for _, p, _ in models])
-    p2 = np.array([p for _, _, p in models])
-    return (k1, p1 ** 2), (k2, p2 ** 2)
+    k1, k2 = np.array([_streams_per_node(sc, trials.d1, trials.d2)
+                       for sc, channels in trials.cells for _ in channels]).T
+    return (k1, rx1[4] ** 2), (k2, rx2[4] ** 2)
 
 
 def _rate_curves(models, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,13 +147,13 @@ def _rate_curves(models, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def achievable_rates(
-    scheme: ZfScheme, channel: ChannelRealization, rho: float
-) -> tuple[float, float]:
+def achievable_rates(scheme: ZfScheme, channel: ChannelRealization,
+                     rho: float) -> tuple[float, float]:
     """Rates (bits/channel use) of both messages at transmit power rho."""
     if not rho >= 0:
         raise ValueError("rho must be nonnegative")
-    r1, r2 = _rate_curves(_rate_models([scheme], [channel]), np.array([rho], dtype=float))
+    r1, r2 = _rate_curves(_rate_models(_stacked([scheme], [channel])),
+                          np.array([rho], dtype=float))
     return float(r1[0, 0]), float(r2[0, 0])
 
 
@@ -195,13 +190,11 @@ def _validate_grid(rho_grid) -> tuple[float, ...]:
     return grid
 
 
-def _sweep(
-    schemes: list[ZfScheme], channels: list[ChannelRealization], grid: tuple[float, ...]
-) -> RateSweep:
+def _sweep(trials: _Trials, grid: tuple[float, ...]) -> RateSweep:
     """Per-grid-point mean rates over the batch and the slope of their sum."""
     r1_mean, r2_mean = (
-        rates.sum(axis=0) / len(schemes)
-        for rates in _rate_curves(_rate_models(schemes, channels), np.array(grid))
+        rates.sum(axis=0) / len(trials.w1)
+        for rates in _rate_curves(_rate_models(trials), np.array(grid))
     )
     slope, intercept = fit_loglinear_slope(np.array(grid), r1_mean + r2_mean)
     return RateSweep(rho_grid=grid, r1_rates=tuple(r1_mean.tolist()),
@@ -210,12 +203,11 @@ def _sweep(
 
 def estimate_dof_slope(scheme: ZfScheme, channel: ChannelRealization, rho_grid) -> RateSweep:
     """Evaluate rates over the grid and fit the empirical DOF slope."""
-    return _sweep([scheme], [channel], _validate_grid(rho_grid))
+    return _sweep(_stacked([scheme], [channel]), _validate_grid(rho_grid))
 
 
-def default_rho_grid(
-    rho_min: float = SLOPE_GRID_MIN, rho_max: float = SLOPE_GRID_MAX, points: int = 7
-) -> tuple[float, ...]:
+def default_rho_grid(rho_min: float = SLOPE_GRID_MIN, rho_max: float = SLOPE_GRID_MAX,
+                     points: int = 7) -> tuple[float, ...]:
     """Logarithmically spaced power grid."""
     if points < 3:
         raise ValueError("grid needs at least 3 points")
@@ -224,15 +216,8 @@ def default_rho_grid(
     return tuple(float(r) for r in np.logspace(np.log10(rho_min), np.log10(rho_max), points))
 
 
-def simulate_point(
-    config: AntennaConfig,
-    scenario: CognitionScenario,
-    d1: int,
-    d2: int,
-    trials: int,
-    seed: int = 0,
-    rho_grid=None,
-) -> RateSweep:
+def simulate_point(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int,
+                   trials: int, seed: int = 0, rho_grid=None) -> RateSweep:
     """Average the rate sweep over independent random channels.
 
     Returns a RateSweep whose rates are the per-grid-point means and whose
@@ -244,8 +229,7 @@ def simulate_point(
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
     _require_achievable(config, scenario, d1, d2)
     channels = sample_channels(config, range(seed, seed + trials))
-    schemes = _schemes(config, [(scenario, (d1, d2), channels, seed)])
-    return _sweep(schemes, channels, grid)
+    return _sweep(_schemes(config, [(scenario, (d1, d2), channels, seed)])[d1, d2], grid)
 
 
 def _bound_terms(channel: ChannelRealization, grid: np.ndarray) -> np.ndarray:
@@ -281,12 +265,8 @@ def bound_term_slopes(channel: ChannelRealization, rho_grid=COOP_RHO_GRID) -> li
     return np.abs(steps).max(axis=0, initial=0.0).tolist()
 
 
-def cooperation_dof_gap_check(
-    config: AntennaConfig,
-    trials: int,
-    seed: int = 0,
-    slope_threshold: float = 0.01,
-) -> CooperationGapReport:
+def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,
+                              slope_threshold: float = 0.01) -> CooperationGapReport:
     """Confirm the genie-bound terms saturate, so cooperation adds no DOF.
 
     Over ``trials`` random extended channels, every genie-bound term must be
@@ -305,13 +285,6 @@ def cooperation_dof_gap_check(
         worst = max(worst, max(bound_term_slopes(channel)))
     dof = dof_cooperation(config)
     bounds = dof_cooperation_upper_bounds(config)
-    passed = worst < slope_threshold and dof <= min(bounds)
-    return CooperationGapReport(
-        config=config,
-        trials=trials,
-        rho_grid=COOP_RHO_GRID,
-        max_term_slope=worst,
-        dof=dof,
-        upper_bounds=bounds,
-        passed=passed,
-    )
+    return CooperationGapReport(config=config, trials=trials, rho_grid=COOP_RHO_GRID,
+                                max_term_slope=worst, dof=dof, upper_bounds=bounds,
+                                passed=worst < slope_threshold and dof <= min(bounds))

@@ -10,20 +10,16 @@ stream of the message it knows, so no nulling is aimed at it.  Decodability
 is verified by subspace rank diagnostics on concrete channels.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
-zero on the rows of a transmitter that does not carry it.  Trials are judged
-in batches that share (config, point); scenario, channel and blocks are
-per-scheme data, stacked on a leading axis, so each rank costs one batched
-SVD per batch, and a cognitive receiver's interference rank is masked to 0.
-Schemes are projected off their interference span in groups of equal
-interference rank, through views with one scheme's own shapes and strides:
-numpy picks its BLAS call by both, so a zero-masked wider span would change
-the last bits.  A single scheme is a batch of one.  Isotropic streams are
-normalised one at a time, and the null residual is a norm per nulled column,
-taken on a contiguous copy of its active rows: a batched norm or a strided
-column would not reproduce the bits either.  ``_schemes`` builds a batch of
-cells with one batched SVD per cross link for the null bases and one batch of
-generator states, equal to ``np.random.default_rng``'s, for the trials that
-draw isotropic streams.
+zero on the rows of a transmitter that does not carry it.  Trials are built
+and judged in batches that share (config, point) (``_Trials``), one
+(B, m1+m2, d) stack per message, so each rank costs one batched SVD per
+batch.  numpy picks its BLAS call by shapes and strides, so the bits of a
+scheme alone are kept: projections run in groups of equal interference rank
+on views with one scheme's shapes, and norms as stacked matmuls, one BLAS
+ddot per row and one gemv per column (``_norms``, ``_column_norms``), where
+``einsum``, a batched ``np.linalg.norm`` or a strided column sum in another
+order.  ``ZfScheme`` is the public record of one scheme; ``build_scheme``
+and the scalar checks are batches of one.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +37,7 @@ from .channel import (
     ChannelRealization,
     CognitionScenario,
     _generators,
+    _links,
     _ranks,
     sample_channels,
 )
@@ -80,11 +78,38 @@ class ZfScheme:
     @property
     def w1_nulled(self) -> int:
         """How many W1 columns were drawn from the cross-channel kernel."""
-        return _nulled(self)[0]
+        return _nulled(self.config, self.scenario, self.d1, self.d2)[0]
 
     @property
     def w2_nulled(self) -> int:
-        return _nulled(self)[1]
+        return _nulled(self.config, self.scenario, self.d1, self.d2)[1]
+
+
+class _Trials(NamedTuple):
+    """Trials that share (config, point): ``cells`` are (scenario, channels)
+    runs, one trial per channel, in trial order, and ``w1`` (B, m1+m2, d1)
+    and ``w2`` (B, m1+m2, d2) the trials' blocks, laid out as in ZfScheme."""
+
+    config: AntennaConfig
+    d1: int
+    d2: int
+    cells: list
+    w1: np.ndarray
+    w2: np.ndarray
+
+    @property
+    def channels(self) -> list[ChannelRealization]:
+        return [ch for _, channels in self.cells for ch in channels]
+
+
+def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Trials:
+    """Schemes that share (config, point), each on its channel, as one batch;
+    the channels must match the schemes' configuration."""
+    s = schemes[0]
+    if not all(ch.matches(s.config) for ch in channels):
+        raise ValueError("channel does not match the scheme's configuration")
+    return _Trials(s.config, s.d1, s.d2, [(x.scenario, [ch]) for x, ch in zip(schemes, channels)],
+                   np.array([x.w1 for x in schemes]), np.array([x.w2 for x in schemes]))
 
 
 @dataclass(frozen=True)
@@ -123,12 +148,11 @@ def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, 
     return r1, _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
 
 
-def _nulled(scheme: ZfScheme) -> tuple[int, int]:
+def _nulled(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int):
     """How many W1 (W2) streams are nulled: none when the opposite receiver is
     cognitive, else as many as fit in the cross channel's kernel."""
-    r1, r2 = _nullable(scheme.config, scheme.scenario)
-    sc = scheme.scenario
-    return (0 if sc.r2 else min(scheme.d1, r1)), (0 if sc.r1 else min(scheme.d2, r2))
+    r1, r2 = _nullable(config, scenario)
+    return (0 if scenario.r2 else min(d1, r1)), (0 if scenario.r1 else min(d2, r2))
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -137,60 +161,99 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(float(vec.dot(vec)))
 
 
-def _isotropic(rng: np.random.Generator, dim: int) -> np.ndarray:
-    vec = rng.standard_normal(dim)
-    norm = _norm(vec)
-    while norm == 0.0:  # probability zero, but keep the loop total
-        vec = rng.standard_normal(dim)
-        norm = _norm(vec)
-    return vec / norm
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``_norm`` of each row of a C-contiguous (N, n) array, to the bit: the
+    stacked (1, n) @ (n, 1) matmul runs one BLAS ddot per row."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def _schemes(config: AntennaConfig, cells) -> list[ZfScheme]:
-    """The schemes of cells (scenario, point, channels, seed), trial by trial:
-    trial t of a cell runs on channels[t] with vector seed seed + t.
+def _column_norms(h: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The (G, k) norms of h[i] @ block[i][:, j] for stacks h (G, n, m) and
+    block (G, m, k), to the bit of ``_norm(h[i] @ block[i][:, j].copy())``:
+    the stacked matmul runs one BLAS gemv per contiguous column."""
+    received = h[:, None] @ np.ascontiguousarray(np.swapaxes(block, 1, 2))[..., None]
+    return _norms(received.reshape(-1, h.shape[1])).reshape(len(h), -1)
 
-    W1's and W2's (m1+m2, d) blocks: a message takes its first streams from
-    the null basis of its cross link (none when the opposite receiver is
-    cognitive) and draws the rest isotropically on its active rows, W1's
-    before W2's, from a generator in the state that
-    ``np.random.default_rng([seed mod 2**64, d1, d2])`` starts in.  The null
-    bases the cells read come from one batched SVD per cross link, and the
-    states of the trials that draw from one batch (``_generators``); a trial
-    whose streams are all nulled computes none.
+
+def _isotropic(rng: np.random.Generator, sizes: list[int]) -> np.ndarray:
+    """Unnormalised isotropic vectors of ``sizes`` drawn one at a time, end to end;
+    one of norm 0 (probability zero, but keep the loop total) is drawn again."""
+    vectors = []
+    for size in sizes:
+        vec = rng.standard_normal(size)
+        while _norm(vec) == 0.0:
+            vec = rng.standard_normal(size)
+        vectors.append(vec)
+    return np.concatenate(vectors)
+
+
+def _schemes(config: AntennaConfig, cells) -> dict[tuple[int, int], _Trials]:
+    """The schemes of cells (scenario, point, channels, seed), one batch per
+    point: trial t of a cell runs on channels[t] with vector seed seed + t.
+
+    A message takes its first streams from the null basis of its cross link
+    (none when the opposite receiver is cognitive) and draws the rest on its
+    active rows, W1's first, from a generator in the state of
+    ``np.random.default_rng([seed mod 2**64, d1, d2])``: one batch of states
+    (``_generators``) and one standard_normal call per trial that draws,
+    which gives the numbers of one call per vector (``_isotropic`` redraws
+    when a vector, hence each of its squares, is 0).  Vectors are written and
+    normalised per point, message and active length.
     """
-    dim = config.m1 + config.m2
-    plans, by_link, schemes, draws, entropy = [], {}, [], [], []
+    dim, plans, by_link = config.m1 + config.m2, {}, {}
     for scenario, (d1, d2), channels, seed in cells:
         link1, link2 = _cross_links(scenario)
-        messages = (  # (streams, active rows, cross link, nulled against it)
-            (d1, slice(0, dim if scenario.t2 else config.m1), link1, d1 and not scenario.r2),
-            (d2, slice(0 if scenario.t1 else config.m1, dim), link2, d2 and not scenario.r1),
+        messages = (  # (streams, active length, cross link, nulled against it)
+            (d1, dim if scenario.t2 else config.m1, link1, d1 and not scenario.r2),
+            (d2, dim if scenario.t1 else config.m2, link2, d2 and not scenario.r1),
         )
         for _, _, link, nullable in messages:
             if nullable:
                 by_link.setdefault(link, {}).update(dict.fromkeys(channels))
-        plans.append((scenario, d1, d2, channels, seed, messages))
+        plans.setdefault((d1, d2), []).append((scenario, channels, seed, messages))
     for link, linked in by_link.items():
         ChannelRealization.null_bases(list(linked), link)
-    for scenario, d1, d2, channels, seed, messages in plans:
-        for trial, channel in enumerate(channels):
-            blocks = []
-            for streams, rows, link, nullable in messages:
-                basis = channel.null_basis(link)[:streams] if nullable else ()
-                block = np.zeros((dim, streams))
-                if nullable:
-                    block[rows, :len(basis)] = basis.T
-                blocks.append((block, rows, len(basis)))
-            if any(nulled < block.shape[1] for block, _, nulled in blocks):
-                draws.append(blocks)
-                entropy.append(((seed + trial) & (2**64 - 1), d1, d2))
-            schemes.append(ZfScheme(config, scenario, d1, d2, blocks[0][0], blocks[1][0]))
-    for blocks, rng in zip(draws, _generators(entropy)):
-        for block, rows, nulled in blocks:
-            for j in range(nulled, block.shape[1]):
-                block[rows, j] = _isotropic(rng, rows.stop - rows.start)
-    return schemes
+    batches, placed, draws, entropy, end = {}, {}, [], [], 0
+    for point, plan in plans.items():
+        size = sum(len(channels) for _, channels, _, _ in plan)
+        batches[point] = _Trials(config, *point, [(sc, chs) for sc, chs, _, _ in plan],
+                                 np.zeros((size, dim, point[0])), np.zeros((size, dim, point[1])))
+        item = 0
+        for scenario, channels, seed, messages in plan:
+            bases = [ChannelRealization.null_bases(channels, link) if nullable
+                     else [()] * len(channels) for _, _, link, nullable in messages]
+            for trial in range(len(channels)):
+                sizes = []
+                for m, (streams, a, _, _) in enumerate(messages):
+                    basis = bases[m][trial][:streams]
+                    k = len(basis)
+                    if k:  # the basis rows, as they are
+                        items, cols, rows = placed.setdefault((point, m, a, False), ([], [], []))
+                        items.extend([item] * k)
+                        cols.extend(range(k))
+                        rows.extend(basis)
+                    if k < streams:  # where the drawn vectors start in the flat draws
+                        items, cols, starts = placed.setdefault((point, m, a, True), ([], [], []))
+                        items.extend([item] * (streams - k))
+                        cols.extend(range(k, streams))
+                        starts.extend(range(end, end + (streams - k) * a, a))
+                        sizes.extend([a] * (streams - k))
+                        end += (streams - k) * a
+                if sizes:
+                    draws.append(sizes)
+                    entropy.append(((seed + trial) & (2**64 - 1), *point))
+                item += 1
+    flat = np.concatenate([np.empty(0)] + [rng.standard_normal(sum(sizes))
+                                           for sizes, rng in zip(draws, _generators(entropy))])
+    if not (flat * flat).all():
+        flat = np.concatenate([_isotropic(next(_generators([row])), sizes)
+                               for sizes, row in zip(draws, entropy)])
+    for (point, m, a, drawn), (items, cols, sources) in placed.items():
+        vectors = flat[np.add.outer(sources, np.arange(a))] if drawn else np.array(sources)
+        block = batches[point].w2 if m else batches[point].w1
+        block[items, slice(dim - a, dim) if m else slice(a), cols] = (
+            vectors / _norms(vectors)[:, None] if drawn else vectors)
+    return batches
 
 
 def _require_achievable(config: AntennaConfig, scenario: CognitionScenario, d1, d2) -> None:
@@ -201,41 +264,30 @@ def _require_achievable(config: AntennaConfig, scenario: CognitionScenario, d1, 
         )
 
 
-def build_scheme(
-    config: AntennaConfig,
-    scenario: CognitionScenario,
-    d1: int,
-    d2: int,
-    channel: ChannelRealization,
-    seed: int,
-) -> ZfScheme:
-    """Construct the zero-forcing scheme for an achievable point: ``_schemes``
-    for one cell of one trial.
-
-    Deterministic given all arguments.  Rejects points outside the
-    achievable integer set and channels that do not match the configuration.
-    """
+def build_scheme(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int,
+                 channel: ChannelRealization, seed: int) -> ZfScheme:
+    """The zero-forcing scheme for an achievable point, deterministic given all
+    arguments: ``_schemes`` for one trial.  Rejects points outside the
+    achievable integer set and channels that do not match the configuration."""
     if not channel.matches(config):
         raise ValueError(
             f"channel realization has shapes for {channel.config}, expected {config}"
         )
     _require_achievable(config, scenario, d1, d2)
-    return _schemes(config, [(scenario, (d1, d2), [channel], seed)])[0]
+    trials = _schemes(config, [(scenario, (d1, d2), [channel], seed)])[d1, d2]
+    return ZfScheme(config, scenario, d1, d2, trials.w1[0], trials.w2[0])
 
 
 def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
     """One receiver for a batch of B schemes that share (config, point).
 
     ``rx`` (B, n, m1+m2) and ``scale`` (B,) are each item's channel to the
-    receiver and its spectral norm, ``signal`` and ``interference`` the
-    stacked blocks of the intended and the other message, and
-    ``cognitive`` flags receivers that subtract the other message.  Returns
-    lists of the per-item ranks of H W_s and of the residual interference
-    H W_i, the dimension of their intersection (the signal dimensions lost
-    when H W_s is projected off the span of H W_i) and whether the message is
-    decodable, and the singular values of the projected signal
-    (B, min(n, d)), the effective channel decoded in.  Ranks are relative to
-    the channel norm.
+    receiver and its spectral norm, ``signal`` and ``interference`` the blocks
+    of the intended and the other message, ``cognitive`` flags receivers that
+    subtract the other message.  Returns per item the ranks (relative to the
+    channel norm) of H W_s and of the residual H W_i, the signal dimensions
+    lost when H W_s is projected off the span of H W_i, whether the message is
+    decodable, and the projected signal's singular values (B, min(n, d)).
     """
     batch, _, streams = signal.shape
     received = rx @ signal
@@ -264,100 +316,84 @@ def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
     return signal_dim, interference_dim, intersection_dim, decodable, projected
 
 
-def _receivers(schemes: list[ZfScheme], channels: list[ChannelRealization]):
-    """Both receivers' ``_receiver`` results for schemes that share (config,
-    point), each on its channel, over the batch axis.  Receiver 1 decodes W1
-    against W2, receiver 2 decodes W2 against W1.
-    """
-    config = schemes[0].config
-    w1 = np.array([s.w1 for s in schemes])
-    w2 = np.array([s.w2 for s in schemes])
+def _receivers(trials: _Trials):
+    """Both receivers' ``_receiver`` results for a batch, each trial on its
+    channel: receiver 1 decodes W1 against W2, receiver 2 W2 against W1."""
+    channels, config = trials.channels, trials.config
     return tuple(
-        _receiver(
-            np.array([getattr(ch, link) for ch in channels]),
-            ChannelRealization.spectral_norms(channels, link),
-            signal, interference, [getattr(s.scenario, flag) for s in schemes], antennas,
-        )
+        _receiver(_links(channels, link), ChannelRealization.spectral_norms(channels, link),
+                  signal, interference,
+                  [getattr(sc, flag) for sc, chs in trials.cells for _ in chs], antennas)
         for link, flag, signal, interference, antennas in (
-            ("rx1", "r1", w1, w2, config.n1), ("rx2", "r2", w2, w1, config.n2),
+            ("rx1", "r1", trials.w1, trials.w2, config.n1),
+            ("rx2", "r2", trials.w2, trials.w1, config.n2),
         )
     )
 
 
-def _receiver_models(
-    schemes: list[ZfScheme], channels: list[ChannelRealization]
-) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
-    """Per scheme, the rank diagnostics and, per receiver, the projected
-    singular values (see ``_receiver``).  Channels must match the schemes'
-    configuration."""
-    config = schemes[0].config
-    if not all(ch.matches(config) for ch in channels):
-        raise ValueError("channel does not match the scheme's configuration")
-    rx1, rx2 = _receivers(schemes, channels)
+def _receiver_models(trials: _Trials) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
+    """Per trial, the rank diagnostics and, per receiver, the projected
+    singular values (see ``_receiver``)."""
+    rx1, rx2 = _receivers(trials)
     counts = zip(*rx1[:3], *rx2[:3], rx1[3], rx2[3])
     return [(SchemeDiagnostics(*c), p1, p2) for c, p1, p2 in zip(counts, rx1[4], rx2[4])]
 
 
 def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
-    """Rank diagnostics of a scheme on a concrete channel.
-
-    At each receiver: rank of the received intended-signal subspace, rank of
-    the residual interference (zero for a cognitive receiver, which subtracts
-    the known message), and the dimension of their intersection: the signal
-    dimensions lost when the signal is projected off the interference span.
-    """
-    return _receiver_models([scheme], [channel])[0][0]
+    """Rank diagnostics of a scheme on a concrete channel: at each receiver,
+    the ranks of the received signal and of the residual interference (zero
+    at a cognitive receiver) and the signal dimensions lost when the signal
+    is projected off the interference span."""
+    return _receiver_models(_stacked([scheme], [channel]))[0][0]
 
 
-def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
-    """Worst relative leakage ||H w|| / ||H|| of the nulled streams at the
-    opposite receiver, one column at a time."""
-    worst = 0.0
-    for link, block, nulled, at_end in zip(
-        _cross_links(scheme.scenario), (scheme.w1, scheme.w2), _nulled(scheme), (False, True)
-    ):
-        if nulled:
-            h = getattr(channel, link)
-            rows = slice(len(block) - h.shape[1], None) if at_end else slice(h.shape[1])
-            norm = channel.spectral_norm(link)
-            for j in range(nulled):
-                # A contiguous copy: a strided column changes the product's last bits.
-                worst = max(worst, _norm(h @ block[rows, j].copy()) / norm)
+def _null_residuals(trials: _Trials) -> np.ndarray:
+    """Per trial, the worst relative leakage ||H w|| / ||H|| of its nulled
+    streams at the opposite receiver (0 when none is nulled): one
+    ``_column_norms`` per message, cross link and nulled count."""
+    dim, groups, start = trials.config.m1 + trials.config.m2, {}, 0
+    for scenario, channels in trials.cells:
+        nulled = _nulled(trials.config, scenario, trials.d1, trials.d2)
+        for m, link, count in zip((0, 1), _cross_links(scenario), nulled):
+            if count:
+                groups.setdefault((m, link, count), []).extend(range(start, start + len(channels)))
+        start += len(channels)
+    worst, channels = np.zeros(start), trials.channels
+    for (m, link, count), sel in groups.items():
+        linked = [channels[i] for i in sel]
+        h, norms = _links(linked, link), ChannelRealization.spectral_norms(linked, link)
+        rows = slice(dim - h.shape[2], dim) if m else slice(h.shape[2])
+        leaks = _column_norms(h, (trials.w2 if m else trials.w1)[sel, rows, :count])
+        worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / norms)
     return worst
 
 
-def _transmit_ranks(schemes: list[ZfScheme]) -> np.ndarray:
-    """Rank of each scheme's d1 + d2 transmit vectors, at unit scale."""
-    stacked = np.concatenate(
-        [np.array([s.w1 for s in schemes]), np.array([s.w2 for s in schemes])], axis=2
-    )
+def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
+    """Worst relative leakage ||H w|| / ||H|| of the nulled streams at the opposite receiver."""
+    return float(_null_residuals(_stacked([scheme], [channel]))[0])
+
+
+def _transmit_ranks(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Rank of each item's d1 + d2 transmit vectors, at unit scale."""
+    stacked = np.concatenate([w1, w2], axis=2)
     return _ranks(np.linalg.svd(stacked, compute_uv=False), np.ones(len(stacked)))
 
 
 def transmit_rank(scheme: ZfScheme) -> int:
     """Rank of all d1 + d2 transmit vectors in R^(m1+m2)."""
-    return int(_transmit_ranks([scheme])[0])
+    return int(_transmit_ranks(scheme.w1[None], scheme.w2[None])[0])
 
 
-def _verdicts(
-    schemes: list[ZfScheme], channels: list[ChannelRealization]
-) -> list[tuple[tuple[str, ...], float]]:
-    """Judge a batch of trials that share (config, point) by the pass rule,
-    each scheme on its channel.
-
-    Returns per trial the criteria it fails (empty when it passes):
-    "decodable" (both receivers' diagnostics), "null residual" (at most
-    RANK_RTOL) and "transmit rank" (the d1 + d2 vectors are independent); and
-    its null residual.
-    """
-    rx1, rx2 = _receivers(schemes, channels)
-    streams = schemes[0].d1 + schemes[0].d2
-    names = ("decodable", "null residual", "transmit rank")
+def _verdicts(trials: _Trials) -> list[tuple[tuple[str, ...], float]]:
+    """Per trial of a batch, the criteria of the pass rule it fails (empty when
+    it passes): "decodable" (both receivers' diagnostics), "null residual"
+    (at most RANK_RTOL) and "transmit rank" (the d1 + d2 vectors are
+    independent); and its null residual."""
+    rx1, rx2 = _receivers(trials)
+    streams, names = trials.d1 + trials.d2, ("decodable", "null residual", "transmit rank")
     verdicts = []
-    for scheme, channel, dec1, dec2, rank in zip(
-        schemes, channels, rx1[3], rx2[3], _transmit_ranks(schemes).tolist()
-    ):
-        residual = null_residual(scheme, channel)
+    for dec1, dec2, residual, rank in zip(rx1[3], rx2[3], _null_residuals(trials).tolist(),
+                                          _transmit_ranks(trials.w1, trials.w2).tolist()):
         oks = (dec1 and dec2, residual <= RANK_RTOL, rank == streams)
         verdicts.append((tuple(n for n, ok in zip(names, oks) if not ok), residual))
     return verdicts
@@ -415,20 +451,12 @@ class SweepReport:
 
 
 def _sweep_cells(config: AntennaConfig, cells: list[tuple]) -> list[SweepCell]:
-    """Sweep cells (scenario, point, channels, seed) of one configuration.
-
-    Trial t of a cell runs on channels[t] with vector seed seed + t; the
-    schemes of all cells are built as one batch (``_schemes``), and the
-    trials of all cells that share a point are judged in one batch.
-    """
-    schemes = iter(_schemes(config, cells))
-    groups: dict[tuple[int, int], tuple[list, list]] = {}
-    for _, point, channels, _ in cells:
-        group_schemes, group_channels = groups.setdefault(point, ([], []))
-        group_schemes.extend(itertools.islice(schemes, len(channels)))
-        group_channels.extend(channels)
-    # A group's verdicts come back in the order its cells were added.
-    verdicts = {point: iter(_verdicts(*group)) for point, group in groups.items()}
+    """Sweep cells (scenario, point, channels, seed) of one configuration:
+    trial t of a cell runs on channels[t] with vector seed seed + t, and the
+    trials of the cells that share a point are built and judged as one batch,
+    whose verdicts come back in the order its cells were added."""
+    batches = _schemes(config, cells)
+    verdicts = {point: iter(_verdicts(trials)) for point, trials in batches.items()}
     tallies = []
     for scenario, point, channels, _ in cells:
         chunk = list(itertools.islice(verdicts[point], len(channels)))
@@ -458,9 +486,7 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
     for counts in itertools.product(range(1, max_antennas + 1), repeat=4):
         config = AntennaConfig(*counts)
         cell_seeds = [_derived_seed(seed, counts, s) for s in range(len(scenarios))]
-        sampled = sample_channels(
-            config, [cell_seed + trial for cell_seed in cell_seeds for trial in range(trials)]
-        )
+        sampled = sample_channels(config, [s + t for s in cell_seeds for t in range(trials)])
         config_cells = []
         for s_index, (scenario, cell_seed) in enumerate(zip(scenarios, cell_seeds)):
             channels = sampled[s_index * trials : (s_index + 1) * trials]

@@ -290,6 +290,20 @@ def test_generators_match_default_rng_at_the_edges():
     assert list(_generators([])) == []
 
 
+def test_generators_are_independent_and_refuse_other_seed_requests():
+    # Each row gets its own generator, so rows may be drawn from in any order.
+    rows = [(5, 1, 2), (2**63 + 7, 0, 0), (9, 3, 1)]
+    rngs = list(_generators(rows))
+    assert len({id(rng) for rng in rngs}) == 3
+    for row, rng in reversed(list(zip(rows, rngs))):
+        expected = np.random.default_rng(list(row)).standard_normal(5)
+        assert rng.standard_normal(5).tobytes() == expected.tobytes()
+    words = channel._Words(np.zeros(4, dtype=np.uint64))
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError, match="four uint64 words"):
+            words.generate_state(n_words, dtype)
+
+
 _entropy_values = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
 
 

@@ -25,7 +25,7 @@ from micdof.rates import (
     simulate_point,
 )
 from micdof.regions import dof_formula, inner_points
-from micdof.zf import ZfScheme, build_scheme, verify_scheme
+from micdof.zf import ZfScheme, _stacked, build_scheme, verify_scheme
 
 
 def scenario(*bits):
@@ -200,13 +200,13 @@ def test_rate_arrays_match_the_per_rho_loop():
         schemes, channels = _batch(counts, bits, point, trials=12, seed=40)
         sweep = simulate_point(AntennaConfig(*counts), scenario(*bits), *point,
                                trials=12, seed=40, rho_grid=grid)
-        r1, r2 = _loop_mean_rates(_rate_models(schemes, channels), grid, 12)
+        r1, r2 = _loop_mean_rates(_rate_models(_stacked(schemes, channels)), grid, 12)
         assert np.array(sweep.r1_rates).tobytes() == r1.tobytes()
         assert np.array(sweep.r2_rates).tobytes() == r2.tobytes()
         assert (sweep.slope, sweep.intercept) == fit_loglinear_slope(np.array(grid), r1 + r2)
         for scheme, ch in zip(schemes[:3], channels):
             alone = estimate_dof_slope(scheme, ch, grid)
-            one_r1, one_r2 = _loop_mean_rates(_rate_models([scheme], [ch]), grid, 1)
+            one_r1, one_r2 = _loop_mean_rates(_rate_models(_stacked([scheme], [ch])), grid, 1)
             assert np.array(alone.r1_rates).tobytes() == one_r1.tobytes()
             assert np.array(alone.r2_rates).tobytes() == one_r2.tobytes()
         channels_seen += len(channels)
@@ -253,7 +253,7 @@ def test_slope_error_is_the_slope_of_the_mean_remainder():
                                    trials=3, seed=100 * seed, rho_grid=grid)
             remainder = sum(
                 np.log2(1.0 + k[:, None, None] / (rho * gains[:, None, :])).sum(axis=2)
-                for k, gains in _rate_models(schemes, channels)
+                for k, gains in _rate_models(_stacked(schemes, channels))
             ).mean(axis=0)
             remainder_slope, _ = fit_loglinear_slope(np.array(grid), remainder)
             assert abs(sweep.slope - sum(point) - remainder_slope) <= 1e-12
@@ -331,7 +331,8 @@ def test_slope_check_catches_a_weak_but_decodable_channel():
 
     def miss(batch):
         schemes = [build_scheme(config, sc, 1, 1, c, seed=t) for t, c in enumerate(batch)]
-        return abs(_sweep(schemes, batch, default_rho_grid()).slope - 2.0) / 2.0, schemes[0]
+        sweep = _sweep(_stacked(schemes, batch), default_rho_grid())
+        return abs(sweep.slope - 2.0) / 2.0, schemes[0]
 
     assert miss(channels)[0] <= SLOPE_TOLERANCE
     weak_miss, weak_scheme = miss([weak] + channels[1:])

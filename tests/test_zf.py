@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from micdof import zf
+from micdof import channel
 from micdof.channel import (
     RANK_RTOL,
     AntennaConfig,
@@ -241,7 +243,7 @@ def test_trial_verdict_passes_a_built_scheme():
     config = AntennaConfig(2, 2, 2, 2)
     ch = sample_channel(config, seed=6)
     scheme = build_scheme(config, scenario(1, 1, 0, 0), 2, 2, ch, seed=0)
-    assert zf._verdicts([scheme], [ch])[0] == ((), null_residual(scheme, ch))
+    assert zf._verdicts(zf._stacked([scheme], [ch]))[0] == ((), null_residual(scheme, ch))
 
 
 def test_trial_verdict_fails_a_random_null_vector():
@@ -254,7 +256,7 @@ def test_trial_verdict_fails_a_random_null_vector():
     w1 = scheme.w1.copy()
     w1[:3, 0] = vec / np.linalg.norm(vec)  # W1's active rows: transmitter 1
     leaky = dataclasses.replace(scheme, w1=w1)
-    failed, residual = zf._verdicts([leaky], [ch])[0]
+    failed, residual = zf._verdicts(zf._stacked([leaky], [ch]))[0]
     assert failed == ("null residual",)
     assert residual > RANK_RTOL
 
@@ -264,7 +266,7 @@ def test_trial_verdict_fails_a_duplicated_vector():
     ch = sample_channel(config, seed=6)
     scheme = build_scheme(config, scenario(1, 1, 0, 0), 2, 2, ch, seed=0)
     doubled = dataclasses.replace(scheme, w1=scheme.w1[:, [0, 0]])
-    failed, residual = zf._verdicts([doubled], [ch])[0]
+    failed, residual = zf._verdicts(zf._stacked([doubled], [ch]))[0]
     assert "transmit rank" in failed and "null residual" not in failed
     assert transmit_rank(doubled) == 3
     assert residual <= RANK_RTOL
@@ -288,9 +290,11 @@ def test_trial_verdict_is_scale_invariant(counts, s_index, k, seed, data):
     scaled = ChannelRealization(
         *(h * 10.0**k for h in (ch.h31, ch.h32, ch.h41, ch.h42)), seed=seed
     )
-    failed, residual = zf._verdicts([build_scheme(config, sc, *point, ch, seed=seed)], [ch])[0]
+    failed, residual = zf._verdicts(
+        zf._stacked([build_scheme(config, sc, *point, ch, seed=seed)], [ch])
+    )[0]
     scaled_failed, scaled_residual = zf._verdicts(
-        [build_scheme(config, sc, *point, scaled, seed=seed)], [scaled]
+        zf._stacked([build_scheme(config, sc, *point, scaled, seed=seed)], [scaled])
     )[0]
     assert scaled_failed == failed
     assert scaled_residual == pytest.approx(residual, rel=0, abs=1e-12)
@@ -566,7 +570,8 @@ def _corrupt_one(config, point, bits, corrupt):
     dirty = list(schemes)
     dirty[index] = corrupt(channels[index], schemes[index])
     assert len(schemes) >= 4
-    return zf._verdicts(schemes, channels), zf._verdicts(dirty, channels), index
+    verdicts = [zf._verdicts(zf._stacked(group, channels)) for group in (schemes, dirty)]
+    return (*verdicts, index)
 
 
 def _assert_only(clean, dirty, index, criterion):
@@ -618,13 +623,13 @@ def test_batch_of_one_matches_its_batch():
     # each gets the verdict, diagnostics and projected bits it gets alone.
     config, point = AntennaConfig(3, 2, 2, 3), (1, 1)
     schemes, channels = _group(config, point, trials=3)
-    models = zf._receiver_models(schemes, channels)
+    models = zf._receiver_models(zf._stacked(schemes, channels))
     assert len({diag.interference_dim_rx2 for diag, _, _ in models}) > 1
-    assert zf._verdicts(schemes, channels) == [
-        zf._verdicts([scheme], [ch])[0] for scheme, ch in zip(schemes, channels)
+    assert zf._verdicts(zf._stacked(schemes, channels)) == [
+        zf._verdicts(zf._stacked([scheme], [ch]))[0] for scheme, ch in zip(schemes, channels)
     ]
     for (diag, p1, p2), scheme, ch in zip(models, schemes, channels):
-        alone, q1, q2 = zf._receiver_models([scheme], [ch])[0]
+        alone, q1, q2 = zf._receiver_models(zf._stacked([scheme], [ch]))[0]
         assert diag == alone and p1.tobytes() == q1.tobytes() and p2.tobytes() == q2.tobytes()
 
 
@@ -680,10 +685,12 @@ def _embed(vectors, dim, at_end):
     return block
 
 
-def _eager_vectors(config, sc, d1, d2, ch, seed):
+def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
     # Reference: the generator is built before any stream is placed, and each
-    # isotropic vector is drawn and normalised on its own.
-    rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
+    # isotropic vector is drawn and normalised on its own; a zero vector is
+    # drawn again.  ``rng`` stands in for the seeded generator.
+    if rng is None:
+        rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
 
     def message(streams, active_dim, link, opposite_cognitive, at_end):
         vectors = []
@@ -691,6 +698,8 @@ def _eager_vectors(config, sc, d1, d2, ch, seed):
             vectors.extend(ch.null_basis(link)[:streams])
         while len(vectors) < streams:
             vec = rng.standard_normal(active_dim)
+            while np.linalg.norm(vec) == 0.0:
+                vec = rng.standard_normal(active_dim)
             vectors.append(vec / np.linalg.norm(vec))
         return _embed(vectors, config.m1 + config.m2, at_end)
 
@@ -742,3 +751,132 @@ def test_batched_spectral_norms_equal_the_scalar_ones():
         ChannelRealization.spectral_norms(channels[::3], link)  # a cached subset
         assert ChannelRealization.spectral_norms(channels, link).tolist() == expected
         assert [ch.spectral_norm(link) for ch in channels] == expected
+
+
+# ---------------------------------------------------- stacked trial kernels
+
+
+def test_stacked_ddot_and_gemv_keep_the_per_vector_bits():
+    # zf._norms runs one BLAS ddot per row, as vec.dot(vec) does, and
+    # zf._column_norms one gemv per contiguous column, as h @ v.copy() does;
+    # einsum and (x * x).sum(1) add in another order.  Rows and columns of
+    # lengths 1..8 over wide scales, in batches of 1, 3 and 50; the columns
+    # are strided views, as the active rows of a block are.
+    rng = np.random.default_rng(13)
+    for batch in (1, 3, 50):
+        for n in range(1, 9):
+            for scale in (1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e150):
+                rows = scale * rng.standard_normal((batch, n))
+                expected = [math.sqrt(float(r.dot(r))) for r in rows]
+                assert zf._norms(rows).tolist() == expected
+                assert expected == [zf._norm(r.copy()) for r in rows]
+                for m in (1, 3, 8):
+                    h = rng.standard_normal((batch, m, n))
+                    block = (scale * rng.standard_normal((batch, n + 2, 5)))[:, 1:n + 1, :3]
+                    expected = [[zf._norm(h[i] @ block[i][:, j].copy()) for j in range(3)]
+                                for i in range(batch)]
+                    assert zf._column_norms(h, block).tolist() == expected
+
+
+def test_sampling_proves_empty_bases_and_the_sweep_skips_them(monkeypatch):
+    # An h41 (h32) with no more columns than rows is kept by sampling only at
+    # full column rank, so its null basis is cached empty and never reaches
+    # _null_rows; without that shortcut the sweep's report is the same.
+    null_rows, spans, rows = channel._null_rows, channel._spans, [0]
+
+    def counted(stack):
+        rows[0] += len(stack)
+        return null_rows(stack)
+
+    monkeypatch.setattr(channel, "_null_rows", counted)
+    report = achievability_sweep(max_antennas=3, trials=1, seed=21).to_json_list()
+    assert rows[0] == 864
+    monkeypatch.setattr(channel, "_spans", lambda *key: (*spans(*key)[:2], {}))
+    rows[0] = 0
+    assert achievability_sweep(max_antennas=3, trials=1, seed=21).to_json_list() == report
+    assert rows[0] == 1296
+
+
+class _ZeroFirst:
+    # Stands in for an entropy row's generator: its first draw is all zeros,
+    # later draws are the row's own.
+    def __init__(self, row):
+        self.rng, self.first = np.random.default_rng(list(row)), True
+
+    def standard_normal(self, size):
+        if self.first:
+            self.first = False
+            return np.zeros(size)
+        return self.rng.standard_normal(size)
+
+
+def test_a_zero_draw_is_drawn_again_as_one_vector_at_a_time(monkeypatch):
+    # Every generator's first draw is zero: the batch falls back to drawing
+    # vector by vector and gives what one scheme at a time gave.
+    monkeypatch.setattr(zf, "_generators", lambda entropy: map(_ZeroFirst, entropy))
+    checked = 0
+    for counts in ((2, 2, 2, 2), (3, 3, 2, 2), (1, 3, 3, 1)):
+        config = AntennaConfig(*counts)
+        channels = [sample_channel(config, seed=s) for s in (5, 6)]
+        cells = [(sc, p, channels, 10 * s_index)
+                 for s_index, sc in enumerate(CognitionScenario.all_scenarios())
+                 for p in inner_points(config, sc).points]
+        batches = zf._schemes(config, cells)
+        items = {point: iter(zip(trials.w1, trials.w2)) for point, trials in batches.items()}
+        for sc, (d1, d2), chs, seed in cells:
+            for trial, ch in enumerate(chs):
+                w1, w2 = next(items[d1, d2])
+                rng = _ZeroFirst([seed + trial, d1, d2])
+                e1, e2 = _eager_vectors(config, sc, d1, d2, ch, seed + trial, rng=rng)
+                assert w1.tobytes() == e1.tobytes() and w2.tobytes() == e2.tobytes()
+                checked += 1
+    assert checked > 100
+
+
+def test_a_rank_deficient_cross_link_fills_its_basis_and_checks_r_columns():
+    # rx2 of rank 1 has a 2-dimensional kernel, larger than r1 = 1: the block
+    # takes both streams of (2, 0) from the basis while the residual checks
+    # the r1 columns the configuration promises, as one scheme at a time did.
+    # The batch mixes it with generic channels, whose kernels are 1-dimensional.
+    config, sc = AntennaConfig(2, 1, 2, 2), scenario(0, 1, 0, 0)
+    rng = np.random.default_rng(3)
+    deficient = ChannelRealization(rng.standard_normal((2, 2)), rng.standard_normal((2, 1)),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[3.0], [6.0]]),
+                                   seed=0)
+    channels = [sample_channel(config, seed=1), deficient, sample_channel(config, seed=2)]
+    assert [len(ch.null_basis("rx2")) for ch in channels] == [1, 2, 1]
+    trials = zf._schemes(config, [(sc, (2, 0), channels, 4)])[2, 0]
+    residuals = zf._null_residuals(trials).tolist()
+    for t, ch in enumerate(channels):
+        w1, w2 = _eager_vectors(config, sc, 2, 0, ch, 4 + t)
+        assert trials.w1[t].tobytes() == w1.tobytes() and trials.w2[t].tobytes() == w2.tobytes()
+        expected = zf._norm(ch.rx2 @ w1[:, 0].copy()) / ch.spectral_norm("rx2")
+        assert residuals[t] == expected
+        scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
+        assert scheme.w1_nulled == 1 and null_residual(scheme, ch) == expected
+
+
+def test_sweep_and_simulate_point_build_no_scheme_record_and_no_hstack(monkeypatch):
+    # Structural: trials stay stacked arrays from sampling to verdict.
+    from micdof import rates
+
+    counts = {"schemes": 0, "hstack": 0}
+    init, hstack = ZfScheme.__init__, np.hstack
+
+    def counted_init(self, *args, **kwargs):
+        counts["schemes"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_hstack(*args, **kwargs):
+        counts["hstack"] += 1
+        return hstack(*args, **kwargs)
+
+    monkeypatch.setattr(ZfScheme, "__init__", counted_init)
+    monkeypatch.setattr(np, "hstack", counted_hstack)
+    config, sc = AntennaConfig(2, 4, 3, 3), scenario(0, 1, 0, 1)
+    for trials in (1, 5):
+        assert achievability_sweep(max_antennas=2, trials=trials, seed=0).all_passed
+        rates.simulate_point(config, sc, 2, 2, trials=trials, seed=3)
+    assert counts == {"schemes": 0, "hstack": 0}
+    build_scheme(config, sc, 2, 2, sample_channel(config, seed=3), seed=3)  # the counter counts
+    assert counts == {"schemes": 1, "hstack": 0}
