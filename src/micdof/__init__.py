@@ -11,10 +11,8 @@ from .channel import (
     CognitionScenario,
     DegenerateChannelError,
     RANK_RTOL,
-    null_space,
     sample_channel,
     sample_channels,
-    swap_users,
 )
 from .regions import (
     AchievableSet,
@@ -63,7 +61,6 @@ __all__ = [
     "RANK_RTOL",
     "sample_channel",
     "sample_channels",
-    "swap_users",
     "AchievableSet",
     "DofPoint",
     "Halfspace",
@@ -84,7 +81,6 @@ __all__ = [
     "ZfScheme",
     "achievability_sweep",
     "build_scheme",
-    "null_space",
     "verify_scheme",
     "CooperationBoundProbe",
     "CooperationGapReport",

@@ -117,11 +117,12 @@ class ChannelRealization:
     every ordered node pair (i, j) to the matrix of the link from node j to
     node i, sixteen in total; otherwise it is None.
 
-    Geometry derived from the links (the receiver matrices ``rx1`` and
-    ``rx2``, spectral norms, null-space bases) is computed on first use and
-    cached, so every point, verdict and rate on the channel shares it;
+    A link's spectral norm and null basis (``spectral_norms``, ``null_bases``,
+    over ``h31``..``h42`` and the receiver links ``rx1`` = [h31 h32] and
+    ``rx2`` = [h41 h42]) are computed for a batch of channels on first use and
+    cached, so every point, verdict and rate on the channel shares them;
     ``sample_channels`` fills what its rank check already knows.  Cached
-    arrays are read-only, like the links.  Realizations compare and hash by
+    bases are read-only, like the links.  Realizations compare and hash by
     identity.
     """
 
@@ -138,24 +139,11 @@ class ChannelRealization:
         (n1, m1), m2, n2 = self.h31.shape, self.h32.shape[1], self.h41.shape[0]
         return AntennaConfig(m1=m1, m2=m2, n1=n1, n2=n2)
 
-    @functools.cached_property
-    def rx1(self) -> np.ndarray:
-        """[h31 h32]: the channel from both transmitters to receiver 1."""
-        return _freeze(_links([self], "rx1")[0])
-
-    @functools.cached_property
-    def rx2(self) -> np.ndarray:
-        """[h41 h42]: the channel from both transmitters to receiver 2."""
-        return _freeze(_links([self], "rx2")[0])
-
-    def spectral_norm(self, link: str) -> float:
-        """Largest singular value of a link (``h31``..``h42``, ``rx1``, ``rx2``)."""
-        return float(ChannelRealization.spectral_norms([self], link)[0])
-
     @staticmethod
     def spectral_norms(channels: list["ChannelRealization"], link: str) -> np.ndarray:
-        """``spectral_norm(link)`` of each channel; the uncached ones come from
-        one batched SVD (its first singular value is ``np.linalg.norm(x, 2)``)."""
+        """Largest singular value of a link of each channel; the uncached ones
+        come from one batched SVD (its first singular value is
+        ``np.linalg.norm(x, 2)``)."""
         key = ("norm", link)
         missing = [ch for ch in channels if key not in ch._memo]
         if missing:
@@ -164,15 +152,11 @@ class ChannelRealization:
                 ch._memo[key] = top
         return np.array([ch._memo[key] for ch in channels])
 
-    def null_basis(self, link: str) -> np.ndarray:
-        """Read-only ``null_space`` basis of a link (``h31``..``h42``, ``rx1``,
-        ``rx2``), one basis vector per row: (nullity, columns)."""
-        return ChannelRealization.null_bases([self], link)[0]
-
     @staticmethod
     def null_bases(channels: list["ChannelRealization"], link: str) -> list[np.ndarray]:
-        """``null_basis(link)`` of each channel; the uncached ones come from
-        one batched full SVD (``_null_rows``, as for ``null_space``)."""
+        """Read-only null basis of a link of each channel, one basis vector per
+        row: (nullity, columns); the uncached ones come from one batched full
+        SVD (``_null_rows``)."""
         key = ("null", link)
         missing = [ch for ch in channels if key not in ch._memo]
         if missing:
@@ -198,16 +182,6 @@ def _links(channels: list[ChannelRealization], link: str) -> np.ndarray:
     return np.array([getattr(ch, link) for ch in channels])
 
 
-def swap_users(config: AntennaConfig,
-               scenario: CognitionScenario) -> tuple[AntennaConfig, CognitionScenario]:
-    """Relabel user 1 as user 2 and vice versa.  Involution."""
-    swapped_config = AntennaConfig(m1=config.m2, m2=config.m1, n1=config.n2, n2=config.n1)
-    swapped_scenario = CognitionScenario(
-        t1=scenario.t2, t2=scenario.t1, r1=scenario.r2, r2=scenario.r1
-    )
-    return swapped_config, swapped_scenario
-
-
 def _ranks(singular: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """The rank rule (see RANK_RTOL) over a leading batch axis: per item of
     ``singular`` (B, k), the count of values above RANK_RTOL * scale, for
@@ -223,18 +197,6 @@ def _null_rows(stack: np.ndarray) -> list[np.ndarray]:
     _, singular, vt = np.linalg.svd(stack, full_matrices=True)
     ranks = _ranks(singular, singular.max(axis=1, initial=0.0)).tolist()
     return [basis[rank:] for rank, basis in zip(ranks, vt)]
-
-
-def null_space(matrix: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the kernel, as a list of vectors.
-
-    Basis size equals columns minus rank; every vector v satisfies
-    ||matrix @ v|| <= RANK_RTOL * ||matrix|| * ||v||.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.shape[1] < 1:
-        raise ValueError("matrix must have at least one column")
-    return list(_null_rows(matrix[None])[0])
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@ achievability checks, and rate simulations, all reproducible by seed.
 
 Exit status is 0 only when every requested check met its threshold, 1 when
 a check failed, and 2 when the arguments were rejected, including a --point
-outside the achievable set.  JSON output carries full precision; text
-output rounds to 4 significant digits.
+outside the achievable set and an --out path that cannot be written.  JSON
+output carries full precision; text output rounds to 4 significant digits.
 The MICDOF_OUTPUT_DIR environment variable, when set, is the base directory
 for relative output paths.
 """
@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

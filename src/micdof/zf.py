@@ -17,9 +17,9 @@ batch.  numpy picks its BLAS call by shapes and strides, so the bits of a
 scheme alone are kept: projections run in groups of equal interference rank
 on views with one scheme's shapes, and norms as stacked matmuls, one BLAS
 ddot per row and one gemv per column (``_norms``, ``_column_norms``), where
-``einsum``, a batched ``np.linalg.norm`` or a strided column sum in another
-order.  ``ZfScheme`` is the public record of one scheme; ``build_scheme``
-and the scalar checks are batches of one.
+``einsum``, a batched ``np.linalg.norm`` or a strided column sum would add in
+another order.  ``ZfScheme`` is the public record of one scheme;
+``build_scheme`` and the scalar checks are batches of one.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ class ZfScheme:
     transmit vectors as columns of the full transmit space, transmitter 1's
     rows over transmitter 2's.  W1's active rows (transmitter 1, then
     transmitter 2 when cognitive) are a prefix, W2's a suffix, and every other
-    entry is 0.  ``r1``/``r2`` are the nullable stream counts against the
-    opposite receiver.  Schemes compare and hash by identity.
+    entry is 0.  Schemes compare and hash by identity.
     """
 
     config: AntennaConfig
@@ -66,23 +65,6 @@ class ZfScheme:
     d2: int
     w1: np.ndarray
     w2: np.ndarray
-
-    @property
-    def r1(self) -> int:
-        return _nullable(self.config, self.scenario)[0]
-
-    @property
-    def r2(self) -> int:
-        return _nullable(self.config, self.scenario)[1]
-
-    @property
-    def w1_nulled(self) -> int:
-        """How many W1 columns were drawn from the cross-channel kernel."""
-        return _nulled(self.config, self.scenario, self.d1, self.d2)[0]
-
-    @property
-    def w2_nulled(self) -> int:
-        return _nulled(self.config, self.scenario, self.d1, self.d2)[1]
 
 
 class _Trials(NamedTuple):
@@ -141,17 +123,12 @@ def _cross_links(scenario: CognitionScenario) -> tuple[str, str]:
     return ("rx2" if scenario.t2 else "h41"), ("rx1" if scenario.t1 else "h32")
 
 
-def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int]:
-    """r1, r2: how many streams of W1 (W2) fit in the cross channel's kernel."""
-    m1, m2 = config.m1, config.m2
-    r1 = _pos(m1 + (m2 if scenario.t2 else 0) - config.n2)
-    return r1, _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
-
-
 def _nulled(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int):
     """How many W1 (W2) streams are nulled: none when the opposite receiver is
-    cognitive, else as many as fit in the cross channel's kernel."""
-    r1, r2 = _nullable(config, scenario)
+    cognitive, else as many as fit in the cross channel's kernel, r1 (r2)."""
+    m1, m2 = config.m1, config.m2
+    r1 = _pos(m1 + (m2 if scenario.t2 else 0) - config.n2)
+    r2 = _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
     return (0 if scenario.r2 else min(d1, r1)), (0 if scenario.r1 else min(d2, r2))
 
 
@@ -331,20 +308,13 @@ def _receivers(trials: _Trials):
     )
 
 
-def _receiver_models(trials: _Trials) -> list[tuple[SchemeDiagnostics, np.ndarray, np.ndarray]]:
-    """Per trial, the rank diagnostics and, per receiver, the projected
-    singular values (see ``_receiver``)."""
-    rx1, rx2 = _receivers(trials)
-    counts = zip(*rx1[:3], *rx2[:3], rx1[3], rx2[3])
-    return [(SchemeDiagnostics(*c), p1, p2) for c, p1, p2 in zip(counts, rx1[4], rx2[4])]
-
-
 def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
     """Rank diagnostics of a scheme on a concrete channel: at each receiver,
     the ranks of the received signal and of the residual interference (zero
     at a cognitive receiver) and the signal dimensions lost when the signal
     is projected off the interference span."""
-    return _receiver_models(_stacked([scheme], [channel]))[0][0]
+    rx1, rx2 = _receivers(_stacked([scheme], [channel]))
+    return SchemeDiagnostics(*(part[0] for part in (*rx1[:3], *rx2[:3], rx1[3], rx2[3])))
 
 
 def _null_residuals(trials: _Trials) -> np.ndarray:

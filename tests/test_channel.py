@@ -12,18 +12,11 @@ from micdof.channel import (
     CognitionScenario,
     DegenerateChannelError,
     _generators,
+    _links,
+    _null_rows,
     _ranks,
-    null_space,
     sample_channel,
     sample_channels,
-    swap_users,
-)
-
-counts = st.integers(min_value=1, max_value=6)
-configs = st.builds(AntennaConfig, m1=counts, m2=counts, n1=counts, n2=counts)
-scenarios = st.builds(
-    CognitionScenario,
-    t1=st.booleans(), t2=st.booleans(), r1=st.booleans(), r2=st.booleans(),
 )
 
 
@@ -124,12 +117,10 @@ def test_realizations_compare_and_hash_by_identity():
 
 def test_derived_geometry_is_cached_and_read_only():
     ch = sample_channel(AntennaConfig(3, 2, 2, 2), seed=1)
-    assert ch.rx1 is ch.rx1
-    assert ch.spectral_norm("rx2") == float(np.linalg.norm(ch.rx2, 2))
-    basis = ch.null_basis("h41")
-    assert basis is ch.null_basis("h41") and len(basis) == 1
-    with pytest.raises(ValueError):
-        ch.rx1[0, 0] = 1.0
+    norm = ChannelRealization.spectral_norms([ch], "rx2")[0]
+    assert norm == float(np.linalg.norm(_links([ch], "rx2")[0], 2))
+    basis = ChannelRealization.null_bases([ch], "h41")[0]
+    assert basis is ChannelRealization.null_bases([ch], "h41")[0] and len(basis) == 1
     with pytest.raises(ValueError):
         basis[0][0] = 1.0
 
@@ -162,17 +153,12 @@ def test_ranks_detects_degeneracy():
 
 
 def test_null_space_edge_cases():
-    # Rank 0 (no rows, or all zeros) keeps every direction; a 1-D input is one row.
+    # Rank 0 (no rows, or all zeros) keeps every direction.
     for matrix in (np.zeros((0, 3)), np.zeros((2, 3))):
-        basis = null_space(matrix)
+        basis = _null_rows(matrix[None])[0]
         assert len(basis) == 3
-        assert np.allclose(np.array(basis) @ np.array(basis).T, np.eye(3), atol=1e-12)
+        assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
         assert [v.tobytes() for v in basis] == [v.tobytes() for v in _scalar_null_space(matrix)]
-    basis = null_space([1.0, 2.0])
-    assert len(basis) == 1
-    assert basis[0].tobytes() == _scalar_null_space(np.array([[1.0, 2.0]]))[0].tobytes()
-    with pytest.raises(ValueError, match="column"):
-        null_space(np.zeros((2, 0)))
 
 
 class _ConstantGenerator:
@@ -333,13 +319,14 @@ def test_null_bases_equal_null_space():
     for counts in ((3, 2, 2, 3), (4, 1, 2, 1), (1, 3, 3, 1), (2, 2, 2, 2)):
         channels = sample_channels(AntennaConfig(*counts), range(12))
         for link in ("h31", "h32", "h41", "h42", "rx1", "rx2"):
-            channels[5].null_basis(link)  # one cached channel in the batch
+            ChannelRealization.null_bases(channels[5:6], link)  # one cached channel
             bases = ChannelRealization.null_bases(channels, link)
             for ch, basis in zip(channels, bases):
-                expected = [v.tobytes() for v in _scalar_null_space(getattr(ch, link))]
+                matrix = _links([ch], link)[0]
+                expected = [v.tobytes() for v in _scalar_null_space(matrix)]
                 assert [v.tobytes() for v in basis] == expected
-                assert [v.tobytes() for v in null_space(getattr(ch, link))] == expected
-                assert basis is ch.null_basis(link)
+                assert [v.tobytes() for v in _null_rows(matrix[None])[0]] == expected
+                assert basis is ChannelRealization.null_bases([ch], link)[0]
 
 
 _PAIR_NAMES = {(3, 1): "h31", (3, 2): "h32", (4, 1): "h41", (4, 2): "h42"}
@@ -384,23 +371,3 @@ def test_sampling_decides_like_the_scalar_rule_at_the_edge(counts, pair, log_rat
     assert _link_bytes(ch) == {p: m.tobytes() for p, m in expected.items()}
     name = _PAIR_NAMES[pair]
     assert ch._memo[("norm", name)] == float(np.linalg.norm(getattr(ch, name), 2))
-
-
-def test_swap_users_example():
-    config, scenario = swap_users(
-        AntennaConfig(1, 3, 3, 1), CognitionScenario.from_bits([0, 1, 0, 0])
-    )
-    assert config == AntennaConfig(3, 1, 1, 3)
-    assert scenario.bits == (1, 0, 0, 0)
-
-
-def test_swap_users_symmetric_fixed_point():
-    config = AntennaConfig(2, 2, 2, 2)
-    scenario = CognitionScenario()
-    assert swap_users(config, scenario) == (config, scenario)
-
-
-@settings(max_examples=100)
-@given(configs, scenarios)
-def test_swap_users_is_involution(config, scenario):
-    assert swap_users(*swap_users(config, scenario)) == (config, scenario)

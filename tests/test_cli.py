@@ -285,8 +285,13 @@ def test_coop_bound_single_stream(capsys):
      "--rho-min", "0"),
     ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
      "--rho-min", "nan"),
+    # An --out file in a directory that does not exist cannot be written.
+    ("region", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--out", "<missing>/x.json"),
+    ("simulate", "--config", "2,2,2,2", "--scenario", "0,0,0,0", "--point", "1,1",
+     "--trials", "1", "--points", "3", "--out", "<missing>/x.csv"),
 ])
-def test_library_argument_errors_exit_2(capsys, argv):
+def test_library_argument_errors_exit_2(capsys, tmp_path, argv):
+    argv = [arg.replace("<missing>", str(tmp_path / "missing")) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

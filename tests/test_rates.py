@@ -5,6 +5,7 @@ from micdof.channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    _links,
     sample_channel,
     sample_channels,
 )
@@ -104,10 +105,11 @@ def _slogdet_rates(scheme, ch, rho):
                  default=0.0)
     w1, w2 = scheme.w1, scheme.w2
     rates = []
-    for full, norm, signal, intf, share in (
-        (ch.rx1, ch.spectral_norm("rx1"), w1, None if sc.r1 else w2, share1),
-        (ch.rx2, ch.spectral_norm("rx2"), w2, None if sc.r2 else w1, share2),
+    for link, signal, intf, share in (
+        ("rx1", w1, None if sc.r1 else w2, share1),
+        ("rx2", w2, None if sc.r2 else w1, share2),
     ):
+        full, norm = _links([ch], link)[0], ChannelRealization.spectral_norms([ch], link)[0]
         effective = full @ signal
         if intf is not None and intf.shape[1] > 0:
             u, sv, _ = np.linalg.svd(full @ intf, full_matrices=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from micdof.channel import AntennaConfig, CognitionScenario, swap_users
+from micdof.channel import AntennaConfig, CognitionScenario
 from micdof.regions import (
     DofPoint,
     Halfspace,
@@ -306,10 +306,16 @@ def test_formula_matches_lp(config, scenario):
     )
 
 
+def _swap_users(config, scenario):
+    # Relabel user 1 as user 2 and vice versa.
+    return (AntennaConfig(m1=config.m2, m2=config.m1, n1=config.n2, n2=config.n1),
+            CognitionScenario(t1=scenario.t2, t2=scenario.t1, r1=scenario.r2, r2=scenario.r1))
+
+
 @settings(max_examples=80)
 @given(configs, scenarios)
 def test_formula_swap_invariant(config, scenario):
-    swapped = swap_users(config, scenario)
+    swapped = _swap_users(config, scenario)
     assert dof_formula(config, scenario) == dof_formula(*swapped)
 
 

@@ -13,7 +13,6 @@ from micdof.channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
-    null_space,
     sample_channel,
 )
 from micdof.regions import inner_points
@@ -34,23 +33,30 @@ def scenario(*bits):
     return CognitionScenario.from_bits(bits)
 
 
+def _nullable(config, sc):
+    # r1, r2: how many streams fit in the cross channels' kernels, read off
+    # zf._nulled with neither receiver cognitive and m1 + m2 streams asked.
+    dim = config.m1 + config.m2
+    return zf._nulled(config, dataclasses.replace(sc, r1=False, r2=False), dim, dim)
+
+
 # ----------------------------------------------------------------- kernels
 
 
 def test_null_space_by_inspection():
-    basis = null_space(np.array([[1.0, 0.0]]))
+    basis = channel._null_rows(np.array([[[1.0, 0.0]]]))[0]
     assert len(basis) == 1
     assert np.allclose(basis[0], [0.0, 1.0])
 
 
 def test_null_space_trivial_kernel():
-    assert null_space(np.array([[1.0, 2.0], [3.0, 4.0]])) == []
+    assert channel._null_rows(np.array([[[1.0, 2.0], [3.0, 4.0]]]))[0].shape == (0, 2)
 
 
 def test_null_space_rank_nullity_and_residual():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((2, 4))
-    basis = null_space(m)
+    basis = channel._null_rows(m[None])[0]
     assert len(basis) == 2
     scale = np.linalg.norm(m, 2)
     for v in basis:
@@ -66,7 +72,7 @@ def test_build_scheme_cognitive_rx2_example():
     config = AntennaConfig(2, 2, 2, 2)
     ch = sample_channel(config, seed=3)
     scheme = build_scheme(config, scenario(0, 1, 0, 1), 1, 1, ch, seed=0)
-    assert (scheme.r1, scheme.r2) == (2, 0)
+    assert _nullable(config, scheme.scenario) == (2, 0)
     # W1 is stacked over both transmitters; W2 uses transmitter 2's rows only.
     assert scheme.w1.shape == scheme.w2.shape == (4, 1)
     assert scheme.w1.all() and not scheme.w2[:2].any() and scheme.w2[2:].all()
@@ -82,7 +88,8 @@ def test_build_scheme_single_antenna_single_stream():
     config = AntennaConfig(1, 1, 1, 1)
     ch = sample_channel(config, seed=4)
     scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 0, ch, seed=0)
-    assert scheme.r1 == 0 and scheme.w1_nulled == 0
+    assert _nullable(config, scheme.scenario)[0] == 0
+    assert zf._nulled(config, scheme.scenario, 1, 0)[0] == 0
     assert scheme.w1.shape == (2, 1) and scheme.w1[0, 0] != 0.0 and scheme.w1[1, 0] == 0.0
     assert scheme.w2.shape == (2, 0)
     diag = verify_scheme(scheme, ch)
@@ -114,7 +121,7 @@ def test_receiver_model_rejects_a_channel_of_another_config():
     config = AntennaConfig(2, 2, 2, 2)
     scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 1, sample_channel(config, 1), seed=0)
     other = sample_channel(AntennaConfig(1, 3, 2, 2), seed=1)
-    assert other.rx1.shape == other.rx2.shape == (2, 4)
+    assert all(channel._links([other], link).shape == (1, 2, 4) for link in ("rx1", "rx2"))
     with pytest.raises(ValueError, match="channel"):
         verify_scheme(scheme, other)
     with pytest.raises(ValueError, match="channel"):
@@ -137,8 +144,8 @@ def test_nulled_streams_and_independence():
     config = AntennaConfig(2, 2, 2, 2)
     ch = sample_channel(config, seed=6)
     scheme = build_scheme(config, scenario(1, 1, 0, 0), 2, 2, ch, seed=0)
-    assert scheme.r1 == 2 and scheme.r2 == 2
-    assert scheme.w1_nulled == 2 and scheme.w2_nulled == 2
+    assert _nullable(config, scheme.scenario) == (2, 2)
+    assert zf._nulled(config, scheme.scenario, 2, 2) == (2, 2)
     assert null_residual(scheme, ch) <= 1e-9
     assert transmit_rank(scheme) == 4
     assert verify_scheme(scheme, ch).all_decodable
@@ -167,8 +174,8 @@ def test_cognitive_receiver_skips_nulling():
     config = AntennaConfig(3, 2, 2, 2)
     ch = sample_channel(config, seed=2)
     scheme = build_scheme(config, scenario(0, 0, 1, 1), 2, 2, ch, seed=0)
-    assert scheme.r1 > 0
-    assert scheme.w1_nulled == 0 and scheme.w2_nulled == 0
+    assert _nullable(config, scheme.scenario)[0] > 0
+    assert zf._nulled(config, scheme.scenario, 2, 2) == (0, 0)
     assert verify_scheme(scheme, ch).all_decodable
 
 
@@ -185,11 +192,12 @@ def test_scheme_blocks_are_unit_columns_on_the_active_rows():
             for sc in CognitionScenario.all_scenarios():
                 for d1, d2 in sorted(inner_points(config, sc).points):
                     scheme = build_scheme(config, sc, d1, d2, ch, seed=seed)
+                    nulled1, nulled2 = zf._nulled(config, sc, d1, d2)
                     for block, streams, rows, link, nulled in (
                         (scheme.w1, d1, slice(dim if sc.t2 else m1), "rx2" if sc.t2 else "h41",
-                         scheme.w1_nulled),
+                         nulled1),
                         (scheme.w2, d2, slice(0 if sc.t1 else m1, dim), "rx1" if sc.t1 else "h32",
-                         scheme.w2_nulled),
+                         nulled2),
                     ):
                         assert block.shape == (dim, streams)
                         norms = np.linalg.norm(block, axis=0)
@@ -197,8 +205,10 @@ def test_scheme_blocks_are_unit_columns_on_the_active_rows():
                         off = np.ones(dim, dtype=bool)
                         off[rows] = False
                         assert np.all(block[off] == 0.0)
-                        leaks = np.linalg.norm(getattr(ch, link) @ block[rows], axis=0)
-                        in_kernel = leaks <= RANK_RTOL * ch.spectral_norm(link)
+                        h = channel._links([ch], link)[0]
+                        leaks = np.linalg.norm(h @ block[rows], axis=0)
+                        scale = ChannelRealization.spectral_norms([ch], link)[0]
+                        in_kernel = leaks <= RANK_RTOL * scale
                         assert int(in_kernel.sum()) == nulled and in_kernel[:nulled].all()
                     checked += 1
     assert checked == 3 * 8796  # the cells of achievability_sweep(3, ...)
@@ -212,10 +222,11 @@ def test_null_residual_matches_a_per_vector_reference_to_the_bit():
     for seed in range(10):
         ch = sample_channel(config, seed=seed)
         scheme = build_scheme(config, scenario(1, 0, 0, 0), 0, 2, ch, seed=seed)
-        assert scheme.w2_nulled == 2
-        norm = ch.spectral_norm("rx1")
+        assert zf._nulled(config, scheme.scenario, 0, 2)[1] == 2
+        rx1 = channel._links([ch], "rx1")[0]
+        norm = ChannelRealization.spectral_norms([ch], "rx1")[0]
         expected = max(
-            float(np.linalg.norm(ch.rx1 @ np.array(scheme.w2[:, j]))) / norm for j in range(2)
+            float(np.linalg.norm(rx1 @ np.array(scheme.w2[:, j]))) / norm for j in range(2)
         )
         assert null_residual(scheme, ch) == expected
 
@@ -251,7 +262,7 @@ def test_trial_verdict_fails_a_random_null_vector():
     config = AntennaConfig(3, 1, 1, 2)
     ch = sample_channel(config, seed=3)
     scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 0, ch, seed=0)
-    assert scheme.w1_nulled == 1
+    assert zf._nulled(config, scheme.scenario, 1, 0)[0] == 1
     vec = np.random.default_rng(1).standard_normal(3)
     w1 = scheme.w1.copy()
     w1[:3, 0] = vec / np.linalg.norm(vec)  # W1's active rows: transmitter 1
@@ -510,10 +521,10 @@ def _union_rank_diagnostics(scheme, ch):
 
     w1, w2 = scheme.w1, scheme.w2
     sc = scheme.scenario
-    s1, i1, x1, dec1 = receiver(ch.rx1, ch.spectral_norm("rx1"), w1,
-                                None if sc.r1 else w2, scheme.config.n1, scheme.d1)
-    s2, i2, x2, dec2 = receiver(ch.rx2, ch.spectral_norm("rx2"), w2,
-                                None if sc.r2 else w1, scheme.config.n2, scheme.d2)
+    rx1, rx2 = channel._links([ch], "rx1")[0], channel._links([ch], "rx2")[0]
+    norm1, norm2 = (ChannelRealization.spectral_norms([ch], link)[0] for link in ("rx1", "rx2"))
+    s1, i1, x1, dec1 = receiver(rx1, norm1, w1, None if sc.r1 else w2, scheme.config.n1, scheme.d1)
+    s2, i2, x2, dec2 = receiver(rx2, norm2, w2, None if sc.r2 else w1, scheme.config.n2, scheme.d2)
     return zf.SchemeDiagnostics(s1, i1, x1, s2, i2, x2, dec1, dec2)
 
 
@@ -623,14 +634,16 @@ def test_batch_of_one_matches_its_batch():
     # each gets the verdict, diagnostics and projected bits it gets alone.
     config, point = AntennaConfig(3, 2, 2, 3), (1, 1)
     schemes, channels = _group(config, point, trials=3)
-    models = zf._receiver_models(zf._stacked(schemes, channels))
-    assert len({diag.interference_dim_rx2 for diag, _, _ in models}) > 1
+    batch = zf._receivers(zf._stacked(schemes, channels))
+    assert len(set(batch[1][1])) > 1  # interference ranks at receiver 2
     assert zf._verdicts(zf._stacked(schemes, channels)) == [
         zf._verdicts(zf._stacked([scheme], [ch]))[0] for scheme, ch in zip(schemes, channels)
     ]
-    for (diag, p1, p2), scheme, ch in zip(models, schemes, channels):
-        alone, q1, q2 = zf._receiver_models(zf._stacked([scheme], [ch]))[0]
-        assert diag == alone and p1.tobytes() == q1.tobytes() and p2.tobytes() == q2.tobytes()
+    for i, (scheme, ch) in enumerate(zip(schemes, channels)):
+        alone = zf._receivers(zf._stacked([scheme], [ch]))
+        for rx, rx_alone in zip(batch, alone):
+            assert [part[i] for part in rx[:4]] == [part[0] for part in rx_alone[:4]]
+            assert rx[4][i].tobytes() == rx_alone[4][0].tobytes()  # projected spectrum
 
 
 def test_verdict_svds_do_not_grow_with_trials(monkeypatch):
@@ -695,7 +708,7 @@ def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
     def message(streams, active_dim, link, opposite_cognitive, at_end):
         vectors = []
         if streams and not opposite_cognitive:
-            vectors.extend(ch.null_basis(link)[:streams])
+            vectors.extend(ChannelRealization.null_bases([ch], link)[0][:streams])
         while len(vectors) < streams:
             vec = rng.standard_normal(active_dim)
             while np.linalg.norm(vec) == 0.0:
@@ -738,7 +751,7 @@ def test_lazy_generator_matches_eager_and_skips_all_nulled_points(monkeypatch):
                 w1, w2 = _eager_vectors(config, sc, d1, d2, ch, seed)
                 assert scheme.w1.shape == w1.shape and scheme.w1.tobytes() == w1.tobytes()
                 assert scheme.w2.shape == w2.shape and scheme.w2.tobytes() == w2.tobytes()
-                nulled = scheme.w1_nulled == d1 and scheme.w2_nulled == d2
+                nulled = zf._nulled(config, sc, d1, d2) == (d1, d2)
                 assert built["rows"] == (0 if nulled else 1)
                 all_nulled += nulled and d1 + d2 > 0
     assert all_nulled > 0
@@ -747,10 +760,10 @@ def test_lazy_generator_matches_eager_and_skips_all_nulled_points(monkeypatch):
 def test_batched_spectral_norms_equal_the_scalar_ones():
     channels = [sample_channel(AntennaConfig(3, 2, 2, 3), seed=s) for s in range(20)]
     for link in ("rx1", "rx2", "h41"):
-        expected = [float(np.linalg.norm(getattr(ch, link), 2)) for ch in channels]
+        expected = [float(np.linalg.norm(channel._links([ch], link)[0], 2)) for ch in channels]
         ChannelRealization.spectral_norms(channels[::3], link)  # a cached subset
         assert ChannelRealization.spectral_norms(channels, link).tolist() == expected
-        assert [ch.spectral_norm(link) for ch in channels] == expected
+        assert [ChannelRealization.spectral_norms([ch], link)[0] for ch in channels] == expected
 
 
 # ---------------------------------------------------- stacked trial kernels
@@ -833,6 +846,35 @@ def test_a_zero_draw_is_drawn_again_as_one_vector_at_a_time(monkeypatch):
     assert checked > 100
 
 
+def test_sweep_batches_equal_the_per_scheme_vectors_to_the_byte():
+    # The batches achievability_sweep(3, 2, seed=7) builds: every cell at
+    # counts 1..3, two channels each, seeded as the sweep seeds them.  The
+    # sweep's report reads no drawn vector (a cell keeps its passes and the
+    # worst residual of nulled columns), so a trial drawn from another
+    # trial's seed or point shows here and not there.
+    seed, trials, checked = 7, 2, 0
+    scenarios = CognitionScenario.all_scenarios()
+    for counts in itertools.product((1, 2, 3), repeat=4):
+        config = AntennaConfig(*counts)
+        cell_seeds = [_derived_seed(seed, counts, s) for s in range(len(scenarios))]
+        sampled = channel.sample_channels(
+            config, [s + t for s in cell_seeds for t in range(trials)])
+        cells = [(sc, point, sampled[i * trials:(i + 1) * trials], cell_seed)
+                 for i, (sc, cell_seed) in enumerate(zip(scenarios, cell_seeds))
+                 for point in sorted(inner_points(config, sc).points)]
+        batches = zf._schemes(config, cells)
+        items = {point: iter(zip(batch.w1, batch.w2)) for point, batch in batches.items()}
+        for sc, (d1, d2), chs, cell_seed in cells:
+            for trial, ch in enumerate(chs):
+                w1, w2 = next(items[d1, d2])
+                e1, e2 = _eager_vectors(config, sc, d1, d2, ch, cell_seed + trial)
+                assert w1.shape == e1.shape and w1.tobytes() == e1.tobytes()
+                assert w2.shape == e2.shape and w2.tobytes() == e2.tobytes()
+                checked += 1
+        assert all(next(rest, None) is None for rest in items.values())
+    assert checked == trials * 8796  # the trials of achievability_sweep(3, 2)
+
+
 def test_a_rank_deficient_cross_link_fills_its_basis_and_checks_r_columns():
     # rx2 of rank 1 has a 2-dimensional kernel, larger than r1 = 1: the block
     # takes both streams of (2, 0) from the basis while the residual checks
@@ -844,16 +886,18 @@ def test_a_rank_deficient_cross_link_fills_its_basis_and_checks_r_columns():
                                    np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[3.0], [6.0]]),
                                    seed=0)
     channels = [sample_channel(config, seed=1), deficient, sample_channel(config, seed=2)]
-    assert [len(ch.null_basis("rx2")) for ch in channels] == [1, 2, 1]
+    assert [len(basis) for basis in ChannelRealization.null_bases(channels, "rx2")] == [1, 2, 1]
     trials = zf._schemes(config, [(sc, (2, 0), channels, 4)])[2, 0]
     residuals = zf._null_residuals(trials).tolist()
     for t, ch in enumerate(channels):
         w1, w2 = _eager_vectors(config, sc, 2, 0, ch, 4 + t)
         assert trials.w1[t].tobytes() == w1.tobytes() and trials.w2[t].tobytes() == w2.tobytes()
-        expected = zf._norm(ch.rx2 @ w1[:, 0].copy()) / ch.spectral_norm("rx2")
+        rx2 = channel._links([ch], "rx2")[0]
+        norm = ChannelRealization.spectral_norms([ch], "rx2")[0]
+        expected = zf._norm(rx2 @ w1[:, 0].copy()) / norm
         assert residuals[t] == expected
         scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
-        assert scheme.w1_nulled == 1 and null_residual(scheme, ch) == expected
+        assert zf._nulled(config, sc, 2, 0)[0] == 1 and null_residual(scheme, ch) == expected
 
 
 def test_sweep_and_simulate_point_build_no_scheme_record_and_no_hstack(monkeypatch):
