@@ -308,10 +308,10 @@ def sample_channels(config: AntennaConfig, seeds,
     its links in pair order from one generator in the state that
     ``np.random.default_rng([seed mod 2**64, a])`` starts in, and the states
     of an attempt's pending seeds are computed as one batch (``_generators``).
-    Each link of a batch is checked with one SVD; the spectral norms of
-    h31..h42 and the null bases that check proves empty are cached.
+    Each link of a batch is checked with one SVD, whose largest singular
+    values are cached as the spectral norms of h31..h42.
     """
-    spans, size, empty = _spans(config.counts, extended)
+    spans, size = _spans(config.counts, extended)
     seeds = list(seeds)
     if not seeds:
         return []
@@ -338,7 +338,7 @@ def sample_channels(config: AntennaConfig, seeds,
                 accepted[k] = seed_links
         pending = [k for k, ok in zip(pending, full_rank) if not ok]
         if not pending:
-            return [_realization(seed, extended, empty, *accepted[k])
+            return [_realization(seed, extended, *accepted[k])
                     for k, seed in enumerate(seeds)]
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
@@ -349,30 +349,23 @@ def sample_channels(config: AntennaConfig, seeds,
 _NORM_KEYS = tuple(("norm", f"h{i}{j}") for i, j in _LINK_PAIRS)
 
 
-def _realization(seed: int, extended: bool, empty, base, links, norms) -> ChannelRealization:
+def _realization(seed: int, extended: bool, base, links, norms) -> ChannelRealization:
     """A seed's accepted links (h31..h42, then every sampled link in pair
-    order), with the norms of h31..h42 and the ``empty`` bases cached."""
+    order), with the norms of h31..h42 cached."""
     channel = ChannelRealization(
         *base, seed=seed, extended_links=dict(zip(_ALL_PAIRS, links)) if extended else None
     )
     channel._memo.update(zip(_NORM_KEYS, norms))
-    channel._memo.update(empty)
     return channel
 
 
 @functools.lru_cache(maxsize=None)
-def _spans(counts: tuple[int, int, int, int], extended: bool) -> tuple[tuple, int, dict]:
+def _spans(counts: tuple[int, int, int, int], extended: bool) -> tuple[tuple, int]:
     """Each sampled link's pair, shape and slice of one seed's flat draw, in
-    pair order; the size of that draw; and the null bases sampling proves
-    empty: those of h41 and h32 (the links zf nulls against; rx1/rx2 are not
-    rank-checked) with no more columns than rows, kept only at rank m by the
-    rule ``_null_rows`` cuts at."""
+    pair order, and the size of that draw."""
     spans, start = [], 0
     for i, j in _ALL_PAIRS if extended else _LINK_PAIRS:
         n, m = counts[i - 1], counts[j - 1]
         spans.append(((i, j), (n, m), slice(start, start + n * m)))
         start += n * m
-    m1, m2, n1, n2 = counts
-    empty = {("null", name): _freeze(np.empty((0, m)))
-             for name, n, m in (("h41", n2, m1), ("h32", n1, m2)) if m <= n}
-    return tuple(spans), start, empty
+    return tuple(spans), start

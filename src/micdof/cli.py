@@ -32,13 +32,13 @@ from .regions import (
 )
 from .zf import _require_achievable, _sweep_cells
 from .rates import (
+    COOP_SLOPE_THRESHOLD,
     cooperation_dof_gap_check,
     default_rho_grid,
     simulate_point,
 )
 
 SLOPE_TOLERANCE = 0.03
-COOP_SLOPE_THRESHOLD = 0.01
 
 
 def _fmt(value: float) -> str:
@@ -301,7 +301,6 @@ def _cmd_achieve(args) -> int:
 def _cmd_simulate(args) -> int:
     config, scenario = args.config, args.scenario
     d1, d2 = args.point
-    _require_achievable(args.config, args.scenario, *args.point)
     grid = default_rho_grid(args.rho_min, args.rho_max, args.points)
     sweep = simulate_point(config, scenario, d1, d2, trials=args.trials,
                            seed=args.seed, rho_grid=grid)
@@ -327,10 +326,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_coop_bound(args) -> int:
-    report = cooperation_dof_gap_check(
-        args.config, trials=args.trials, seed=args.seed,
-        slope_threshold=COOP_SLOPE_THRESHOLD,
-    )
+    report = cooperation_dof_gap_check(args.config, trials=args.trials, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:

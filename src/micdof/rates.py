@@ -44,6 +44,7 @@ SLOPE_GRID_MIN = 1e4
 SLOPE_GRID_MAX = 1e10
 SLOPE_FIT_POINTS = 5
 COOP_RHO_GRID = (1e6, 1e8, 1e10)
+COOP_SLOPE_THRESHOLD = 0.01
 
 
 class UndecodableSchemeError(RuntimeError):
@@ -266,7 +267,8 @@ def bound_term_slopes(channel: ChannelRealization, rho_grid=COOP_RHO_GRID) -> li
 
 
 def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,
-                              slope_threshold: float = 0.01) -> CooperationGapReport:
+                              slope_threshold: float = COOP_SLOPE_THRESHOLD
+                              ) -> CooperationGapReport:
     """Confirm the genie-bound terms saturate, so cooperation adds no DOF.
 
     Over ``trials`` random extended channels, every genie-bound term must be

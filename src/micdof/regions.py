@@ -194,9 +194,6 @@ class AchievableSet:
     config: AntennaConfig
     scenario: CognitionScenario
 
-    def __contains__(self, point: tuple[int, int]) -> bool:
-        return tuple(point) in self.points
-
 
 def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
     """Whether the integer pair (d1, d2) is achievable by zero forcing.

@@ -1,13 +1,15 @@
 """Zero-forcing beamforming schemes realizing achievable DOF points.
 
 For a target point (d1, d2), message W1 is sent from transmitter 1, joined by
-transmitter 2 when that one is cognitive, and up to
-r1 = (m1 + t2*m2 - n2)^+ of its streams are placed in the null space of the
-cross channel to receiver 2 so they cause no interference there; remaining
-streams are isotropic on the unit sphere of the active transmit space.  W2 is
-built symmetrically against receiver 1.  A cognitive receiver subtracts every
-stream of the message it knows, so no nulling is aimed at it.  Decodability
-is verified by subspace rank diagnostics on concrete channels.
+transmitter 2 when that one is cognitive, and min(d1, r1) of its streams,
+r1 = (m1 + t2*m2 - n2)^+, are placed in the null space of the cross channel to
+receiver 2 so they cause no interference there; remaining streams are
+isotropic on the unit sphere of the active transmit space.  W2 is built
+symmetrically against receiver 1.  A cognitive receiver subtracts every
+stream of the message it knows, so no nulling is aimed at it.  ``_nulled`` is
+the one place the nulled counts are decided: the schemes null exactly the
+streams that the null residual checks.  Decodability is verified by subspace
+rank diagnostics on concrete channels.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
 zero on the rows of a transmitter that does not carry it.  Trials are built
@@ -168,68 +170,66 @@ def _schemes(config: AntennaConfig, cells) -> dict[tuple[int, int], _Trials]:
     """The schemes of cells (scenario, point, channels, seed), one batch per
     point: trial t of a cell runs on channels[t] with vector seed seed + t.
 
-    A message takes its first streams from the null basis of its cross link
-    (none when the opposite receiver is cognitive) and draws the rest on its
+    A message's first k streams (``_nulled``) are the first k rows of the null
+    basis of its cross link, read only when k > 0; it draws the rest on its
     active rows, W1's first, from a generator in the state of
     ``np.random.default_rng([seed mod 2**64, d1, d2])``: one batch of states
     (``_generators``) and one standard_normal call per trial that draws,
     which gives the numbers of one call per vector (``_isotropic`` redraws
-    when a vector, hence each of its squares, is 0).  Vectors are written and
-    normalised per point, message and active length.
+    when a vector, hence each of its squares, is 0).  Each trial is placed
+    once per message, in the group of its (point, message, active length, k),
+    and a group is written with two fancy assignments: its stacked basis rows,
+    and its drawn vectors, read from their flat offsets and normalised with
+    one ``_norms`` call.
     """
     dim, plans, by_link = config.m1 + config.m2, {}, {}
     for scenario, (d1, d2), channels, seed in cells:
-        link1, link2 = _cross_links(scenario)
-        messages = (  # (streams, active length, cross link, nulled against it)
-            (d1, dim if scenario.t2 else config.m1, link1, d1 and not scenario.r2),
-            (d2, dim if scenario.t1 else config.m2, link2, d2 and not scenario.r1),
-        )
-        for _, _, link, nullable in messages:
-            if nullable:
+        active = (dim if scenario.t2 else config.m1, dim if scenario.t1 else config.m2)
+        # (streams, active length, cross link, nulled count) per message
+        messages = tuple(zip((d1, d2), active, _cross_links(scenario),
+                             _nulled(config, scenario, d1, d2)))
+        for _, _, link, k in messages:
+            if k:
                 by_link.setdefault(link, {}).update(dict.fromkeys(channels))
         plans.setdefault((d1, d2), []).append((scenario, channels, seed, messages))
     for link, linked in by_link.items():
         ChannelRealization.null_bases(list(linked), link)
-    batches, placed, draws, entropy, end = {}, {}, [], [], 0
+    batches, groups, draws, entropy, end = {}, {}, [], [], 0
     for point, plan in plans.items():
         size = sum(len(channels) for _, channels, _, _ in plan)
         batches[point] = _Trials(config, *point, [(sc, chs) for sc, chs, _, _ in plan],
                                  np.zeros((size, dim, point[0])), np.zeros((size, dim, point[1])))
         item = 0
         for scenario, channels, seed, messages in plan:
-            bases = [ChannelRealization.null_bases(channels, link) if nullable
-                     else [()] * len(channels) for _, _, link, nullable in messages]
-            for trial in range(len(channels)):
-                sizes = []
-                for m, (streams, a, _, _) in enumerate(messages):
-                    basis = bases[m][trial][:streams]
-                    k = len(basis)
-                    if k:  # the basis rows, as they are
-                        items, cols, rows = placed.setdefault((point, m, a, False), ([], [], []))
-                        items.extend([item] * k)
-                        cols.extend(range(k))
-                        rows.extend(basis)
-                    if k < streams:  # where the drawn vectors start in the flat draws
-                        items, cols, starts = placed.setdefault((point, m, a, True), ([], [], []))
-                        items.extend([item] * (streams - k))
-                        cols.extend(range(k, streams))
-                        starts.extend(range(end, end + (streams - k) * a, a))
-                        sizes.extend([a] * (streams - k))
-                        end += (streams - k) * a
-                if sizes:
-                    draws.append(sizes)
-                    entropy.append(((seed + trial) & (2**64 - 1), *point))
-                item += 1
+            n, sizes = len(channels), [a for s, a, _, k in messages for _ in range(s - k)]
+            offset, stride = end, sum(sizes)  # a trial's draws: W1's, then W2's
+            for m, (streams, a, link, k) in enumerate(messages):
+                if streams:
+                    items, bases, firsts = groups.setdefault((point, m, a, k), ([], [], []))
+                    items.extend(range(item, item + n))
+                    if k:
+                        bases.extend(b[:k] for b in ChannelRealization.null_bases(channels, link))
+                    if k < streams:
+                        firsts.extend(range(offset, offset + n * stride, stride))
+                        offset += (streams - k) * a
+            if sizes:
+                draws.extend([sizes] * n)
+                entropy.extend(((seed + t) & (2**64 - 1), *point) for t in range(n))
+            item, end = item + n, end + n * stride
     flat = np.concatenate([np.empty(0)] + [rng.standard_normal(sum(sizes))
                                            for sizes, rng in zip(draws, _generators(entropy))])
     if not (flat * flat).all():
-        flat = np.concatenate([_isotropic(next(_generators([row])), sizes)
-                               for sizes, row in zip(draws, entropy)])
-    for (point, m, a, drawn), (items, cols, sources) in placed.items():
-        vectors = flat[np.add.outer(sources, np.arange(a))] if drawn else np.array(sources)
+        flat = np.concatenate([_isotropic(rng, sizes)
+                               for sizes, rng in zip(draws, _generators(entropy))])
+    for (point, m, a, k), (items, bases, firsts) in groups.items():
         block = batches[point].w2 if m else batches[point].w1
-        block[items, slice(dim - a, dim) if m else slice(a), cols] = (
-            vectors / _norms(vectors)[:, None] if drawn else vectors)
+        rows, streams = slice(dim - a, dim) if m else slice(a), block.shape[2]
+        if k:
+            block[items, rows, :k] = np.swapaxes(np.array(bases), 1, 2)
+        if k < streams:
+            vectors = flat[np.add.outer(firsts, np.arange((streams - k) * a))].reshape(-1, a)
+            vectors /= _norms(vectors)[:, None]
+            block[items, rows, k:] = np.swapaxes(vectors.reshape(len(items), -1, a), 1, 2)
     return batches
 
 

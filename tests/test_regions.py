@@ -92,18 +92,18 @@ def test_inner_points_full_cognitive_transmitters():
     aset = inner_points(
         AntennaConfig(2, 2, 2, 2), CognitionScenario.from_bits([1, 1, 0, 0])
     )
-    assert (2, 2) in aset
+    assert (2, 2) in aset.points
 
 
 @settings(max_examples=60)
 @given(configs, scenarios)
 def test_inner_points_contains_origin_and_matches_definition(config, scenario):
     aset = inner_points(config, scenario)
-    assert (0, 0) in aset
+    assert (0, 0) in aset.points
     box = config.m1 + config.m2
     for d1 in range(box + 1):
         for d2 in range(box + 1):
-            assert ((d1, d2) in aset) == definition_membership(config, scenario, d1, d2)
+            assert ((d1, d2) in aset.points) == definition_membership(config, scenario, d1, d2)
 
 
 @settings(max_examples=60)

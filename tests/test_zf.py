@@ -699,16 +699,19 @@ def _embed(vectors, dim, at_end):
 
 
 def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
-    # Reference: the generator is built before any stream is placed, and each
-    # isotropic vector is drawn and normalised on its own; a zero vector is
-    # drawn again.  ``rng`` stands in for the seeded generator.
+    # Reference: the generator is built before any stream is placed.  The
+    # first min(streams, r) streams are rows of the cross link's null basis,
+    # where r = (link columns - link rows)^+ by the antenna counts, and none
+    # when the opposite receiver is cognitive; each isotropic vector is drawn
+    # and normalised on its own, and a zero vector is drawn again.  ``rng``
+    # stands in for the seeded generator.
     if rng is None:
         rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
 
-    def message(streams, active_dim, link, opposite_cognitive, at_end):
-        vectors = []
-        if streams and not opposite_cognitive:
-            vectors.extend(ChannelRealization.null_bases([ch], link)[0][:streams])
+    def message(streams, active_dim, link, link_rows, opposite_cognitive, at_end):
+        vectors, nulled = [], min(streams, max(active_dim - link_rows, 0))
+        if nulled and not opposite_cognitive:
+            vectors.extend(ChannelRealization.null_bases([ch], link)[0][:nulled])
         while len(vectors) < streams:
             vec = rng.standard_normal(active_dim)
             while np.linalg.norm(vec) == 0.0:
@@ -716,10 +719,10 @@ def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
             vectors.append(vec / np.linalg.norm(vec))
         return _embed(vectors, config.m1 + config.m2, at_end)
 
-    m1, m2 = config.m1, config.m2
+    m1, m2, n1, n2 = config.counts
     return (
-        message(d1, m1 + m2 * sc.t2, "rx2" if sc.t2 else "h41", sc.r2, at_end=False),
-        message(d2, m1 * sc.t1 + m2, "rx1" if sc.t1 else "h32", sc.r1, at_end=True),
+        message(d1, m1 + m2 * sc.t2, "rx2" if sc.t2 else "h41", n2, sc.r2, at_end=False),
+        message(d2, m1 * sc.t1 + m2, "rx1" if sc.t1 else "h32", n1, sc.r1, at_end=True),
     )
 
 
@@ -791,23 +794,59 @@ def test_stacked_ddot_and_gemv_keep_the_per_vector_bits():
                     assert zf._column_norms(h, block).tolist() == expected
 
 
-def test_sampling_proves_empty_bases_and_the_sweep_skips_them(monkeypatch):
-    # An h41 (h32) with no more columns than rows is kept by sampling only at
-    # full column rank, so its null basis is cached empty and never reaches
-    # _null_rows; without that shortcut the sweep's report is the same.
-    null_rows, spans, rows = channel._null_rows, channel._spans, [0]
+def test_the_sweep_computes_no_basis_it_does_not_read(monkeypatch):
+    # zf reads a cross link's null basis only when it nulls streams against
+    # it, and it nulls none where the antenna counts leave the kernel empty
+    # (r = 0), so every basis _null_rows computes over the sweep has rows.
+    null_rows, bases = channel._null_rows, []
 
     def counted(stack):
-        rows[0] += len(stack)
-        return null_rows(stack)
+        computed = null_rows(stack)
+        bases.extend(computed)
+        return computed
 
     monkeypatch.setattr(channel, "_null_rows", counted)
-    report = achievability_sweep(max_antennas=3, trials=1, seed=21).to_json_list()
-    assert rows[0] == 864
-    monkeypatch.setattr(channel, "_spans", lambda *key: (*spans(*key)[:2], {}))
-    rows[0] = 0
-    assert achievability_sweep(max_antennas=3, trials=1, seed=21).to_json_list() == report
-    assert rows[0] == 1296
+    achievability_sweep(max_antennas=3, trials=1, seed=21)
+    assert len(bases) == 768
+    assert all(len(basis) for basis in bases)
+
+
+def test_scheme_writes_do_not_grow_with_channels(monkeypatch):
+    # Structural: _schemes writes each (point, message, active length, nulled
+    # count) group with one _norms call and one np.add.outer, whatever the
+    # number of trials in it.
+    counts, norms, add = {"norms": 0, "outer": 0}, zf._norms, np.add
+
+    class CountedAdd:
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+        def __call__(self, *args, **kwargs):
+            return add(*args, **kwargs)
+
+        def outer(self, *args, **kwargs):
+            counts["outer"] += 1
+            return add.outer(*args, **kwargs)
+
+    def counted_norms(rows):
+        counts["norms"] += 1
+        return norms(rows)
+
+    seen = []
+    for trials in (1, 6):
+        sampled = {c: channel.sample_channels(AntennaConfig(*c), range(trials))
+                   for c in itertools.product((1, 2), repeat=4)}
+        with monkeypatch.context() as patch:
+            patch.setattr(zf, "_norms", counted_norms)
+            patch.setattr(np, "add", CountedAdd())
+            for c, channels in sampled.items():
+                config = AntennaConfig(*c)
+                zf._schemes(config, [(sc, point, channels, 10 * s)
+                                     for s, sc in enumerate(CognitionScenario.all_scenarios())
+                                     for point in sorted(inner_points(config, sc).points)])
+        seen.append(dict(counts))
+        counts.update(norms=0, outer=0)
+    assert seen[0] == seen[1] and seen[0]["norms"] > 0 and seen[0]["outer"] > 0
 
 
 class _ZeroFirst:
@@ -875,11 +914,12 @@ def test_sweep_batches_equal_the_per_scheme_vectors_to_the_byte():
     assert checked == trials * 8796  # the trials of achievability_sweep(3, 2)
 
 
-def test_a_rank_deficient_cross_link_fills_its_basis_and_checks_r_columns():
+def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
     # rx2 of rank 1 has a 2-dimensional kernel, larger than r1 = 1: the block
-    # takes both streams of (2, 0) from the basis while the residual checks
-    # the r1 columns the configuration promises, as one scheme at a time did.
-    # The batch mixes it with generic channels, whose kernels are 1-dimensional.
+    # of (2, 0) takes column 0 from the kernel and draws column 1, and the
+    # residual checks column 0, so every nulled column is a checked one.  The
+    # batch mixes it with generic channels, whose kernels are 1-dimensional,
+    # and equals one scheme at a time.
     config, sc = AntennaConfig(2, 1, 2, 2), scenario(0, 1, 0, 0)
     rng = np.random.default_rng(3)
     deficient = ChannelRealization(rng.standard_normal((2, 2)), rng.standard_normal((2, 1)),
@@ -887,17 +927,22 @@ def test_a_rank_deficient_cross_link_fills_its_basis_and_checks_r_columns():
                                    seed=0)
     channels = [sample_channel(config, seed=1), deficient, sample_channel(config, seed=2)]
     assert [len(basis) for basis in ChannelRealization.null_bases(channels, "rx2")] == [1, 2, 1]
+    assert zf._nulled(config, sc, 2, 0) == (1, 0)
     trials = zf._schemes(config, [(sc, (2, 0), channels, 4)])[2, 0]
     residuals = zf._null_residuals(trials).tolist()
     for t, ch in enumerate(channels):
-        w1, w2 = _eager_vectors(config, sc, 2, 0, ch, 4 + t)
-        assert trials.w1[t].tobytes() == w1.tobytes() and trials.w2[t].tobytes() == w2.tobytes()
+        scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
+        assert trials.w1[t].tobytes() == scheme.w1.tobytes()
+        assert trials.w2[t].tobytes() == scheme.w2.tobytes()
+        basis = ChannelRealization.null_bases([ch], "rx2")[0]
+        vec = np.random.default_rng([4 + t, 2, 0]).standard_normal(3)
+        assert scheme.w1[:, 0].tobytes() == basis[0].tobytes()
+        assert scheme.w1[:, 1].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
         rx2 = channel._links([ch], "rx2")[0]
         norm = ChannelRealization.spectral_norms([ch], "rx2")[0]
-        expected = zf._norm(rx2 @ w1[:, 0].copy()) / norm
-        assert residuals[t] == expected
-        scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
-        assert zf._nulled(config, sc, 2, 0)[0] == 1 and null_residual(scheme, ch) == expected
+        expected = zf._norm(rx2 @ scheme.w1[:, 0].copy()) / norm
+        assert residuals[t] == expected == null_residual(scheme, ch)
+        assert zf._norm(rx2 @ scheme.w1[:, 1].copy()) / norm > RANK_RTOL  # not nulled
 
 
 def test_sweep_and_simulate_point_build_no_scheme_record_and_no_hstack(monkeypatch):
