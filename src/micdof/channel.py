@@ -11,16 +11,17 @@ checks each link of the batch for full rank with one batched SVD.  Each
 seed's matrices depend on that seed alone, so ``sample_channel`` is the batch
 of one.  The generator states of a batch, equal to
 ``np.random.default_rng``'s, are computed at once (``_generators``), here and
-for the vectors in ``zf``.  Null bases and spectral norms of many
-realizations come from one batched SVD each, on link stacks (``_links``).
-Every rank in micdof is counted by one rule, ``_ranks``.
+for the vectors in ``zf``.  A sampled batch keeps its links as views of its
+draw, with their spectral norms (``_Stack``), and each realization its stack
+and row, so the links and norms of many realizations are one fancy index per
+stack (``_gather``).  Every rank in micdof is counted by one rule, ``_ranks``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -117,13 +118,13 @@ class ChannelRealization:
     every ordered node pair (i, j) to the matrix of the link from node j to
     node i, sixteen in total; otherwise it is None.
 
-    A link's spectral norm and null basis (``spectral_norms``, ``null_bases``,
-    over ``h31``..``h42`` and the receiver links ``rx1`` = [h31 h32] and
-    ``rx2`` = [h41 h42]) are computed for a batch of channels on first use and
-    cached, so every point, verdict and rate on the channel shares them;
-    ``sample_channels`` fills what its rank check already knows.  Cached
-    bases are read-only, like the links.  Realizations compare and hash by
-    identity.
+    ``row`` is (stack, index) in the ``_Stack`` of a sampled batch; one built
+    otherwise (or by ``dataclasses.replace``) is a stack of one.  Spectral
+    norms (``spectral_norms``, over ``h31``..``h42`` and the receiver links
+    ``rx1`` = [h31 h32] and ``rx2`` = [h41 h42]) are read from the stacks,
+    and null bases (``null_bases``, read-only) are computed for a batch on
+    first use and cached per channel, so every point, verdict and rate on the
+    channel shares them.  Realizations compare and hash by identity.
     """
 
     h31: np.ndarray
@@ -132,7 +133,14 @@ class ChannelRealization:
     h42: np.ndarray
     seed: int
     extended_links: dict[tuple[int, int], np.ndarray] | None = field(default=None)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    row: InitVar[tuple | None] = None
+    _row: tuple = field(init=False, repr=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self, row) -> None:
+        if row is None:  # built outside sampling: a stack of one
+            row = (_Stack({name: getattr(self, name)[None] for name in _LINK_NAMES}), 0)
+        object.__setattr__(self, "_row", row)
 
     @property
     def config(self) -> AntennaConfig:
@@ -141,29 +149,19 @@ class ChannelRealization:
 
     @staticmethod
     def spectral_norms(channels: list["ChannelRealization"], link: str) -> np.ndarray:
-        """Largest singular value of a link of each channel; the uncached ones
-        come from one batched SVD (its first singular value is
-        ``np.linalg.norm(x, 2)``)."""
-        key = ("norm", link)
-        missing = [ch for ch in channels if key not in ch._memo]
-        if missing:
-            stack = _links(missing, link)
-            for ch, top in zip(missing, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
-                ch._memo[key] = top
-        return np.array([ch._memo[key] for ch in channels])
+        """Largest singular value of a link of each channel (B,), from their stacks."""
+        return _gather(_runs(channels), ("norm", link))
 
     @staticmethod
     def null_bases(channels: list["ChannelRealization"], link: str) -> list[np.ndarray]:
         """Read-only null basis of a link of each channel, one basis vector per
         row: (nullity, columns); the uncached ones come from one batched full
         SVD (``_null_rows``)."""
-        key = ("null", link)
-        missing = [ch for ch in channels if key not in ch._memo]
+        missing = [ch for ch in channels if link not in ch._bases]
         if missing:
-            bases = _null_rows(_links(missing, link))
-            for ch, basis in zip(missing, bases):
-                ch._memo[key] = _freeze(basis)
-        return [ch._memo[key] for ch in channels]
+            for ch, basis in zip(missing, _null_rows(_links(missing, link))):
+                ch._bases[link] = _freeze(basis)
+        return [ch._bases[link] for ch in channels]
 
     def matches(self, config: AntennaConfig) -> bool:
         m1, m2, n1, n2 = config.counts
@@ -172,14 +170,37 @@ class ChannelRealization:
 
 
 _RX_PARTS = {"rx1": ("h31", "h32"), "rx2": ("h41", "h42")}
+_LINK_NAMES = tuple(f"h{i}{j}" for i, j in _LINK_PAIRS)
+
+
+class _Stack(dict):
+    """A batch's links h31..h42 (C, n, m) and norms (C,) at ("norm", link); a
+    receiver's ``rx1``/``rx2`` (its two h-links, concatenated) and a missing
+    norm (one batched SVD's first singular value, ``np.linalg.norm(x, 2)``)
+    are computed for the whole stack on first use.  It holds no channel."""
+
+    def __missing__(self, key):
+        self[key] = (np.linalg.svd(self[key[1]], compute_uv=False)[:, 0] if isinstance(key, tuple)
+                     else np.concatenate([self[part] for part in _RX_PARTS[key]], axis=2))
+        return self[key]
+
+
+def _runs(channels: list[ChannelRealization]) -> list[tuple[_Stack, np.ndarray]]:
+    """Consecutive channels that share a stack, as (stack, their rows in it)."""
+    runs = itertools.groupby((ch._row for ch in channels), lambda row: id(row[0]))
+    return [(rows[0][0], np.array([index for _, index in rows]))
+            for rows in (list(run) for _, run in runs)]
+
+
+def _gather(runs, key) -> np.ndarray:
+    """A stack entry (a link or ("norm", link)) at each run's rows: one fancy index per run."""
+    parts = [stack[key][rows] for stack, rows in runs] or [np.empty(0)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _links(channels: list[ChannelRealization], link: str) -> np.ndarray:
-    """One link of each channel, stacked (B, n, m); a receiver's ``rx1``/``rx2``
-    stack is its two h-link stacks, concatenated."""
-    if link in _RX_PARTS:
-        return np.concatenate([_links(channels, part) for part in _RX_PARTS[link]], axis=2)
-    return np.array([getattr(ch, link) for ch in channels])
+    """One link of each channel, stacked (B, n, m)."""
+    return _gather(_runs(channels), link)
 
 
 def _ranks(singular: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -309,7 +330,8 @@ def sample_channels(config: AntennaConfig, seeds,
     ``np.random.default_rng([seed mod 2**64, a])`` starts in, and the states
     of an attempt's pending seeds are computed as one batch (``_generators``).
     Each link of a batch is checked with one SVD, whose largest singular
-    values are cached as the spectral norms of h31..h42.
+    values are kept as the spectral norms of h31..h42, in one ``_Stack`` per
+    attempt with (C, n, m) views of its draw.
     """
     spans, size = _spans(config.counts, extended)
     seeds = list(seeds)
@@ -323,40 +345,28 @@ def sample_channels(config: AntennaConfig, seeds,
         entropy = [(seeds[k] & (2**64 - 1), attempt) for k in pending]
         draws = _freeze(np.array([rng.standard_normal(size) for rng in _generators(entropy)]))
         full_rank = np.ones(len(pending), dtype=bool)
-        links, base, norms = [], [], []
+        views, norms = {}, {}
         for pair, (n, m), span in spans:
-            stack = draws[:, span].reshape(-1, n, m)
-            singular = np.linalg.svd(stack, compute_uv=False)
+            views[pair] = draws[:, span].reshape(-1, n, m)
+            singular = np.linalg.svd(views[pair], compute_uv=False)
             full_rank &= _ranks(singular, singular[:, 0]) == min(n, m)
-            links.append(list(stack))
-            if pair in _LINK_PAIRS:
-                base.append(links[-1])
-                norms.append(singular[:, 0].tolist())
+            norms[pair] = singular[:, 0]
+        stack = _Stack({name: views[p] for p, name in zip(_LINK_PAIRS, _LINK_NAMES)})
+        stack.update({("norm", name): norms[p] for p, name in zip(_LINK_PAIRS, _LINK_NAMES)})
         full_rank = full_rank.tolist()
-        for k, ok, *seed_links in zip(pending, full_rank, zip(*base), zip(*links), zip(*norms)):
+        for row, (k, ok) in enumerate(zip(pending, full_rank)):
             if ok:
-                accepted[k] = seed_links
+                accepted[k] = (stack, row, views)
         pending = [k for k, ok in zip(pending, full_rank) if not ok]
         if not pending:
-            return [_realization(seed, extended, *accepted[k])
-                    for k, seed in enumerate(seeds)]
+            return [ChannelRealization(
+                *(stack[name][row] for name in _LINK_NAMES), seed=seed, row=(stack, row),
+                extended_links={p: links[row] for p, links in views.items()} if extended else None,
+            ) for seed, (stack, row, views) in zip(seeds, accepted)]
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
         f"{_RESAMPLE_ATTEMPTS} attempts; the generator looks degenerate"
     )
-
-
-_NORM_KEYS = tuple(("norm", f"h{i}{j}") for i, j in _LINK_PAIRS)
-
-
-def _realization(seed: int, extended: bool, base, links, norms) -> ChannelRealization:
-    """A seed's accepted links (h31..h42, then every sampled link in pair
-    order), with the norms of h31..h42 cached."""
-    channel = ChannelRealization(
-        *base, seed=seed, extended_links=dict(zip(_ALL_PAIRS, links)) if extended else None
-    )
-    channel._memo.update(zip(_NORM_KEYS, norms))
-    return channel
 
 
 @functools.lru_cache(maxsize=None)

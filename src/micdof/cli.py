@@ -289,7 +289,7 @@ def _cmd_achieve(args) -> int:
         raise ValueError("--trials must be >= 1")
     _require_achievable(args.config, args.scenario, *args.point)
     channels = sample_channels(args.config, range(args.seed, args.seed + args.trials))
-    cell = _sweep_cells(args.config, [(args.scenario, args.point, channels, args.seed)])[0]
+    cell = _sweep_cells([(args.config, args.scenario, args.point, channels, args.seed)])[0]
     if args.format == "json":
         print(json.dumps(cell.to_json_dict()))
     else:

@@ -135,7 +135,7 @@ def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             "rates are undefined"
         )
     k1, k2 = np.array([_streams_per_node(sc, trials.d1, trials.d2)
-                       for sc, channels in trials.cells for _ in channels]).T
+                       for _, sc, _, channels in trials.cells for _ in channels]).T
     return (k1, rx1[4] ** 2), (k2, rx2[4] ** 2)
 
 
@@ -230,7 +230,7 @@ def simulate_point(config: AntennaConfig, scenario: CognitionScenario, d1: int, 
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
     _require_achievable(config, scenario, d1, d2)
     channels = sample_channels(config, range(seed, seed + trials))
-    return _sweep(_schemes(config, [(scenario, (d1, d2), channels, seed)])[d1, d2], grid)
+    return _sweep(_schemes([(config, scenario, (d1, d2), channels, seed)])[d1, d2], grid)
 
 
 def _bound_terms(channel: ChannelRealization, grid: np.ndarray) -> np.ndarray:

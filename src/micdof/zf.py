@@ -13,8 +13,8 @@ rank diagnostics on concrete channels.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
 zero on the rows of a transmitter that does not carry it.  Trials are built
-and judged in batches that share (config, point) (``_Trials``), one
-(B, m1+m2, d) stack per message, so each rank costs one batched SVD per
+and judged in batches of one stack shape (m1+m2, n1, n2, d1, d2), whatever
+configs they mix (``_Trials``), so each rank costs one batched SVD per
 batch.  numpy picks its BLAS call by shapes and strides, so the bits of a
 scheme alone are kept: projections run in groups of equal interference rank
 on views with one scheme's shapes, and norms as stacked matmuls, one BLAS
@@ -39,8 +39,9 @@ from .channel import (
     ChannelRealization,
     CognitionScenario,
     _generators,
-    _links,
+    _gather,
     _ranks,
+    _runs,
     sample_channels,
 )
 from .regions import _achievable, _pos, inner_points
@@ -70,29 +71,29 @@ class ZfScheme:
 
 
 class _Trials(NamedTuple):
-    """Trials that share (config, point): ``cells`` are (scenario, channels)
-    runs, one trial per channel, in trial order, and ``w1`` (B, m1+m2, d1)
-    and ``w2`` (B, m1+m2, d2) the trials' blocks, laid out as in ZfScheme."""
+    """Trials that share (m1+m2, n1, n2, d1, d2): ``cells`` are (config,
+    scenario, nulled, channels) runs, one trial per channel, in trial order,
+    with the counts (``_nulled``) their blocks null, and ``w1`` (B, m1+m2, d1)
+    and ``w2`` (B, m1+m2, d2) the blocks, laid out as in ZfScheme."""
 
-    config: AntennaConfig
+    n1: int
+    n2: int
     d1: int
     d2: int
     cells: list
     w1: np.ndarray
     w2: np.ndarray
 
-    @property
-    def channels(self) -> list[ChannelRealization]:
-        return [ch for _, channels in self.cells for ch in channels]
-
 
 def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Trials:
-    """Schemes that share (config, point), each on its channel, as one batch;
-    the channels must match the schemes' configuration."""
-    s = schemes[0]
-    if not all(ch.matches(s.config) for ch in channels):
+    """Schemes that share (m1+m2, n1, n2, d1, d2), each on its channel, as one
+    batch; each channel must match its scheme's configuration."""
+    if not all(ch.matches(x.config) for x, ch in zip(schemes, channels)):
         raise ValueError("channel does not match the scheme's configuration")
-    return _Trials(s.config, s.d1, s.d2, [(x.scenario, [ch]) for x, ch in zip(schemes, channels)],
+    s = schemes[0]
+    cells = [(x.config, x.scenario, _nulled(x.config, x.scenario, x.d1, x.d2), [ch])
+             for x, ch in zip(schemes, channels)]
+    return _Trials(s.config.n1, s.config.n2, s.d1, s.d2, cells,
                    np.array([x.w1 for x in schemes]), np.array([x.w2 for x in schemes]))
 
 
@@ -166,9 +167,10 @@ def _isotropic(rng: np.random.Generator, sizes: list[int]) -> np.ndarray:
     return np.concatenate(vectors)
 
 
-def _schemes(config: AntennaConfig, cells) -> dict[tuple[int, int], _Trials]:
-    """The schemes of cells (scenario, point, channels, seed), one batch per
-    point: trial t of a cell runs on channels[t] with vector seed seed + t.
+def _schemes(cells) -> dict[tuple[int, int], _Trials]:
+    """The schemes of cells (config, scenario, point, channels, seed) whose
+    configs share (m1+m2, n1, n2), one batch per point: trial t of a cell
+    runs on channels[t] with vector seed seed + t.
 
     A message's first k streams (``_nulled``) are the first k rows of the null
     basis of its cross link, read only when k > 0; it draws the rest on its
@@ -182,25 +184,27 @@ def _schemes(config: AntennaConfig, cells) -> dict[tuple[int, int], _Trials]:
     and its drawn vectors, read from their flat offsets and normalised with
     one ``_norms`` call.
     """
-    dim, plans, by_link = config.m1 + config.m2, {}, {}
-    for scenario, (d1, d2), channels, seed in cells:
+    (dim, n1, n2), = {(c.m1 + c.m2, c.n1, c.n2) for c, *_ in cells}  # one family, or this fails
+    plans, by_link = {}, {}
+    for config, scenario, (d1, d2), channels, seed in cells:
         active = (dim if scenario.t2 else config.m1, dim if scenario.t1 else config.m2)
+        nulled = _nulled(config, scenario, d1, d2)
         # (streams, active length, cross link, nulled count) per message
-        messages = tuple(zip((d1, d2), active, _cross_links(scenario),
-                             _nulled(config, scenario, d1, d2)))
+        messages = tuple(zip((d1, d2), active, _cross_links(scenario), nulled))
         for _, _, link, k in messages:
             if k:
-                by_link.setdefault(link, {}).update(dict.fromkeys(channels))
-        plans.setdefault((d1, d2), []).append((scenario, channels, seed, messages))
-    for link, linked in by_link.items():
+                by_link.setdefault((config, link), {}).update(dict.fromkeys(channels))
+        cell = (config, scenario, nulled, channels)
+        plans.setdefault((d1, d2), []).append((cell, seed, messages))
+    for (_, link), linked in by_link.items():
         ChannelRealization.null_bases(list(linked), link)
     batches, groups, draws, entropy, end = {}, {}, [], [], 0
     for point, plan in plans.items():
-        size = sum(len(channels) for _, channels, _, _ in plan)
-        batches[point] = _Trials(config, *point, [(sc, chs) for sc, chs, _, _ in plan],
+        size = sum(len(cell[3]) for cell, _, _ in plan)
+        batches[point] = _Trials(n1, n2, *point, [cell for cell, _, _ in plan],
                                  np.zeros((size, dim, point[0])), np.zeros((size, dim, point[1])))
         item = 0
-        for scenario, channels, seed, messages in plan:
+        for (_, _, _, channels), seed, messages in plan:
             n, sizes = len(channels), [a for s, a, _, k in messages for _ in range(s - k)]
             offset, stride = end, sum(sizes)  # a trial's draws: W1's, then W2's
             for m, (streams, a, link, k) in enumerate(messages):
@@ -251,12 +255,12 @@ def build_scheme(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2
             f"channel realization has shapes for {channel.config}, expected {config}"
         )
     _require_achievable(config, scenario, d1, d2)
-    trials = _schemes(config, [(scenario, (d1, d2), [channel], seed)])[d1, d2]
+    trials = _schemes([(config, scenario, (d1, d2), [channel], seed)])[d1, d2]
     return ZfScheme(config, scenario, d1, d2, trials.w1[0], trials.w2[0])
 
 
 def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
-    """One receiver for a batch of B schemes that share (config, point).
+    """One receiver for a batch of B schemes that share (m1+m2, n1, n2, d1, d2).
 
     ``rx`` (B, n, m1+m2) and ``scale`` (B,) are each item's channel to the
     receiver and its spectral norm, ``signal`` and ``interference`` the blocks
@@ -296,14 +300,13 @@ def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
 def _receivers(trials: _Trials):
     """Both receivers' ``_receiver`` results for a batch, each trial on its
     channel: receiver 1 decodes W1 against W2, receiver 2 W2 against W1."""
-    channels, config = trials.channels, trials.config
+    runs = _runs([ch for *_, channels in trials.cells for ch in channels])
     return tuple(
-        _receiver(_links(channels, link), ChannelRealization.spectral_norms(channels, link),
-                  signal, interference,
-                  [getattr(sc, flag) for sc, chs in trials.cells for _ in chs], antennas)
+        _receiver(_gather(runs, link), _gather(runs, ("norm", link)), signal, interference,
+                  [getattr(sc, flag) for _, sc, _, chs in trials.cells for _ in chs], antennas)
         for link, flag, signal, interference, antennas in (
-            ("rx1", "r1", trials.w1, trials.w2, config.n1),
-            ("rx2", "r2", trials.w2, trials.w1, config.n2),
+            ("rx1", "r1", trials.w1, trials.w2, trials.n1),
+            ("rx2", "r2", trials.w2, trials.w1, trials.n2),
         )
     )
 
@@ -319,21 +322,23 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
 
 def _null_residuals(trials: _Trials) -> np.ndarray:
     """Per trial, the worst relative leakage ||H w|| / ||H|| of its nulled
-    streams at the opposite receiver (0 when none is nulled): one
-    ``_column_norms`` per message, cross link and nulled count."""
-    dim, groups, start = trials.config.m1 + trials.config.m2, {}, 0
-    for scenario, channels in trials.cells:
-        nulled = _nulled(trials.config, scenario, trials.d1, trials.d2)
+    streams at the opposite receiver (0 when none is nulled), with the nulled
+    counts its blocks were built with: one ``_column_norms`` per message,
+    cross link, nulled count and channel stack."""
+    dim, groups, start = trials.w1.shape[1], {}, 0
+    for _, scenario, nulled, channels in trials.cells:
         for m, link, count in zip((0, 1), _cross_links(scenario), nulled):
-            if count:
-                groups.setdefault((m, link, count), []).extend(range(start, start + len(channels)))
+            for i, ch in enumerate(channels if count else (), start):
+                stack, index = ch._row
+                _, sel, rows = groups.setdefault((m, link, count, id(stack)), (stack, [], []))
+                sel.append(i)
+                rows.append(index)
         start += len(channels)
-    worst, channels = np.zeros(start), trials.channels
-    for (m, link, count), sel in groups.items():
-        linked = [channels[i] for i in sel]
-        h, norms = _links(linked, link), ChannelRealization.spectral_norms(linked, link)
-        rows = slice(dim - h.shape[2], dim) if m else slice(h.shape[2])
-        leaks = _column_norms(h, (trials.w2 if m else trials.w1)[sel, rows, :count])
+    worst = np.zeros(start)
+    for (m, link, count, _), (stack, sel, rows) in groups.items():
+        h, norms = stack[link][rows], stack["norm", link][rows]
+        cols = slice(dim - h.shape[2], dim) if m else slice(h.shape[2])
+        leaks = _column_norms(h, (trials.w2 if m else trials.w1)[sel, cols, :count])
         worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / norms)
     return worst
 
@@ -420,15 +425,14 @@ class SweepReport:
         return [c.to_json_dict() for c in self.cells]
 
 
-def _sweep_cells(config: AntennaConfig, cells: list[tuple]) -> list[SweepCell]:
-    """Sweep cells (scenario, point, channels, seed) of one configuration:
-    trial t of a cell runs on channels[t] with vector seed seed + t, and the
-    trials of the cells that share a point are built and judged as one batch,
-    whose verdicts come back in the order its cells were added."""
-    batches = _schemes(config, cells)
+def _sweep_cells(cells: list[tuple]) -> list[SweepCell]:
+    """Sweep cells (config, scenario, point, channels, seed) of one family
+    (m1+m2, n1, n2): trial t of a cell runs on channels[t] with vector seed
+    seed + t, and the trials of a point are built and judged as one batch."""
+    batches = _schemes(cells)
     verdicts = {point: iter(_verdicts(trials)) for point, trials in batches.items()}
     tallies = []
-    for scenario, point, channels, _ in cells:
+    for config, scenario, point, channels, _ in cells:
         chunk = list(itertools.islice(verdicts[point], len(channels)))
         passes = sum(not failed for failed, _ in chunk)
         worst = max((residual for _, residual in chunk), default=0.0)
@@ -442,28 +446,33 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
     Covers all antenna configurations with counts in 1..max_antennas, all 16
     cognition scenarios, every point of the achievable integer set, and
     ``trials`` random channels per point; a configuration's channels, all
-    scenarios' trials, are sampled as one batch.  Failures are recorded in
-    the report, not raised.
+    scenarios' trials, are sampled as one batch.  Configurations are judged
+    one family of equal (m1+m2, n1, n2) at a time, so what is held at once
+    scales with a family, not with the sweep.  Failures are recorded in the
+    report, not raised.
     """
     if max_antennas < 1:
         raise ValueError("max_antennas must be >= 1")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    cells: list[SweepCell] = []
     if trials == 0:
         return SweepReport(cells=())
     scenarios = CognitionScenario.all_scenarios()
-    for counts in itertools.product(range(1, max_antennas + 1), repeat=4):
-        config = AntennaConfig(*counts)
-        cell_seeds = [_derived_seed(seed, counts, s) for s in range(len(scenarios))]
-        sampled = sample_channels(config, [s + t for s in cell_seeds for t in range(trials)])
-        config_cells = []
-        for s_index, (scenario, cell_seed) in enumerate(zip(scenarios, cell_seeds)):
-            channels = sampled[s_index * trials : (s_index + 1) * trials]
-            for point in sorted(inner_points(config, scenario).points):
-                config_cells.append((scenario, point, channels, cell_seed))
-        cells.extend(_sweep_cells(config, config_cells))
-    return SweepReport(cells=tuple(cells))
+    configs = [AntennaConfig(*c) for c in itertools.product(range(1, max_antennas + 1), repeat=4)]
+    family = lambda config: (config.m1 + config.m2, config.n1, config.n2)
+    tallies: dict[AntennaConfig, list[SweepCell]] = {config: [] for config in configs}
+    for _, members in itertools.groupby(sorted(configs, key=family), family):
+        cells = []
+        for config in members:
+            cell_seeds = [_derived_seed(seed, config.counts, s) for s in range(len(scenarios))]
+            sampled = sample_channels(config, [s + t for s in cell_seeds for t in range(trials)])
+            for s_index, (scenario, cell_seed) in enumerate(zip(scenarios, cell_seeds)):
+                channels = sampled[s_index * trials : (s_index + 1) * trials]
+                for point in sorted(inner_points(config, scenario).points):
+                    cells.append((config, scenario, point, channels, cell_seed))
+        for cell in _sweep_cells(cells):
+            tallies[cell.config].append(cell)
+    return SweepReport(cells=tuple(itertools.chain.from_iterable(tallies.values())))
 
 
 def _derived_seed(seed: int, counts: tuple[int, int, int, int], s_index: int) -> int:

@@ -308,6 +308,7 @@ def test_sampling_caches_the_link_spectral_norms(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     links = ("h31", "h32", "h41", "h42")
     norms = {link: ChannelRealization.spectral_norms(channels, link).tolist() for link in links}
+    assert ChannelRealization.spectral_norms([], "rx1").shape == (0,)
     monkeypatch.undo()
     assert calls == []
     for link in links:
@@ -369,5 +370,5 @@ def test_sampling_decides_like_the_scalar_rule_at_the_edge(counts, pair, log_rat
     kept = all(_scalar_rank(m) == min(m.shape) for m in attempt0.values())
     expected = attempt0 if kept else _draw(config, seed, 1, pairs)
     assert _link_bytes(ch) == {p: m.tobytes() for p, m in expected.items()}
-    name = _PAIR_NAMES[pair]
-    assert ch._memo[("norm", name)] == float(np.linalg.norm(getattr(ch, name), 2))
+    name, (stack, row) = _PAIR_NAMES[pair], ch._row  # sampling keeps the norm in the stack
+    assert stack.get(("norm", name))[row] == float(np.linalg.norm(getattr(ch, name), 2))

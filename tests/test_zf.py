@@ -382,8 +382,9 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
     # Operation counts, not timings: the spectral norms and null-space bases
     # of a channel are computed once and shared by all points of its cell.
     # Channels are the seeds passed to sample_channels; every spectral norm
-    # and null basis is one row of a batched SVD in
-    # ChannelRealization.spectral_norms or ChannelRealization.null_bases.
+    # past sampling's is one row of a batched SVD over a channel stack,
+    # computed on first use (channel._Stack.__missing__), and every null basis
+    # one row of a batched SVD in ChannelRealization.null_bases.
     counts = {"channels": 0, "spectral_norms": 0, "null_bases": 0, "other_full_svds": 0}
     sample, svd = zf.sample_channels, np.linalg.svd
     inside = [None]
@@ -395,12 +396,12 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
 
     def within(name, call):
         def wrapped(*args, **kwargs):
-            inside[0] = name
+            outer, inside[0] = inside[0], name
             try:
                 return call(*args, **kwargs)
             finally:
-                inside[0] = None
-        return staticmethod(wrapped)
+                inside[0] = outer
+        return wrapped
 
     def counted_svd(a, full_matrices=True, *args, **kwargs):
         if inside[0]:
@@ -410,14 +411,15 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
         return svd(a, full_matrices, *args, **kwargs)
 
     monkeypatch.setattr(zf, "sample_channels", counted_sample)
-    for name in ("spectral_norms", "null_bases"):
-        monkeypatch.setattr(ChannelRealization, name,
-                            within(name, getattr(ChannelRealization, name)))
+    monkeypatch.setattr(channel._Stack, "__missing__",
+                        within("spectral_norms", channel._Stack.__missing__))
+    monkeypatch.setattr(ChannelRealization, "null_bases",
+                        staticmethod(within("null_bases", ChannelRealization.null_bases)))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     report = achievability_sweep(max_antennas=2, trials=1, seed=0)
     assert report.total_trials == 1290
     assert counts["channels"] == 256
-    assert counts["spectral_norms"] <= 4 * counts["channels"]
+    assert 0 < counts["spectral_norms"] <= 4 * counts["channels"]
     assert counts["null_bases"] <= 2 * counts["channels"]
     assert counts["other_full_svds"] == 0
 
@@ -486,7 +488,8 @@ def test_seeding_is_batched_and_skips_all_nulled_points(monkeypatch):
         return {name: count["calls"] for name, count in counts.items()}
 
     sweep = lambda trials: achievability_sweep(max_antennas=2, trials=trials, seed=0)
-    assert calls(sweep, 1) == calls(sweep, 5) == {"channel": 16, "zf": 16}  # one per config
+    # one per config for the channels, one per (m1+m2, n1, n2) family for the vectors
+    assert calls(sweep, 1) == calls(sweep, 5) == {"channel": 16, "zf": 12}
     config, sc = AntennaConfig(2, 4, 3, 3), scenario(0, 1, 0, 1)
     point = lambda trials: rates.simulate_point(config, sc, 2, 2, trials=trials, seed=3)
     assert calls(point, 1) == calls(point, 5) == {"channel": 1, "zf": 1}
@@ -646,9 +649,73 @@ def test_batch_of_one_matches_its_batch():
             assert rx[4][i].tobytes() == rx_alone[4][0].tobytes()  # projected spectrum
 
 
+def test_a_shape_batch_of_mixed_configs_and_stacks_matches_its_batches_of_one():
+    # (1,2,2,2) and (2,1,2,2) share (m1+m2, n1, n2), so their trials at a
+    # point are one batch.  The (1,2,2,2) channels are one sampled stack; the
+    # (2,1,2,2) ones are sampled one seed at a time, so they share a config
+    # but not a stack.  Every trial gets the block, verdict, diagnostics and
+    # projected bits it gets alone.
+    point, cells, expected = (1, 1), [], []
+    sampled = {AntennaConfig(1, 2, 2, 2): channel.sample_channels(AntennaConfig(1, 2, 2, 2),
+                                                                 range(40, 72)),
+               AntennaConfig(2, 1, 2, 2): [sample_channel(AntennaConfig(2, 1, 2, 2), seed=s)
+                                           for s in range(40, 72)]}
+    for config, channels in sampled.items():
+        for s_index, sc in enumerate(CognitionScenario.all_scenarios()):
+            if point in inner_points(config, sc).points:
+                chs, seed = channels[2 * s_index:2 * s_index + 2], 100 * s_index
+                cells.append((config, sc, point, chs, seed))
+                expected += [(build_scheme(config, sc, *point, ch, seed=seed + t), ch)
+                             for t, ch in enumerate(chs)]
+    trials = zf._schemes(cells)[point]
+    assert len({id(ch._row[0]) for _, ch in expected}) > 2 and len(expected) == len(trials.w1)
+    assert any(any(nulled) for _, _, nulled, _ in trials.cells)
+    verdicts, batch = zf._verdicts(trials), zf._receivers(trials)
+    for i, (scheme, ch) in enumerate(expected):
+        assert trials.w1[i].tobytes() == scheme.w1.tobytes()
+        assert trials.w2[i].tobytes() == scheme.w2.tobytes()
+        alone = zf._stacked([scheme], [ch])
+        assert verdicts[i] == zf._verdicts(alone)[0]
+        for rx, rx_alone in zip(batch, zf._receivers(alone)):
+            assert [part[i] for part in rx[:4]] == [part[0] for part in rx_alone[:4]]
+            assert rx[4][i].tobytes() == rx_alone[4][0].tobytes()  # projected spectrum
+
+
+def test_the_sweep_schemes_one_antenna_family_at_a_time(monkeypatch):
+    # Structural: achievability_sweep hands _schemes the cells of one
+    # (m1+m2, n1, n2) family per call, so what it holds at once scales with a
+    # family, not with the sweep: 12 families at counts 1..2.
+    schemes, families = zf._schemes, []
+
+    def recorded(cells):
+        families.append({(c.m1 + c.m2, c.n1, c.n2) for c, *_ in cells})
+        return schemes(cells)
+
+    monkeypatch.setattr(zf, "_schemes", recorded)
+    for trials in (1, 5):
+        families.clear()
+        assert achievability_sweep(max_antennas=2, trials=trials, seed=0).all_passed
+        assert all(len(family) == 1 for family in families)
+        assert len(families) == len(set().union(*families)) == 12
+
+
+def test_the_sweep_decides_each_nulled_count_once(monkeypatch):
+    # Operation count: _schemes asks _nulled once per cell, and the residual
+    # check reads the counts the blocks were built with.
+    nulled, calls = zf._nulled, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return nulled(*args)
+
+    monkeypatch.setattr(zf, "_nulled", counted)
+    assert achievability_sweep(max_antennas=3, trials=1, seed=21).total_trials == calls[0] == 8796
+
+
 def test_verdict_svds_do_not_grow_with_trials(monkeypatch):
     # Operation counts, not timings: the verdict stage makes a few batched
-    # SVD calls per (config, point) group, whatever the number of trials.
+    # SVD calls per (m1+m2, n1, n2, d1, d2) group, whatever the number of
+    # trials.
     svd, verdicts = np.linalg.svd, zf._verdicts
     counts = {"groups": 0, "svds": 0}
     inside = [False]
@@ -668,22 +735,22 @@ def test_verdict_svds_do_not_grow_with_trials(monkeypatch):
                 inside[0] = outer
         return wrapped
 
-    # Spectral norms are per-channel work (cached), even when a verdict asks.
-    norms = staticmethod(within(False, ChannelRealization.spectral_norms))
+    # Spectral norms are per-stack work (cached), even when a verdict asks.
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(zf, "_verdicts", within(True, verdicts, "groups"))
-    monkeypatch.setattr(ChannelRealization, "spectral_norms", norms)
+    monkeypatch.setattr(channel._Stack, "__missing__", within(False, channel._Stack.__missing__))
     seen = []
     for trials in (1, 4):
         counts.update(groups=0, svds=0)
         report = achievability_sweep(max_antennas=2, trials=trials, seed=0)
         assert report.total_trials == 1290 * trials and report.all_passed
         seen.append(dict(counts))
-    groups = sum(
-        len(set().union(*(inner_points(AntennaConfig(*c), sc).points
-                          for sc in CognitionScenario.all_scenarios())))
-        for c in itertools.product((1, 2), repeat=4)
-    )
+    groups = len({
+        (m1 + m2, n1, n2, *point)
+        for m1, m2, n1, n2 in itertools.product((1, 2), repeat=4)
+        for sc in CognitionScenario.all_scenarios()
+        for point in inner_points(AntennaConfig(m1, m2, n1, n2), sc).points
+    })
     assert seen[0] == seen[1]
     assert seen[0]["groups"] == groups
     assert 0 < seen[0]["svds"] <= 7 * groups  # 3 per receiver, 1 transmit rank
@@ -841,9 +908,9 @@ def test_scheme_writes_do_not_grow_with_channels(monkeypatch):
             patch.setattr(np, "add", CountedAdd())
             for c, channels in sampled.items():
                 config = AntennaConfig(*c)
-                zf._schemes(config, [(sc, point, channels, 10 * s)
-                                     for s, sc in enumerate(CognitionScenario.all_scenarios())
-                                     for point in sorted(inner_points(config, sc).points)])
+                zf._schemes([(config, sc, point, channels, 10 * s)
+                             for s, sc in enumerate(CognitionScenario.all_scenarios())
+                             for point in sorted(inner_points(config, sc).points)])
         seen.append(dict(counts))
         counts.update(norms=0, outer=0)
     assert seen[0] == seen[1] and seen[0]["norms"] > 0 and seen[0]["outer"] > 0
@@ -873,7 +940,7 @@ def test_a_zero_draw_is_drawn_again_as_one_vector_at_a_time(monkeypatch):
         cells = [(sc, p, channels, 10 * s_index)
                  for s_index, sc in enumerate(CognitionScenario.all_scenarios())
                  for p in inner_points(config, sc).points]
-        batches = zf._schemes(config, cells)
+        batches = zf._schemes([(config, *cell) for cell in cells])
         items = {point: iter(zip(trials.w1, trials.w2)) for point, trials in batches.items()}
         for sc, (d1, d2), chs, seed in cells:
             for trial, ch in enumerate(chs):
@@ -901,7 +968,7 @@ def test_sweep_batches_equal_the_per_scheme_vectors_to_the_byte():
         cells = [(sc, point, sampled[i * trials:(i + 1) * trials], cell_seed)
                  for i, (sc, cell_seed) in enumerate(zip(scenarios, cell_seeds))
                  for point in sorted(inner_points(config, sc).points)]
-        batches = zf._schemes(config, cells)
+        batches = zf._schemes([(config, *cell) for cell in cells])
         items = {point: iter(zip(batch.w1, batch.w2)) for point, batch in batches.items()}
         for sc, (d1, d2), chs, cell_seed in cells:
             for trial, ch in enumerate(chs):
@@ -928,7 +995,7 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
     channels = [sample_channel(config, seed=1), deficient, sample_channel(config, seed=2)]
     assert [len(basis) for basis in ChannelRealization.null_bases(channels, "rx2")] == [1, 2, 1]
     assert zf._nulled(config, sc, 2, 0) == (1, 0)
-    trials = zf._schemes(config, [(sc, (2, 0), channels, 4)])[2, 0]
+    trials = zf._schemes([(config, sc, (2, 0), channels, 4)])[2, 0]
     residuals = zf._null_residuals(trials).tolist()
     for t, ch in enumerate(channels):
         scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
