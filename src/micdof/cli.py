@@ -19,6 +19,8 @@ import sys
 
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
+    _ORDERING_CHAIN,
+    _ordering_holds,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
@@ -27,7 +29,6 @@ from .regions import (
     lemma5_holds,
     outer_region,
     regions_equal,
-    scenario_ordering_holds,
     sum_dof_lp,
 )
 from .zf import _require_achievable, _sweep_cells
@@ -210,26 +211,6 @@ def _cmd_region(args) -> int:
     return 0 if equal else 1
 
 
-def _verify_regions(max_antennas: int) -> tuple[int, list[str]]:
-    checks = 0
-    failures: list[str] = []
-    scenarios = CognitionScenario.all_scenarios()
-    for counts in itertools.product(range(1, max_antennas + 1), repeat=4):
-        config = AntennaConfig(*counts)
-        for scenario in scenarios:
-            inner = inner_region(config, scenario)
-            outer = outer_region(config, scenario)
-            checks += 1
-            if not regions_equal(inner, outer):
-                failures.append(f"region mismatch at {config} {scenario}")
-                continue
-            if dof_formula(config, scenario) != sum_dof_lp(outer):
-                failures.append(f"formula/LP mismatch at {config} {scenario}")
-            if any(type(v.d1) is not int or type(v.d2) is not int for v in outer.vertices):
-                failures.append(f"non-integer vertex at {config} {scenario}")
-    return checks, failures
-
-
 def _verify_lemma5() -> tuple[int, list[str]]:
     checks = 0
     failures = []
@@ -241,33 +222,53 @@ def _verify_lemma5() -> tuple[int, list[str]]:
     return checks, failures
 
 
-def _verify_ordering(max_antennas: int) -> tuple[int, list[str]]:
-    checks = 0
-    failures = []
-    for counts in itertools.product(range(1, max_antennas + 1), repeat=4):
-        config = AntennaConfig(*counts)
-        checks += 1
-        if not scenario_ordering_holds(config):
-            failures.append(f"cognition ordering fails at {config}")
-        achievable = inner_points(config, CognitionScenario()).points
-        if dof_cooperation(config) != max(d1 + d2 for d1, d2 in achievable):
-            failures.append(
-                f"cooperation DOF differs from the largest achievable no-cognition "
-                f"sum at {config}"
-            )
-    return checks, failures
+def _verify_configs(configs: list[AntennaConfig], regions: bool,
+                    ordering: bool) -> tuple[list[str], list[str]]:
+    """The region and ordering sweeps' failures, config by config.  The two
+    sweeps share each config's outer regions, built once: all 16 when the
+    region sweep runs, else only the five of the ordering chain."""
+    region_failures: list[str] = []
+    ordering_failures: list[str] = []
+    if regions:
+        scenarios = CognitionScenario.all_scenarios()
+    else:
+        scenarios = _ORDERING_CHAIN if ordering else ()
+    for config in configs:
+        outers = {scenario: outer_region(config, scenario) for scenario in scenarios}
+        for scenario, outer in outers.items() if regions else ():
+            if not regions_equal(inner_region(config, scenario), outer):
+                region_failures.append(f"region mismatch at {config} {scenario}")
+                continue
+            if dof_formula(config, scenario) != sum_dof_lp(outer):
+                region_failures.append(f"formula/LP mismatch at {config} {scenario}")
+            if any(type(v.d1) is not int or type(v.d2) is not int for v in outer.vertices):
+                region_failures.append(f"non-integer vertex at {config} {scenario}")
+        if ordering:
+            if not _ordering_holds(config, outers):
+                ordering_failures.append(f"cognition ordering fails at {config}")
+            achievable = inner_points(config, CognitionScenario()).points
+            if dof_cooperation(config) != max(d1 + d2 for d1, d2 in achievable):
+                ordering_failures.append(
+                    f"cooperation DOF differs from the largest achievable no-cognition "
+                    f"sum at {config}"
+                )
+    return region_failures, ordering_failures
 
 
 def _cmd_verify(args) -> int:
     if not 1 <= args.max_antennas <= 5:
         print("error: --max-antennas must be between 1 and 5", file=sys.stderr)
         return 2
+    counts = range(1, args.max_antennas + 1)
+    configs = [AntennaConfig(*c) for c in itertools.product(counts, repeat=4)]
+    region_failures, ordering_failures = _verify_configs(
+        configs, args.which in ("regions", "all"), args.which in ("ordering", "all"))
     total_checks = 0
     failures: list[str] = []
     for name, run, counted in (
-        ("regions", lambda: _verify_regions(args.max_antennas), "config/scenario cases"),
+        ("regions", lambda: (16 * len(configs), region_failures), "config/scenario cases"),
         ("lemma5", _verify_lemma5, "(c, d) pairs"),
-        ("ordering", lambda: _verify_ordering(args.max_antennas), "configs"),
+        ("ordering", lambda: (len(configs), ordering_failures), "configs"),
     ):
         if args.which in (name, "all"):
             checks, fails = run()

@@ -3,9 +3,11 @@
 Everything here is integer arithmetic: regions are intersections of integer
 halfspaces, vertices are integer points, and the sum-DOF linear program is
 solved by evaluating the objective at every vertex.  The inner region is the
-convex hull of the achievable integer points; the outer region is the
-converse halfspace intersection, whose every bound limits d1, d2 or d1 + d2,
-so its at most five corners have a closed form.  The two coincide, and a
+convex hull of the achievable integer points, a staircase closed under
+lowering either count, so the hull is read off (0, 0), the far end of the d1
+axis and the top of each column.  The outer region is the converse
+halfspace intersection, whose every bound limits d1, d2 or d1 + d2, so its
+at most five corners have a closed form.  The two coincide, and a
 closed-form minimum gives the same sum DOF, which the verification sweeps
 check exhaustively.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .channel import AntennaConfig, CognitionScenario
 
@@ -30,7 +32,7 @@ class Halfspace(NamedTuple):
         return self.a1 * point.d1 + self.a2 * point.d2 <= self.b
 
     def normalized(self) -> "Halfspace":
-        g = gcd(gcd(abs(self.a1), abs(self.a2)), abs(self.b))
+        g = gcd(self.a1, self.a2, self.b)
         if g > 1:
             return Halfspace(self.a1 // g, self.a2 // g, self.b // g)
         return self
@@ -53,26 +55,26 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-def _cross(o: DofPoint, a: DofPoint, b: DofPoint) -> int:
-    return (a.d1 - o.d1) * (b.d2 - o.d2) - (a.d2 - o.d2) * (b.d1 - o.d1)
+def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _convex_hull(points: Iterable[tuple[int, int]]) -> list[DofPoint]:
     """Monotone-chain hull, counterclockwise from the lexicographically
     smallest point, collinear interiors dropped; a degenerate hull is its
     sorted point or segment endpoints."""
-    pts = sorted({DofPoint(x, y) for x, y in points})
+    pts = sorted({(x, y) for x, y in points})
     if len(pts) <= 2:
-        return pts
-    hull: list[DofPoint] = []
+        return [DofPoint(x, y) for x, y in pts]
+    hull: list[tuple[int, int]] = []
     for chain_points in (pts, pts[::-1]):  # the lower chain, then the upper
-        chain: list[DofPoint] = []
+        chain: list[tuple[int, int]] = []
         for p in chain_points:
             while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         hull += chain[:-1]
-    return hull if len(hull) >= 3 else sorted(set(hull))
+    return [DofPoint(x, y) for x, y in (hull if len(hull) >= 3 else sorted(set(hull)))]
 
 
 @dataclass(frozen=True)
@@ -97,23 +99,26 @@ class Region2D:
         the halfspaces each count appears in, and the region's corners are
         integer points read off A, B and C.
         """
-        hs = _with_nonnegativity(halfspaces)
+        hs = tuple(dict.fromkeys([*NONNEGATIVITY, *(h.normalized() for h in halfspaces)]))
+        caps: dict[tuple[int, int], list[int]] = {normal: [] for normal in _BOUND_NORMALS}
         for h in hs:
-            if (h.a1, h.a2) not in _BOUND_NORMALS and h not in NONNEGATIVITY:
+            if (h.a1, h.a2) in caps:
+                caps[h.a1, h.a2].append(h.b)
+            elif h not in NONNEGATIVITY:
                 raise ValueError(
                     f"unsupported halfspace {tuple(h)}: only upper bounds on "
                     "d1, d2 and d1 + d2 are supported"
                 )
-        a = min((h.b for h in hs if h.a1 == 1), default=None)
-        b = min((h.b for h in hs if h.a2 == 1), default=None)
+        a = min(caps[1, 0] + caps[1, 1], default=None)
+        b = min(caps[0, 1] + caps[1, 1], default=None)
         if a is None or b is None:
             direction = (1, 0) if a is None else (0, 1)
             raise ValueError(f"region is unbounded or empty (recedes along {direction})")
         if a < 0 or b < 0:
             raise ValueError("region is empty")
-        c = min((h.b for h in hs if h.a1 == h.a2 == 1), default=a + b)
+        c = min(caps[1, 1], default=a + b)
         corners = [(0, 0), (a, 0), (0, b), (a, min(b, c - a)), (min(a, c - b), b)]
-        return cls(halfspaces=tuple(hs), vertices=tuple(_convex_hull(corners)))
+        return cls(halfspaces=hs, vertices=tuple(_convex_hull(corners)))
 
     @classmethod
     def from_integer_points(cls, points: Iterable[tuple[int, int]]) -> "Region2D":
@@ -146,8 +151,8 @@ class Region2D:
                 p, q = hull[i], hull[(i + 1) % n]
                 ex, ey = q.d1 - p.d1, q.d2 - p.d2
                 halfspaces.append(Halfspace(ey, -ex, ey * p.d1 - ex * p.d2))
-        normalized = _dedup([h.normalized() for h in halfspaces])
-        return cls(halfspaces=tuple(normalized), vertices=tuple(hull))
+        normalized = tuple(dict.fromkeys(h.normalized() for h in halfspaces))
+        return cls(halfspaces=normalized, vertices=tuple(hull))
 
     def contains(self, point: DofPoint) -> bool:
         return all(h.holds(point) for h in self.halfspaces)
@@ -173,17 +178,6 @@ class Region2D:
 
 def _frac_str(value: int) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def _dedup(halfspaces: Iterable[Halfspace]) -> list[Halfspace]:
-    seen: dict[Halfspace, None] = {}
-    for h in halfspaces:
-        seen.setdefault(h, None)
-    return list(seen)
-
-
-def _with_nonnegativity(halfspaces: Iterable[Halfspace]) -> list[Halfspace]:
-    return _dedup(list(NONNEGATIVITY) + [h.normalized() for h in halfspaces])
 
 
 @dataclass(frozen=True)
@@ -217,8 +211,8 @@ def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2:
     )
 
 
-def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> AchievableSet:
-    """Enumerate the achievable integer DOF pairs.
+def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[tuple[int, int]]:
+    """(d1, largest achievable d2) for each achievable d1 = 0, 1, ....
 
     Every left-hand side in ``_achievable`` is nondecreasing in d1 and d2, so
     the achievable set is closed under lowering either count: it is walked
@@ -226,20 +220,30 @@ def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> Achievab
     unachievable pair.  The walk ends because the transmit-side constraints
     bound both counts by m1 + m2.
     """
-    points = set()
+    tops = []
     d1 = 0
     while _achievable(config, scenario, d1, 0):
         d2 = 0
-        while _achievable(config, scenario, d1, d2):
-            points.add((d1, d2))
+        while _achievable(config, scenario, d1, d2 + 1):
             d2 += 1
+        tops.append((d1, d2))
         d1 += 1
-    return AchievableSet(points=frozenset(points), config=config, scenario=scenario)
+    return tops
+
+
+def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> AchievableSet:
+    """Enumerate the achievable integer DOF pairs: each column up to its top."""
+    tops = _column_tops(config, scenario)
+    points = frozenset((d1, d2) for d1, top in tops for d2 in range(top + 1))
+    return AchievableSet(points=points, config=config, scenario=scenario)
 
 
 def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
-    """Convex hull of the achievable integer points."""
-    return Region2D.from_integer_points(inner_points(config, scenario).points)
+    """Convex hull of the achievable integer points, read off the staircase:
+    every point lies between its column's top and the d1 axis, so the hull of
+    (0, 0), the axis's far end and the column tops is the hull of them all."""
+    tops = _column_tops(config, scenario)
+    return Region2D.from_integer_points([(0, 0), (tops[-1][0], 0), *tops])
 
 
 def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
@@ -330,16 +334,16 @@ def lemma5_holds(c: int, d: int, box: int) -> bool:
     return True
 
 
-# The cognition-ordering chain, as scenario bit 4-tuples [t1, t2, r1, r2]:
+# The cognition-ordering chain, from scenario bit 4-tuples [t1, t2, r1, r2]:
 # cognitive rx2, then cognitive t2 (alone, with rx2, with rx1), then both
 # cognitive transmitters.
-_ORDERING_CHAIN = (
+_ORDERING_CHAIN = tuple(CognitionScenario.from_bits(bits) for bits in (
     (0, 0, 0, 1),
     (0, 1, 0, 0),
     (0, 1, 0, 1),
     (0, 1, 1, 0),
     (1, 1, 0, 0),
-)
+))
 
 
 def scenario_ordering_holds(config: AntennaConfig) -> bool:
@@ -350,15 +354,14 @@ def scenario_ordering_holds(config: AntennaConfig) -> bool:
     and the region-inclusion chain for the same scenarios (with the middle
     pair equal as regions).
     """
-    scenarios = [CognitionScenario.from_bits(bits) for bits in _ORDERING_CHAIN]
-    etas = [dof_formula(config, s) for s in scenarios]
+    return _ordering_holds(config, {s: outer_region(config, s) for s in _ORDERING_CHAIN})
+
+
+def _ordering_holds(config: AntennaConfig, outer: Mapping[CognitionScenario, Region2D]) -> bool:
+    """``scenario_ordering_holds``, reading the chain's outer regions from ``outer``."""
+    etas = [dof_formula(config, s) for s in _ORDERING_CHAIN]
     if not (etas[0] <= etas[1] == etas[2] <= etas[3] <= etas[4]):
         return False
-    regions = [outer_region(config, s) for s in scenarios]
-    if not regions[0].is_subset_of(regions[1]):
-        return False
-    if not regions_equal(regions[1], regions[2]):
-        return False
-    if not regions[2].is_subset_of(regions[3]):
-        return False
-    return regions[3].is_subset_of(regions[4])
+    r = [outer[s] for s in _ORDERING_CHAIN]
+    return (r[0].is_subset_of(r[1]) and regions_equal(r[1], r[2])
+            and r[2].is_subset_of(r[3]) and r[3].is_subset_of(r[4]))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import micdof.cli
+import micdof.regions
 from micdof.channel import CognitionScenario
 from micdof.cli import main
 from micdof.regions import Halfspace, Region2D, dof_cooperation, dof_formula, outer_region
@@ -169,6 +170,56 @@ def test_verify_fails_on_wrong_cooperation_dof(capsys, monkeypatch):
     assert code == 1
     assert "FAIL: cooperation DOF differs" in out
     assert out.endswith("FAIL (16 of 16 checks)\n")
+
+
+@pytest.mark.parametrize("which,builds", [
+    ("all", 256), ("regions", 256), ("ordering", 80), ("lemma5", 0),
+])
+def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds):
+    # The region and ordering sweeps share a config's outer regions: all 16
+    # when the region sweep runs, else only the five of the ordering chain.
+    built = []
+
+    def counted(config, scenario):
+        built.append((config, scenario))
+        return outer_region(config, scenario)
+
+    monkeypatch.setattr(micdof.cli, "outer_region", counted)
+    monkeypatch.setattr(micdof.regions, "outer_region", counted)
+    code, _, _ = run(capsys, "verify", "--max-antennas", "2", "--which", which)
+    assert code == 0
+    assert len(built) == len(set(built)) == builds
+
+
+def test_verify_reports_region_failures_before_ordering_failures(capsys, monkeypatch):
+    # Loosening n1 in every scenario keeps the ordering chain intact, so it
+    # is loosened only where receiver 2 is cognitive: both sweeps then fail.
+    def loosened(config, scenario):
+        region = outer_region(config, scenario)
+        if not scenario.r2:
+            return region
+        tight = Halfspace(1, 0, config.n1)
+        return Region2D.from_halfspaces(
+            h._replace(b=h.b + 1) if h == tight else h for h in region.halfspaces
+        )
+
+    monkeypatch.setattr(micdof.cli, "outer_region", loosened)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[:3] == [
+        "regions: 256 config/scenario cases checked",
+        "lemma5: 81 (c, d) pairs checked",
+        "ordering: 16 configs checked",
+    ]
+    fails = lines[3:-1]
+    assert all(line.startswith("FAIL: ") for line in fails)
+    region_fails = [line for line in fails if "region mismatch" in line]
+    ordering_fails = [line for line in fails if "cognition ordering fails" in line]
+    assert region_fails and ordering_fails
+    assert fails == region_fails + ordering_fails
+    assert region_fails == sorted(region_fails)  # config by config, scenario by scenario
+    assert lines[-1] == f"FAIL ({len(fails)} of 353 checks)"
 
 
 def test_verify_rejects_zero_antennas(capsys):

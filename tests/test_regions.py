@@ -206,6 +206,23 @@ def test_region_vertices_are_python_ints():
                 assert all(type(c) is int for v in region.vertices for c in v)
 
 
+def test_inner_region_off_the_staircase_is_the_hull_of_every_point():
+    # inner_region hulls only (0, 0), the far end of the d1 axis and the
+    # column tops; that must give the region the hull of every achievable
+    # point gives, down to the element types.
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        for scenario in CognitionScenario.all_scenarios():
+            got = inner_region(config, scenario)
+            want = Region2D.from_integer_points(inner_points(config, scenario).points)
+            assert got.halfspaces == want.halfspaces
+            assert got.vertices == want.vertices
+            assert all(type(h) is Halfspace for h in got.halfspaces)
+            assert all(type(v) is DofPoint for v in got.vertices)
+            assert all(type(c) is int for h in got.halfspaces for c in h)
+            assert all(type(c) is int for v in got.vertices for c in v)
+
+
 def test_from_halfspaces_matches_reference_on_hand_built_bounds():
     cases = [
         [Halfspace(1, 1, 3)],
