@@ -20,11 +20,13 @@ import sys
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
     _ORDERING_CHAIN,
+    _column_tops,
+    _convex_hull,
     _ordering_holds,
+    _staircase,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
-    inner_points,
     inner_region,
     lemma5_holds,
     outer_region,
@@ -40,6 +42,7 @@ from .rates import (
 )
 
 SLOPE_TOLERANCE = 0.03
+_NO_COGNITION = CognitionScenario()
 
 
 def _fmt(value: float) -> str:
@@ -226,7 +229,8 @@ def _verify_configs(configs: list[AntennaConfig], regions: bool,
                     ordering: bool) -> tuple[list[str], list[str]]:
     """The region and ordering sweeps' failures, config by config.  The two
     sweeps share each config's outer regions, built once: all 16 when the
-    region sweep runs, else only the five of the ordering chain."""
+    region sweep runs, else only the five of the ordering chain.  Each
+    staircase is walked once; the cooperation check reads the no-cognition one."""
     region_failures: list[str] = []
     ordering_failures: list[str] = []
     if regions:
@@ -235,8 +239,9 @@ def _verify_configs(configs: list[AntennaConfig], regions: bool,
         scenarios = _ORDERING_CHAIN if ordering else ()
     for config in configs:
         outers = {scenario: outer_region(config, scenario) for scenario in scenarios}
+        tops = {s: _column_tops(config, s) for s in (outers if regions else ())}
         for scenario, outer in outers.items() if regions else ():
-            if not regions_equal(inner_region(config, scenario), outer):
+            if set(_convex_hull(_staircase(tops[scenario]))) != set(outer.vertices):
                 region_failures.append(f"region mismatch at {config} {scenario}")
                 continue
             if dof_formula(config, scenario) != sum_dof_lp(outer):
@@ -246,8 +251,8 @@ def _verify_configs(configs: list[AntennaConfig], regions: bool,
         if ordering:
             if not _ordering_holds(config, outers):
                 ordering_failures.append(f"cognition ordering fails at {config}")
-            achievable = inner_points(config, CognitionScenario()).points
-            if dof_cooperation(config) != max(d1 + d2 for d1, d2 in achievable):
+            no_cognition = tops[_NO_COGNITION] if regions else _column_tops(config, _NO_COGNITION)
+            if dof_cooperation(config) != max(d1 + top for d1, top in no_cognition):
                 ordering_failures.append(
                     f"cooperation DOF differs from the largest achievable no-cognition "
                     f"sum at {config}"

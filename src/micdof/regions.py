@@ -7,15 +7,15 @@ convex hull of the achievable integer points, a staircase closed under
 lowering either count, so the hull is read off (0, 0), the far end of the d1
 axis and the top of each column.  The outer region is the converse
 halfspace intersection, whose every bound limits d1, d2 or d1 + d2, so its
-at most five corners have a closed form.  The two coincide, and a
-closed-form minimum gives the same sum DOF, which the verification sweeps
-check exhaustively.
+at most five corners are written from those bounds A, B and C; the hull is
+taken only of point sets.  The two coincide, and a closed-form minimum gives
+the same sum DOF, which the verification sweeps check exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Mapping, NamedTuple
 
 from .channel import AntennaConfig, CognitionScenario
@@ -96,29 +96,30 @@ class Region2D:
         Each halfspace must bound d1, d2 or d1 + d2 from above, or be one of
         the nonnegativity halfspaces; any other is rejected.  Since d >= 0, a
         sum bound also caps each count, so A and B are the smallest b over
-        the halfspaces each count appears in, and the region's corners are
-        integer points read off A, B and C.
+        the halfspaces each count appears in.  The corners are written from
+        A, B and C, counterclockwise from (0, 0) with coincident ones merged,
+        as ``_convex_hull`` of them would give; no hull is taken.
         """
         hs = tuple(dict.fromkeys([*NONNEGATIVITY, *(h.normalized() for h in halfspaces)]))
-        caps: dict[tuple[int, int], list[int]] = {normal: [] for normal in _BOUND_NORMALS}
-        for h in hs:
-            if (h.a1, h.a2) in caps:
-                caps[h.a1, h.a2].append(h.b)
-            elif h not in NONNEGATIVITY:
+        caps = dict.fromkeys(_BOUND_NORMALS, inf)
+        for h in hs[len(NONNEGATIVITY):]:
+            normal = h.a1, h.a2
+            if normal not in caps:
                 raise ValueError(
                     f"unsupported halfspace {tuple(h)}: only upper bounds on "
                     "d1, d2 and d1 + d2 are supported"
                 )
-        a = min(caps[1, 0] + caps[1, 1], default=None)
-        b = min(caps[0, 1] + caps[1, 1], default=None)
-        if a is None or b is None:
-            direction = (1, 0) if a is None else (0, 1)
+            caps[normal] = min(caps[normal], h.b)
+        c = caps[1, 1]
+        a, b = min(caps[1, 0], c), min(caps[0, 1], c)
+        if inf in (a, b):
+            direction = (1, 0) if a == inf else (0, 1)
             raise ValueError(f"region is unbounded or empty (recedes along {direction})")
         if a < 0 or b < 0:
             raise ValueError("region is empty")
-        c = min(caps[1, 1], default=a + b)
-        corners = [(0, 0), (a, 0), (0, b), (a, min(b, c - a)), (min(a, c - b), b)]
-        return cls(halfspaces=hs, vertices=tuple(_convex_hull(corners)))
+        corners = (DofPoint(0, 0), DofPoint(a, 0), DofPoint(a, min(b, c - a)),
+                   DofPoint(min(a, c - b), b), DofPoint(0, b))
+        return cls(halfspaces=hs, vertices=tuple(dict.fromkeys(corners)))
 
     @classmethod
     def from_integer_points(cls, points: Iterable[tuple[int, int]]) -> "Region2D":
@@ -238,12 +239,16 @@ def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> Achievab
     return AchievableSet(points=points, config=config, scenario=scenario)
 
 
+def _staircase(tops: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(0, 0), the far end of the d1 axis and the column tops."""
+    return [(0, 0), (tops[-1][0], 0), *tops]
+
+
 def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
     """Convex hull of the achievable integer points, read off the staircase:
     every point lies between its column's top and the d1 axis, so the hull of
     (0, 0), the axis's far end and the column tops is the hull of them all."""
-    tops = _column_tops(config, scenario)
-    return Region2D.from_integer_points([(0, 0), (tops[-1][0], 0), *tops])
+    return Region2D.from_integer_points(_staircase(_column_tops(config, scenario)))
 
 
 def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:

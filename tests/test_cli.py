@@ -7,7 +7,14 @@ import micdof.cli
 import micdof.regions
 from micdof.channel import CognitionScenario
 from micdof.cli import main
-from micdof.regions import Halfspace, Region2D, dof_cooperation, dof_formula, outer_region
+from micdof.regions import (
+    Halfspace,
+    Region2D,
+    _column_tops,
+    dof_cooperation,
+    dof_formula,
+    outer_region,
+)
 from micdof.zf import _derived_seed, achievability_sweep
 
 
@@ -189,6 +196,46 @@ def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds
     code, _, _ = run(capsys, "verify", "--max-antennas", "2", "--which", which)
     assert code == 0
     assert len(built) == len(set(built)) == builds
+
+
+@pytest.mark.parametrize("which,walks", [
+    ("all", 256), ("regions", 256), ("ordering", 16), ("lemma5", 0),
+])
+def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
+    # The cooperation check reads the no-cognition staircase the region
+    # sweep walked; under --which ordering alone it walks just that one.
+    walked = []
+
+    def counted(config, scenario):
+        walked.append((config, scenario))
+        return _column_tops(config, scenario)
+
+    monkeypatch.setattr(micdof.cli, "_column_tops", counted)
+    monkeypatch.setattr(micdof.regions, "_column_tops", counted)
+    code, _, _ = run(capsys, "verify", "--max-antennas", "2", "--which", which)
+    assert code == 0
+    assert len(walked) == len(set(walked)) == walks
+
+
+def test_verify_fails_on_a_dropped_column(capsys, monkeypatch):
+    # Every other control changes the outer side or a formula; this one
+    # drops the last column of the staircase the region sweep hulls.
+    monkeypatch.setattr(micdof.cli, "_column_tops", lambda c, s: _column_tops(c, s)[:-1])
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
+    assert code == 1
+    assert "FAIL: region mismatch" in out
+
+
+def test_verify_derives_no_inner_halfspaces(capsys, monkeypatch):
+    # The region sweep compares vertex sets only, so it hulls each staircase
+    # and never builds an inner Region2D with its halfspaces.
+    def derive(points):
+        raise AssertionError("verify derived inner halfspaces")
+
+    monkeypatch.setattr(Region2D, "from_integer_points", derive)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
+    assert code == 0
+    assert out.endswith("PASS (353 checks)\n")
 
 
 def test_verify_reports_region_failures_before_ordering_failures(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from micdof.regions import (
     DofPoint,
     Halfspace,
     Region2D,
+    _convex_hull,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
@@ -234,6 +235,19 @@ def test_from_halfspaces_matches_reference_on_hand_built_bounds():
     for halfspaces in cases:
         region = Region2D.from_halfspaces(halfspaces)
         assert set(region.vertices) == reference_vertices(region.halfspaces)
+
+
+def test_from_halfspaces_corners_are_the_hull_of_the_five_corners():
+    # The corners are written from A, B and C; _convex_hull of the five
+    # candidates is the reference, down to the order and the element types.
+    for a, b in itertools.product(range(13), repeat=2):
+        for c in range(max(a, b), a + b + 3):
+            region = Region2D.from_halfspaces(
+                [Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c)])
+            want = _convex_hull([(0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)])
+            assert list(region.vertices) == want
+            assert all(type(v) is DofPoint for v in region.vertices)
+            assert all(type(x) is int for v in region.vertices for x in v)
 
 
 @pytest.mark.parametrize("halfspace", [
