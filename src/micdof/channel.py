@@ -9,12 +9,13 @@ directed links (every node is full duplex, self-links included).
 Sampling is batched: ``sample_channels`` draws one realization per seed and
 checks each link of the batch for full rank with one batched SVD.  Each
 seed's matrices depend on that seed alone, so ``sample_channel`` is the batch
-of one.  The generator states of a batch, equal to
-``np.random.default_rng``'s, are computed at once (``_generators``), here and
-for the vectors in ``zf``.  A sampled batch keeps its links as views of its
-draw, with their spectral norms (``_Stack``), and each realization its stack
-and row, so the links and norms of many realizations are one fancy index per
-stack (``_gather``).  Every rank in micdof is counted by one rule, ``_ranks``.
+of one.  Every seeded draw, here and for the vectors in ``zf``, comes from
+numpy's Philox under the key (seed mod 2**64, domain tag) (``_generators``),
+so seeded outputs depend on numpy's Philox and its normal sampler.  A sampled
+batch keeps its links as views of its draw, with their spectral norms
+(``_Stack``), and each realization its stack and row, so the links and norms
+of many realizations are one fancy index per stack (``_gather``).  Every rank
+in micdof is counted by one rule, ``_ranks``.
 """
 
 from __future__ import annotations
@@ -225,92 +226,23 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-# SeedSequence (NEP 19) hashing, as in numpy's bit_generator.pyx.  Hash call
-# k of a SeedSequence xors with INIT * MULT**k and then multiplies by
-# INIT * MULT**(k + 1) (mod 2**32), whatever the data.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-@functools.lru_cache(maxsize=None)
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..calls, as a (calls + 1, 1) column."""
-    powers = [init * pow(mult, k, 2**32) % 2**32 for k in range(calls + 1)]
-    return _freeze(np.array(powers, dtype=np.uint32)[:, None])
-
-
-# Pool word s is hashed into the other three by calls 4 + 3s..; with a 0 in
-# row s of these (4, 1) columns, each step of that mix runs on the whole pool.
-_SPREAD = [[np.insert(_hash_consts(_INIT_A, _MULT_A, 16)[4 + 3 * s + o:7 + 3 * s + o], s, 0, 0)
-            for o in (0, 1)] for s in range(4)]
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    x = (values ^ xor) * mult
-    x ^= x >> 16
-    return x
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = _MIX_L * x - _MIX_R * y
-    x ^= x >> 16
-    return x
-
-
-def _pool_states(words: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``generate_state(4, uint64)`` for each column of uint32
-    entropy words (n, B), every column at once.  Returns (4, B) uint64."""
-    n = len(words)
-    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(n - 4, 0))
-    pool = np.zeros((4, words.shape[1]), dtype=np.uint32)
-    pool[:n] = words[:4]
-    pool = _hashmix(pool, a[:4], a[1:5])
-    for src, (xor, mult) in enumerate(_SPREAD):
-        mixed = _mix(pool, _hashmix(pool[src], xor, mult))
-        mixed[src] = pool[src]
-        pool = mixed
-    for src in range(4, n):  # words past the pool mix into every pool word
-        pool = _mix(pool, _hashmix(words[src], a[4 * src:4 * src + 4], a[4 * src + 1:4 * src + 5]))
-    b = _hash_consts(_INIT_B, _MULT_B, 8)
-    out = _hashmix(np.concatenate((pool, pool)), b[:8], b[1:])
-    return out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << 32)
-
-
-class _Words:
-    """A seed sequence holding one row's PCG64 words, registered as numpy's
-    ISeedSequence on first use (importing micdof imports no numpy.random)."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("_Words holds the four uint64 words of a PCG64 seed only")
-        return self.words
-
-
 def _generators(entropy):
-    """Per row of ``entropy`` (B, k), integers in [0, 2**64), a generator in the
-    state that ``np.random.default_rng(list(row))`` starts in, bit for bit:
-    SeedSequence's states are computed for the batch, in groups of one word
-    layout (a value below 2**32 is one uint32 word, a larger one two), and
-    numpy's PCG64 seeding takes each row's four words (``_Words``).
-    """
-    if not len(entropy):
-        return
-    rows = np.asarray(entropy, dtype=np.uint64)
-    lo, hi = (rows & 0xFFFFFFFF).astype(np.uint32), (rows >> 32).astype(np.uint32)
-    layouts = ((hi != 0) << np.arange(rows.shape[1])).sum(axis=1)
-    states = np.empty((len(rows), 4), dtype=np.uint64)
-    with np.errstate(over="ignore"):  # the uint32 hash products wrap by design
-        for layout in set(layouts.tolist()):
-            sel = np.flatnonzero(layouts == layout)
-            words = [w for j in range(rows.shape[1])
-                     for w in ((lo[sel, j], hi[sel, j]) if layout >> j & 1 else (lo[sel, j],))]
-            states[sel] = _pool_states(np.array(words)).T
-    np.random.bit_generator.ISeedSequence.register(_Words)
-    for words in states:
-        yield np.random.Generator(np.random.PCG64(_Words(words)))
+    """Per row of ``entropy``, (seed, attempt) for a channel or (seed, d1, d2)
+    for scheme vectors with seed in [0, 2**64), numpy's Philox at counter 0
+    under the key (seed, tag): tag = attempt, or (d1 + 1) * 2**32 + d2, so no
+    two rows share a key while attempt, d2 < 2**32 and d1 < 2**32 - 1.  It is
+    one generator, reset for each row with its buffer emptied and yielded
+    again, so a caller draws all it needs from one row's generator before it
+    asks for the next."""
+    bits = np.random.Philox()
+    rng, state = np.random.Generator(bits), bits.state
+    for seed, *tag in entropy:
+        high, low = (0, *tag) if len(tag) == 1 else (tag[0] + 1, *tag[1:])
+        if min(tag) < 0 or max(high, low) >= 2**32:
+            raise ValueError(f"entropy row {(seed, *tag)} has no Philox key")
+        state["state"]["key"] = [seed, high << 32 | low]
+        bits.state = state
+        yield rng
 
 
 def sample_channel(config: AntennaConfig, seed: int, extended: bool = False) -> ChannelRealization:
@@ -326,12 +258,10 @@ def sample_channels(config: AntennaConfig, seeds,
     every matrix full rank almost surely; a seed whose draw fails the rank
     rule at tolerance is redrawn with a derived seed, up to 8 attempts before
     giving up.  Each seed's draw depends on that seed alone: attempt a draws
-    its links in pair order from one generator in the state that
-    ``np.random.default_rng([seed mod 2**64, a])`` starts in, and the states
-    of an attempt's pending seeds are computed as one batch (``_generators``).
-    Each link of a batch is checked with one SVD, whose largest singular
-    values are kept as the spectral norms of h31..h42, in one ``_Stack`` per
-    attempt with (C, n, m) views of its draw.
+    its links in pair order from Philox under the key (seed mod 2**64, a)
+    (``_generators``).  Each link of a batch is checked with one SVD, whose
+    largest singular values are kept as the spectral norms of h31..h42, in
+    one ``_Stack`` per attempt with (C, n, m) views of its draw.
     """
     spans, size = _spans(config.counts, extended)
     seeds = list(seeds)

@@ -174,10 +174,9 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
 
     A message's first k streams (``_nulled``) are the first k rows of the null
     basis of its cross link, read only when k > 0; it draws the rest on its
-    active rows, W1's first, from a generator in the state of
-    ``np.random.default_rng([seed mod 2**64, d1, d2])``: one batch of states
-    (``_generators``) and one standard_normal call per trial that draws,
-    which gives the numbers of one call per vector (``_isotropic`` redraws
+    active rows, W1's first, from Philox under the key (seed mod 2**64, tag
+    of (d1, d2)) (``_generators``): one standard_normal call per trial that
+    draws gives the numbers of one call per vector (``_isotropic`` redraws
     when a vector, hence each of its squares, is 0).  Each trial is placed
     once per message, in the group of its (point, message, active length, k),
     and a group is written with two fancy assignments: its stacked basis rows,

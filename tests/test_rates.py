@@ -73,14 +73,40 @@ def test_rates_refuse_undecodable_scheme():
         achievable_rates(corrupted, ch, 100.0)
 
 
+def _high_snr_gap_holds(totals, models, rho, streams, k_shift=0):
+    # Per channel: the sum rate minus streams * log2(rho) is the offset
+    # -sum log2(k / sigma^2) plus a remainder sum log2(1 + k / (rho sigma^2))
+    # in [0, sum k / (rho sigma^2 ln 2)], with the stream's k and squared
+    # projected singular value sigma^2 (``_rate_models``); k_shift moves k.
+    offset = remainder_max = 0.0
+    for k, gains in models:
+        k = (k + k_shift)[:, None].astype(float)
+        offset = offset - np.log2(k / gains).sum(axis=1)
+        remainder_max = remainder_max + (k / (rho * gains * np.log(2))).sum(axis=1)
+    remainder = totals - streams * np.log2(rho) - offset
+    return (remainder >= -1e-9) & (remainder <= remainder_max + 1e-9)
+
+
 def test_sum_rate_near_high_snr_prediction():
-    # At rho = 1e6 a representative channel sits within 10% of the
-    # slope-2 prediction; the bounded per-channel offset explains the gap.
-    config = AntennaConfig(2, 2, 2, 2)
-    ch = sample_channel(config, seed=0)
-    scheme = build_scheme(config, scenario(0, 1, 0, 1), 1, 1, ch, seed=0)
-    r1, r2 = achievable_rates(scheme, ch, 1e6)
-    assert r1 + r2 == pytest.approx(2 * np.log2(1e6), rel=0.10)
+    # At rho = 1e6 the sum rate of d1 + d2 streams is (d1 + d2) log2(rho)
+    # minus a bounded per-channel offset, on every channel of 200: the gap
+    # is -sum log2(k / sigma^2) up to a remainder below sum k / (rho sigma^2
+    # ln 2).  Negative control: with each k off by one the check fails on
+    # all but the few channels whose tiny sigma^2 widens the band (13 and 5
+    # of 3,000 for the last two points at seeds 1000..3999).
+    rho = 1e6
+    for counts, bits, (d1, d2) in (((2, 2, 2, 2), (0, 1, 0, 1), (1, 1)),
+                                   ((2, 3, 3, 2), (0, 1, 0, 0), (2, 1)),
+                                   ((3, 3, 2, 2), (1, 1, 0, 0), (2, 2))):
+        config, sc = AntennaConfig(*counts), scenario(*bits)
+        channels = sample_channels(config, range(200))
+        schemes = [build_scheme(config, sc, d1, d2, ch, seed=s) for s, ch in enumerate(channels)]
+        totals = np.array([sum(achievable_rates(x, ch, rho)) for x, ch in zip(schemes, channels)])
+        models = _rate_models(_stacked(schemes, channels))
+        assert [gains.shape for _, gains in models] == [(200, d1), (200, d2)]
+        assert _high_snr_gap_holds(totals, models, rho, d1 + d2).all()
+        for shift in (1, -1):  # every k here is 2 or more
+            assert _high_snr_gap_holds(totals, models, rho, d1 + d2, shift).mean() <= 0.05
 
 
 def test_rates_monotone_in_power():

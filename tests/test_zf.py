@@ -765,6 +765,12 @@ def _embed(vectors, dim, at_end):
     return block
 
 
+def _vector_rng(seed, d1, d2):
+    # Reference: a fresh Philox generator under the vector key of (seed, d1, d2).
+    key = np.array([seed & (2**64 - 1), (d1 + 1) * 2**32 + d2], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
     # Reference: the generator is built before any stream is placed.  The
     # first min(streams, r) streams are rows of the cross link's null basis,
@@ -773,7 +779,7 @@ def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
     # and normalised on its own, and a zero vector is drawn again.  ``rng``
     # stands in for the seeded generator.
     if rng is None:
-        rng = np.random.default_rng([seed & (2**64 - 1), d1, d2])
+        rng = _vector_rng(seed, d1, d2)
 
     def message(streams, active_dim, link, link_rows, opposite_cognitive, at_end):
         vectors, nulled = [], min(streams, max(active_dim - link_rows, 0))
@@ -920,7 +926,7 @@ class _ZeroFirst:
     # Stands in for an entropy row's generator: its first draw is all zeros,
     # later draws are the row's own.
     def __init__(self, row):
-        self.rng, self.first = np.random.default_rng(list(row)), True
+        self.rng, self.first = _vector_rng(*row), True
 
     def standard_normal(self, size):
         if self.first:
@@ -1002,7 +1008,7 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
         assert trials.w1[t].tobytes() == scheme.w1.tobytes()
         assert trials.w2[t].tobytes() == scheme.w2.tobytes()
         basis = ChannelRealization.null_bases([ch], "rx2")[0]
-        vec = np.random.default_rng([4 + t, 2, 0]).standard_normal(3)
+        vec = _vector_rng(4 + t, 2, 0).standard_normal(3)
         assert scheme.w1[:, 0].tobytes() == basis[0].tobytes()
         assert scheme.w1[:, 1].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
         rx2 = channel._links([ch], "rx2")[0]
