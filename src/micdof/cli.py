@@ -21,9 +21,9 @@ from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
     _ORDERING_CHAIN,
     _column_tops,
-    _convex_hull,
+    _corners,
     _ordering_holds,
-    _staircase,
+    _outer_caps,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
@@ -228,9 +228,12 @@ def _verify_lemma5() -> tuple[int, list[str]]:
 def _verify_configs(configs: list[AntennaConfig], regions: bool,
                     ordering: bool) -> tuple[list[str], list[str]]:
     """The region and ordering sweeps' failures, config by config.  The two
-    sweeps share each config's outer regions, built once: all 16 when the
-    region sweep runs, else only the five of the ordering chain.  Each
-    staircase is walked once; the cooperation check reads the no-cognition one."""
+    sweeps share each config's outer caps (A, B, C): all 16 when the region
+    sweep runs, else only the five of the ordering chain.  The regions are
+    equal exactly when each outer corner is under its column's top (the
+    achievable set is closed under lowering either count) and each column top
+    is within the caps; the LP value is min(C, A + B).  Each staircase is
+    walked once; the cooperation check reads the no-cognition one."""
     region_failures: list[str] = []
     ordering_failures: list[str] = []
     if regions:
@@ -238,18 +241,21 @@ def _verify_configs(configs: list[AntennaConfig], regions: bool,
     else:
         scenarios = _ORDERING_CHAIN if ordering else ()
     for config in configs:
-        outers = {scenario: outer_region(config, scenario) for scenario in scenarios}
-        tops = {s: _column_tops(config, s) for s in (outers if regions else ())}
-        for scenario, outer in outers.items() if regions else ():
-            if set(_convex_hull(_staircase(tops[scenario]))) != set(outer.vertices):
+        caps = {scenario: _outer_caps(config, scenario) for scenario in scenarios}
+        tops = {s: _column_tops(config, s) for s in (caps if regions else ())}
+        for scenario, (a, b, c) in caps.items() if regions else ():
+            if any(type(cap) is not int for cap in (a, b, c)):
+                region_failures.append(f"non-integer vertex at {config} {scenario}")
+                continue
+            column = tops[scenario]
+            if not (all(x < len(column) and column[x][1] >= y for x, y in _corners(a, b, c))
+                    and all(d1 <= a and top <= b and d1 + top <= c for d1, top in column)):
                 region_failures.append(f"region mismatch at {config} {scenario}")
                 continue
-            if dof_formula(config, scenario) != sum_dof_lp(outer):
+            if dof_formula(config, scenario) != min(c, a + b):
                 region_failures.append(f"formula/LP mismatch at {config} {scenario}")
-            if any(type(v.d1) is not int or type(v.d2) is not int for v in outer.vertices):
-                region_failures.append(f"non-integer vertex at {config} {scenario}")
         if ordering:
-            if not _ordering_holds(config, outers):
+            if not _ordering_holds(config, caps):
                 ordering_failures.append(f"cognition ordering fails at {config}")
             no_cognition = tops[_NO_COGNITION] if regions else _column_tops(config, _NO_COGNITION)
             if dof_cooperation(config) != max(d1 + top for d1, top in no_cognition):

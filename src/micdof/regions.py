@@ -5,17 +5,18 @@ halfspaces, vertices are integer points, and the sum-DOF linear program is
 solved by evaluating the objective at every vertex.  The inner region is the
 convex hull of the achievable integer points, a staircase closed under
 lowering either count, so the hull is read off (0, 0), the far end of the d1
-axis and the top of each column.  The outer region is the converse
-halfspace intersection, whose every bound limits d1, d2 or d1 + d2, so its
-at most five corners are written from those bounds A, B and C; the hull is
-taken only of point sets.  The two coincide, and a closed-form minimum gives
-the same sum DOF, which the verification sweeps check exhaustively.
+axis and the top of each column.  Every converse bound limits d1, d2 or
+d1 + d2, so the outer region is fixed by three caps A, B and C, written once
+in ``_outer_caps``, and its at most five corners follow from them.  The two
+regions coincide exactly when every outer corner is achievable and every
+column top lies within the caps, and a closed-form minimum gives the same
+sum DOF; the verification sweeps check both exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
 from .channel import AntennaConfig, CognitionScenario
@@ -46,9 +47,6 @@ class DofPoint(NamedTuple):
 
 
 NONNEGATIVITY = (Halfspace(-1, 0, 0), Halfspace(0, -1, 0))
-
-# The normals of the outer bounds: d1 <= A, d2 <= B and d1 + d2 <= C.
-_BOUND_NORMALS = ((1, 0), (0, 1), (1, 1))
 
 
 def _pos(x: int) -> int:
@@ -90,38 +88,6 @@ class Region2D:
     vertices: tuple[DofPoint, ...]
 
     @classmethod
-    def from_halfspaces(cls, halfspaces: Iterable[Halfspace]) -> "Region2D":
-        """The region {d >= 0, d1 <= A, d2 <= B, d1 + d2 <= C}.
-
-        Each halfspace must bound d1, d2 or d1 + d2 from above, or be one of
-        the nonnegativity halfspaces; any other is rejected.  Since d >= 0, a
-        sum bound also caps each count, so A and B are the smallest b over
-        the halfspaces each count appears in.  The corners are written from
-        A, B and C, counterclockwise from (0, 0) with coincident ones merged,
-        as ``_convex_hull`` of them would give; no hull is taken.
-        """
-        hs = tuple(dict.fromkeys([*NONNEGATIVITY, *(h.normalized() for h in halfspaces)]))
-        caps = dict.fromkeys(_BOUND_NORMALS, inf)
-        for h in hs[len(NONNEGATIVITY):]:
-            normal = h.a1, h.a2
-            if normal not in caps:
-                raise ValueError(
-                    f"unsupported halfspace {tuple(h)}: only upper bounds on "
-                    "d1, d2 and d1 + d2 are supported"
-                )
-            caps[normal] = min(caps[normal], h.b)
-        c = caps[1, 1]
-        a, b = min(caps[1, 0], c), min(caps[0, 1], c)
-        if inf in (a, b):
-            direction = (1, 0) if a == inf else (0, 1)
-            raise ValueError(f"region is unbounded or empty (recedes along {direction})")
-        if a < 0 or b < 0:
-            raise ValueError("region is empty")
-        corners = (DofPoint(0, 0), DofPoint(a, 0), DofPoint(a, min(b, c - a)),
-                   DofPoint(min(a, c - b), b), DofPoint(0, b))
-        return cls(halfspaces=hs, vertices=tuple(dict.fromkeys(corners)))
-
-    @classmethod
     def from_integer_points(cls, points: Iterable[tuple[int, int]]) -> "Region2D":
         pts = list(points)
         if not pts:
@@ -154,12 +120,6 @@ class Region2D:
                 halfspaces.append(Halfspace(ey, -ex, ey * p.d1 - ex * p.d2))
         normalized = tuple(dict.fromkeys(h.normalized() for h in halfspaces))
         return cls(halfspaces=normalized, vertices=tuple(hull))
-
-    def contains(self, point: DofPoint) -> bool:
-        return all(h.holds(point) for h in self.halfspaces)
-
-    def is_subset_of(self, other: "Region2D") -> bool:
-        return all(other.contains(v) for v in self.vertices)
 
     def to_json_dict(
         self,
@@ -251,29 +211,39 @@ def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D
     return Region2D.from_integer_points(_staircase(_column_tops(config, scenario)))
 
 
-def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
-    """Converse region: intersection of the known DOF upper bounds.
+def _outer_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int, int]:
+    """The converse caps d1 <= A, d2 <= B and d1 + d2 <= C, with A, B <= C.
 
-    The two sum bounds tied to a cognitive transmitter are dropped exactly
-    when that transmitter is cognitive, matching the closed-form minimum in
-    dof_formula; a cognitive receiver on the same side relaxes max(...) to a
-    sum of the two counts.  Every bound limits d1, d2 or d1 + d2, so the
-    region is {d >= 0, d1 <= A, d2 <= B, d1 + d2 <= C} with integer A, B, C.
+    The two bounds tied to a transmitter are dropped exactly when it is
+    cognitive, as in dof_formula; a cognitive receiver on the same side
+    relaxes max(...) to a sum of the two counts.
     """
     m1, m2, n1, n2 = config.counts
-    halfspaces = [
-        Halfspace(1, 1, m1 + m2),
-        Halfspace(1, 1, n1 + n2),
-        Halfspace(1, 0, n1),
-        Halfspace(0, 1, n2),
-    ]
+    a, b, c = n1, n2, min(m1 + m2, n1 + n2)
     if not scenario.t2:
-        halfspaces.append(Halfspace(1, 0, m1))
-        halfspaces.append(Halfspace(1, 1, (m1 + n2) if scenario.r2 else max(m1, n2)))
+        a = min(a, m1)
+        c = min(c, (m1 + n2) if scenario.r2 else max(m1, n2))
     if not scenario.t1:
-        halfspaces.append(Halfspace(0, 1, m2))
-        halfspaces.append(Halfspace(1, 1, (m2 + n1) if scenario.r1 else max(m2, n1)))
-    return Region2D.from_halfspaces(halfspaces)
+        b = min(b, m2)
+        c = min(c, (m2 + n1) if scenario.r1 else max(m2, n1))
+    return min(a, c), min(b, c), c
+
+
+def _corners(a: int, b: int, c: int) -> tuple[DofPoint, ...]:
+    """The corners of {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c} for a, b <= c,
+    counterclockwise from (0, 0) with coincident ones merged, as
+    ``_convex_hull`` of them would give; no hull is taken."""
+    return tuple(dict.fromkeys((DofPoint(0, 0), DofPoint(a, 0), DofPoint(a, min(b, c - a)),
+                                DofPoint(min(a, c - b), b), DofPoint(0, b))))
+
+
+def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
+    """Converse region {d >= 0, d1 <= A, d2 <= B, d1 + d2 <= C} for the caps
+    of ``_outer_caps``: the nonnegativity halfspaces, the three caps and
+    their corners."""
+    a, b, c = _outer_caps(config, scenario)
+    halfspaces = (*NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
+    return Region2D(halfspaces=halfspaces, vertices=_corners(a, b, c))
 
 
 def regions_equal(a: Region2D, b: Region2D) -> bool:
@@ -359,14 +329,17 @@ def scenario_ordering_holds(config: AntennaConfig) -> bool:
     and the region-inclusion chain for the same scenarios (with the middle
     pair equal as regions).
     """
-    return _ordering_holds(config, {s: outer_region(config, s) for s in _ORDERING_CHAIN})
+    return _ordering_holds(config, {s: _outer_caps(config, s) for s in _ORDERING_CHAIN})
 
 
-def _ordering_holds(config: AntennaConfig, outer: Mapping[CognitionScenario, Region2D]) -> bool:
-    """``scenario_ordering_holds``, reading the chain's outer regions from ``outer``."""
+def _ordering_holds(config: AntennaConfig,
+                    caps: Mapping[CognitionScenario, tuple[int, int, int]]) -> bool:
+    """``scenario_ordering_holds``, reading the chain's outer caps from ``caps``.
+    The converse's caps have A, B <= C <= A + B, so each is attained and one
+    outer region lies in another exactly when its caps are no larger."""
     etas = [dof_formula(config, s) for s in _ORDERING_CHAIN]
     if not (etas[0] <= etas[1] == etas[2] <= etas[3] <= etas[4]):
         return False
-    r = [outer[s] for s in _ORDERING_CHAIN]
-    return (r[0].is_subset_of(r[1]) and regions_equal(r[1], r[2])
-            and r[2].is_subset_of(r[3]) and r[3].is_subset_of(r[4]))
+    r = [caps[s] for s in _ORDERING_CHAIN]
+    return r[1] == r[2] and all(x <= y for lo, hi in ((r[0], r[1]), (r[2], r[3]), (r[3], r[4]))
+                                for x, y in zip(lo, hi))

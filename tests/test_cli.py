@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -8,12 +7,11 @@ import micdof.regions
 from micdof.channel import CognitionScenario
 from micdof.cli import main
 from micdof.regions import (
-    Halfspace,
     Region2D,
     _column_tops,
+    _outer_caps,
     dof_cooperation,
     dof_formula,
-    outer_region,
 )
 from micdof.zf import _derived_seed, achievability_sweep
 
@@ -136,13 +134,23 @@ def test_verify_lemma5_only(capsys):
 
 def test_verify_fails_on_loosened_outer_bound(capsys, monkeypatch):
     def loosened(config, scenario):
-        tight = Halfspace(1, 0, config.n1)
-        region = outer_region(config, scenario)
-        return Region2D.from_halfspaces(
-            h._replace(b=h.b + 1) if h == tight else h for h in region.halfspaces
-        )
+        a, b, c = _outer_caps(config, scenario)
+        return a + 1, b, c
 
-    monkeypatch.setattr(micdof.cli, "outer_region", loosened)
+    monkeypatch.setattr(micdof.cli, "_outer_caps", loosened)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
+    assert code == 1
+    assert "FAIL: region mismatch" in out
+
+
+def test_verify_fails_on_a_tightened_sum_cap(capsys, monkeypatch):
+    # The outer region shrinks, so every corner stays achievable; only the
+    # check that every column top lies within the caps can see it.
+    def tightened(config, scenario):
+        a, b, c = _outer_caps(config, scenario)
+        return min(a, c - 1), min(b, c - 1), c - 1
+
+    monkeypatch.setattr(micdof.cli, "_outer_caps", tightened)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
     assert code == 1
     assert "FAIL: region mismatch" in out
@@ -156,14 +164,12 @@ def test_verify_fails_on_wrong_formula(capsys, monkeypatch):
 
 
 def test_verify_fails_on_float_vertices(capsys, monkeypatch):
-    # Float coordinates still compare equal to the inner region's ints and
-    # give the same LP value, so only the vertex type check can see them.
+    # Float caps compare equal to the staircase's ints and give the same LP
+    # value, so only the integrality check, which runs first, can see them.
     def floated(config, scenario):
-        region = outer_region(config, scenario)
-        vertices = tuple(v._replace(d1=float(v.d1), d2=float(v.d2)) for v in region.vertices)
-        return dataclasses.replace(region, vertices=vertices)
+        return tuple(float(cap) for cap in _outer_caps(config, scenario))
 
-    monkeypatch.setattr(micdof.cli, "outer_region", floated)
+    monkeypatch.setattr(micdof.cli, "_outer_caps", floated)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
     assert code == 1
     assert "FAIL: region mismatch" not in out and "FAIL: formula/LP mismatch" not in out
@@ -183,16 +189,17 @@ def test_verify_fails_on_wrong_cooperation_dof(capsys, monkeypatch):
     ("all", 256), ("regions", 256), ("ordering", 80), ("lemma5", 0),
 ])
 def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds):
-    # The region and ordering sweeps share a config's outer regions: all 16
-    # when the region sweep runs, else only the five of the ordering chain.
+    # The region and ordering sweeps share a config's outer cap triples, each
+    # read once: all 16 when the region sweep runs, else only the five of
+    # the ordering chain.
     built = []
 
     def counted(config, scenario):
         built.append((config, scenario))
-        return outer_region(config, scenario)
+        return _outer_caps(config, scenario)
 
-    monkeypatch.setattr(micdof.cli, "outer_region", counted)
-    monkeypatch.setattr(micdof.regions, "outer_region", counted)
+    monkeypatch.setattr(micdof.cli, "_outer_caps", counted)
+    monkeypatch.setattr(micdof.regions, "_outer_caps", counted)
     code, _, _ = run(capsys, "verify", "--max-antennas", "2", "--which", which)
     assert code == 0
     assert len(built) == len(set(built)) == builds
@@ -219,7 +226,8 @@ def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
 
 def test_verify_fails_on_a_dropped_column(capsys, monkeypatch):
     # Every other control changes the outer side or a formula; this one
-    # drops the last column of the staircase the region sweep hulls.
+    # drops the last column of the staircase, so an outer corner is no
+    # longer under a column top.
     monkeypatch.setattr(micdof.cli, "_column_tops", lambda c, s: _column_tops(c, s)[:-1])
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
     assert code == 1
@@ -227,30 +235,28 @@ def test_verify_fails_on_a_dropped_column(capsys, monkeypatch):
 
 
 def test_verify_derives_no_inner_halfspaces(capsys, monkeypatch):
-    # The region sweep compares vertex sets only, so it hulls each staircase
-    # and never builds an inner Region2D with its halfspaces.
-    def derive(points):
-        raise AssertionError("verify derived inner halfspaces")
+    # The region sweep compares caps with column tops only: it builds no
+    # inner or outer Region2D and takes no hull.
+    def refuse(*args):
+        raise AssertionError("verify built a region or took a hull")
 
-    monkeypatch.setattr(Region2D, "from_integer_points", derive)
+    monkeypatch.setattr(Region2D, "from_integer_points", refuse)
+    monkeypatch.setattr(micdof.regions, "_convex_hull", refuse)
+    monkeypatch.setattr(micdof.regions, "outer_region", refuse)
+    monkeypatch.setattr(micdof.cli, "outer_region", refuse)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
     assert code == 0
     assert out.endswith("PASS (353 checks)\n")
 
 
 def test_verify_reports_region_failures_before_ordering_failures(capsys, monkeypatch):
-    # Loosening n1 in every scenario keeps the ordering chain intact, so it
+    # Loosening A in every scenario keeps the ordering chain intact, so it
     # is loosened only where receiver 2 is cognitive: both sweeps then fail.
     def loosened(config, scenario):
-        region = outer_region(config, scenario)
-        if not scenario.r2:
-            return region
-        tight = Halfspace(1, 0, config.n1)
-        return Region2D.from_halfspaces(
-            h._replace(b=h.b + 1) if h == tight else h for h in region.halfspaces
-        )
+        a, b, c = _outer_caps(config, scenario)
+        return (a + 1 if scenario.r2 else a), b, c
 
-    monkeypatch.setattr(micdof.cli, "outer_region", loosened)
+    monkeypatch.setattr(micdof.cli, "_outer_caps", loosened)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
     lines = out.splitlines()
     assert code == 1

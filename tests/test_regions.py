@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from micdof.channel import AntennaConfig, CognitionScenario
 from micdof.regions import (
+    NONNEGATIVITY,
     DofPoint,
     Halfspace,
     Region2D,
     _convex_hull,
+    _corners,
+    _outer_caps,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
@@ -66,6 +69,23 @@ def reference_vertices(halfspaces):
         if all(other.holds(candidate) for other in hs):
             found.add(candidate)
     return found
+
+
+def paper_bounds(config, scenario):
+    """The converse bounds as the paper lists them, as Halfspaces: the
+    transmit- and receive-side sums and each receiver's count, then for each
+    non-cognitive transmitter its own count and its max(...) sum bound,
+    relaxed to a sum when the receiver on the same side is cognitive."""
+    m1, m2, n1, n2 = config.counts
+    bounds = [Halfspace(1, 1, m1 + m2), Halfspace(1, 1, n1 + n2),
+              Halfspace(1, 0, n1), Halfspace(0, 1, n2)]
+    if not scenario.t2:
+        bounds += [Halfspace(1, 0, m1),
+                   Halfspace(1, 1, (m1 + n2) if scenario.r2 else max(m1, n2))]
+    if not scenario.t1:
+        bounds += [Halfspace(0, 1, m2),
+                   Halfspace(1, 1, (m2 + n1) if scenario.r1 else max(m2, n1))]
+    return bounds
 
 
 def definition_membership(config, scenario, d1, d2):
@@ -189,6 +209,25 @@ def test_inner_outer_equality_small_sweep():
             assert regions_equal(inner_region(config, scenario), outer)
 
 
+def test_outer_caps_are_the_tightest_paper_bounds():
+    # A, B and C are the smallest bounds on d1, d2 and d1 + d2, the first two
+    # capped at C; the region lists exactly nonnegativity and the three caps,
+    # and its corners are those of the paper's whole bound list.
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        for scenario in CognitionScenario.all_scenarios():
+            bounds = paper_bounds(config, scenario)
+            c = min(h.b for h in bounds if (h.a1, h.a2) == (1, 1))
+            a = min(c, *(h.b for h in bounds if (h.a1, h.a2) == (1, 0)))
+            b = min(c, *(h.b for h in bounds if (h.a1, h.a2) == (0, 1)))
+            assert _outer_caps(config, scenario) == (a, b, c)
+            assert c <= a + b  # so every cap is attained
+            outer = outer_region(config, scenario)
+            assert outer.halfspaces == (
+                *NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
+            assert set(outer.vertices) == reference_vertices([*NONNEGATIVITY, *bounds])
+
+
 def test_outer_region_matches_pairwise_intersection_reference():
     # The closed-form corners against general vertex enumeration.
     for counts in itertools.product(range(1, 5), repeat=4):
@@ -224,38 +263,16 @@ def test_inner_region_off_the_staircase_is_the_hull_of_every_point():
             assert all(type(c) is int for v in got.vertices for c in v)
 
 
-def test_from_halfspaces_matches_reference_on_hand_built_bounds():
-    cases = [
-        [Halfspace(1, 1, 3)],
-        [Halfspace(1, 0, 2), Halfspace(0, 1, 2)],
-        [Halfspace(1, 0, 0), Halfspace(0, 1, 4), Halfspace(1, 1, 2)],
-        [Halfspace(2, 0, 4), Halfspace(0, 3, 3), Halfspace(1, 1, 9)],
-        [Halfspace(1, 0, 0), Halfspace(0, 1, 0)],
-    ]
-    for halfspaces in cases:
-        region = Region2D.from_halfspaces(halfspaces)
-        assert set(region.vertices) == reference_vertices(region.halfspaces)
-
-
-def test_from_halfspaces_corners_are_the_hull_of_the_five_corners():
+def test_corners_are_the_hull_of_the_five_corners():
     # The corners are written from A, B and C; _convex_hull of the five
     # candidates is the reference, down to the order and the element types.
     for a, b in itertools.product(range(13), repeat=2):
         for c in range(max(a, b), a + b + 3):
-            region = Region2D.from_halfspaces(
-                [Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c)])
+            corners = _corners(a, b, c)
             want = _convex_hull([(0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)])
-            assert list(region.vertices) == want
-            assert all(type(v) is DofPoint for v in region.vertices)
-            assert all(type(x) is int for v in region.vertices for x in v)
-
-
-@pytest.mark.parametrize("halfspace", [
-    Halfspace(1, 2, 4), Halfspace(1, -1, 0), Halfspace(-1, 0, -1), Halfspace(2, 2, 3),
-])
-def test_from_halfspaces_rejects_other_normals(halfspace):
-    with pytest.raises(ValueError, match="unsupported halfspace"):
-        Region2D.from_halfspaces([Halfspace(1, 1, 5), halfspace])
+            assert list(corners) == want
+            assert all(type(v) is DofPoint for v in corners)
+            assert all(type(x) is int for v in corners for x in v)
 
 
 @settings(max_examples=40)
@@ -265,7 +282,7 @@ def test_every_region_vertex_is_integer_and_feasible(config, scenario):
         for v in region.vertices:
             assert v.d1.denominator == 1 and v.d2.denominator == 1
             assert all(h.holds(v) for h in region.halfspaces)
-        assert region.contains(pt(0, 0))
+        assert all(h.holds(pt(0, 0)) for h in region.halfspaces)
 
 
 @settings(max_examples=40)
@@ -274,7 +291,9 @@ def test_more_cognition_never_shrinks_region(config, a, b):
     joined = CognitionScenario.from_bits(
         tuple(max(x, y) for x, y in zip(a.bits, b.bits))
     )
-    assert outer_region(config, a).is_subset_of(outer_region(config, joined))
+    # Every vertex of the smaller region meets every bound of the larger.
+    larger = outer_region(config, joined).halfspaces
+    assert all(h.holds(v) for v in outer_region(config, a).vertices for h in larger)
 
 
 # --------------------------------------------------------------------- LP
@@ -287,21 +306,9 @@ def test_sum_dof_lp_examples():
     assert sum_dof_lp(single) == 0
 
 
-def test_sum_dof_lp_rejects_unbounded():
-    with pytest.raises(ValueError, match="unbounded|empty"):
-        Region2D.from_halfspaces([Halfspace(0, 1, 3)])
-
-
-def test_sum_dof_lp_rejects_empty():
-    with pytest.raises(ValueError, match="empty|unbounded"):
-        Region2D.from_halfspaces(
-            [Halfspace(1, 0, -1), Halfspace(0, 1, 5), Halfspace(1, 1, 5)]
-        )
-
-
 def test_sum_dof_lp_guards_hand_built_regions():
-    # Regions from from_halfspaces are bounded by construction; the
-    # reference recession check still flags a hand-built unbounded one.
+    # Outer regions are bounded by construction; the reference recession
+    # check still flags a hand-built unbounded one.
     assert recession_direction((Halfspace(-1, 0, 0), Halfspace(0, -1, 0))) is not None
     empty = Region2D(halfspaces=(), vertices=())
     with pytest.raises(ValueError, match="no vertices"):
