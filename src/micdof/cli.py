@@ -19,7 +19,6 @@ import sys
 
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
-    _ORDERING_CHAIN,
     _column_tops,
     _corners,
     _ordering_holds,
@@ -225,25 +224,20 @@ def _verify_lemma5() -> tuple[int, list[str]]:
     return checks, failures
 
 
-def _verify_configs(configs: list[AntennaConfig], regions: bool,
-                    ordering: bool) -> tuple[list[str], list[str]]:
-    """The region and ordering sweeps' failures, config by config.  The two
-    sweeps share each config's outer caps (A, B, C): all 16 when the region
-    sweep runs, else only the five of the ordering chain.  The regions are
-    equal exactly when each outer corner is under its column's top (the
-    achievable set is closed under lowering either count) and each column top
-    is within the caps; the LP value is min(C, A + B).  Each staircase is
-    walked once; the cooperation check reads the no-cognition one."""
+def _verify_configs(configs: list[AntennaConfig]) -> tuple[list[str], list[str]]:
+    """The region and ordering sweeps' failures, config by config.  Each
+    config's 16 outer cap triples (A, B, C) and staircases are read once and
+    shared by both sweeps.  The regions are equal exactly when each outer
+    corner is under its column's top (the achievable set is closed under
+    lowering either count) and each column top is within the caps; the LP
+    value is min(C, A + B).  The cooperation check reads the no-cognition
+    staircase."""
     region_failures: list[str] = []
     ordering_failures: list[str] = []
-    if regions:
-        scenarios = CognitionScenario.all_scenarios()
-    else:
-        scenarios = _ORDERING_CHAIN if ordering else ()
     for config in configs:
-        caps = {scenario: _outer_caps(config, scenario) for scenario in scenarios}
-        tops = {s: _column_tops(config, s) for s in (caps if regions else ())}
-        for scenario, (a, b, c) in caps.items() if regions else ():
+        caps = {s: _outer_caps(config, s) for s in CognitionScenario.all_scenarios()}
+        tops = {s: _column_tops(config, s) for s in caps}
+        for scenario, (a, b, c) in caps.items():
             if any(type(cap) is not int for cap in (a, b, c)):
                 region_failures.append(f"non-integer vertex at {config} {scenario}")
                 continue
@@ -254,15 +248,13 @@ def _verify_configs(configs: list[AntennaConfig], regions: bool,
                 continue
             if dof_formula(config, scenario) != min(c, a + b):
                 region_failures.append(f"formula/LP mismatch at {config} {scenario}")
-        if ordering:
-            if not _ordering_holds(config, caps):
-                ordering_failures.append(f"cognition ordering fails at {config}")
-            no_cognition = tops[_NO_COGNITION] if regions else _column_tops(config, _NO_COGNITION)
-            if dof_cooperation(config) != max(d1 + top for d1, top in no_cognition):
-                ordering_failures.append(
-                    f"cooperation DOF differs from the largest achievable no-cognition "
-                    f"sum at {config}"
-                )
+        if not _ordering_holds(config, caps):
+            ordering_failures.append(f"cognition ordering fails at {config}")
+        if dof_cooperation(config) != max(d1 + top for d1, top in tops[_NO_COGNITION]):
+            ordering_failures.append(
+                f"cooperation DOF differs from the largest achievable no-cognition "
+                f"sum at {config}"
+            )
     return region_failures, ordering_failures
 
 
@@ -273,7 +265,7 @@ def _cmd_verify(args) -> int:
     counts = range(1, args.max_antennas + 1)
     configs = [AntennaConfig(*c) for c in itertools.product(counts, repeat=4)]
     region_failures, ordering_failures = _verify_configs(
-        configs, args.which in ("regions", "all"), args.which in ("ordering", "all"))
+        [] if args.which == "lemma5" else configs)
     total_checks = 0
     failures: list[str] = []
     for name, run, counted in (

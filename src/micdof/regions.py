@@ -2,7 +2,10 @@
 
 Everything here is integer arithmetic: regions are intersections of integer
 halfspaces, vertices are integer points, and the sum-DOF linear program is
-solved by evaluating the objective at every vertex.  The inner region is the
+solved by evaluating the objective at every vertex.  The zero-forcing
+achievability rule is written once, as each column's top in closed form
+(``_column_tops``); ``_achievable`` reads the tops, and ``zf`` reads the
+streams each message can null from ``_nullable``.  The inner region is the
 convex hull of the achievable integer points, a staircase closed under
 lowering either count, so the hull is read off (0, 0), the far end of the d1
 axis and the top of each column.  Every converse bound limits d1, d2 or
@@ -138,7 +141,7 @@ class Region2D:
 
 
 def _frac_str(value: int) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{value}/1"
 
 
 @dataclass(frozen=True)
@@ -150,46 +153,49 @@ class AchievableSet:
     scenario: CognitionScenario
 
 
-def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
-    """Whether the integer pair (d1, d2) is achievable by zero forcing.
-
-    It is when both counts are nonnegative and the two transmit-side
-    dimension constraints and the two receive-side separation constraints
-    all hold.  A receiver that is not cognitive must keep the streams of the
-    other message that cannot be nulled at it apart from its own.
-    """
-    m1, m2, n1, n2 = config.m1, config.m2, config.n1, config.n2
-    t1, t2 = scenario.t1, scenario.t2
-    # _pos(t1*m1 + m2 - n1) streams of W2 cannot be nulled at receiver 1,
-    # and _pos(m1 + t2*m2 - n2) streams of W1 cannot be nulled at receiver 2.
-    return (
-        d1 >= 0
-        and d2 >= 0
-        and t1 * d1 + d2 <= t1 * m1 + m2
-        and d1 + t2 * d2 <= m1 + t2 * m2
-        and d1 + (0 if scenario.r1 else _pos(d2 - _pos(t1 * m1 + m2 - n1))) <= n1
-        and d2 + (0 if scenario.r2 else _pos(d1 - _pos(m1 + t2 * m2 - n2))) <= n2
-    )
+def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int]:
+    """How many streams of W1 fit in the kernel of its cross link to receiver
+    2, and of W2 in that to receiver 1: the link's input dimension (the
+    message's own transmitter, plus the other one when it is cognitive) less
+    the receiver's antennas.  These are the streams a message can null at
+    the other receiver; ``zf._nulled`` nulls up to this many."""
+    m1, m2, n1, n2 = config.counts
+    return _pos(m1 + scenario.t2 * m2 - n2), _pos(scenario.t1 * m1 + m2 - n1)
 
 
 def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[tuple[int, int]]:
     """(d1, largest achievable d2) for each achievable d1 = 0, 1, ....
 
-    Every left-hand side in ``_achievable`` is nondecreasing in d1 and d2, so
-    the achievable set is closed under lowering either count: it is walked
-    column by column from (0, 0), each column ending at its first
-    unachievable pair.  The walk ends because the transmit-side constraints
-    bound both counts by m1 + m2.
+    This is the zero-forcing achievability rule, written once.  Transmit
+    side: d1 <= m1 + t2*m2 and d2 <= m2 + t1*(m1 - d1), and with a cognitive
+    transmitter 2 also d1 + d2 <= m1 + m2.  Receive side: d1 <= n1, and a
+    receiver that is not cognitive keeps the other message's streams that
+    are not nulled at it apart from its own, so d2 <= k2 + n1 - d1 where
+    receiver 1 is not cognitive and d2 <= n2 - (d1 - k1)^+ where receiver 2
+    is not, with (k1, k2) from ``_nullable``.  Every cap falls as d1 grows,
+    so the achievable set is closed under lowering either count and the
+    columns end at the first negative top.
     """
+    m1, m2, n1, n2 = config.counts
+    t1, t2 = scenario.t1, scenario.t2
+    k1, k2 = _nullable(config, scenario)
     tops = []
-    d1 = 0
-    while _achievable(config, scenario, d1, 0):
-        d2 = 0
-        while _achievable(config, scenario, d1, d2 + 1):
-            d2 += 1
-        tops.append((d1, d2))
-        d1 += 1
+    for d1 in range(min(n1, m1 + t2 * m2) + 1):
+        top = min(m2 + t1 * (m1 - d1), n2 - (0 if scenario.r2 else _pos(d1 - k1)))
+        if t2:
+            top = min(top, m1 + m2 - d1)
+        if not scenario.r1:
+            top = min(top, k2 + n1 - d1)
+        if top < 0:
+            break
+        tops.append((d1, top))
     return tops
+
+
+def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
+    """Whether the integer pair (d1, d2) is achievable by zero forcing: d2
+    lies between 0 and the top of column d1 of ``_column_tops``."""
+    return any(x == d1 and 0 <= d2 <= top for x, top in _column_tops(config, scenario))
 
 
 def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> AchievableSet:

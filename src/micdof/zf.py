@@ -1,15 +1,15 @@
 """Zero-forcing beamforming schemes realizing achievable DOF points.
 
 For a target point (d1, d2), message W1 is sent from transmitter 1, joined by
-transmitter 2 when that one is cognitive, and min(d1, r1) of its streams,
-r1 = (m1 + t2*m2 - n2)^+, are placed in the null space of the cross channel to
-receiver 2 so they cause no interference there; remaining streams are
-isotropic on the unit sphere of the active transmit space.  W2 is built
-symmetrically against receiver 1.  A cognitive receiver subtracts every
-stream of the message it knows, so no nulling is aimed at it.  ``_nulled`` is
-the one place the nulled counts are decided: the schemes null exactly the
-streams that the null residual checks.  Decodability is verified by subspace
-rank diagnostics on concrete channels.
+transmitter 2 when that one is cognitive, and min(d1, r1) of its streams, r1
+being as many as fit in the kernel of the cross channel to receiver 2
+(``regions._nullable``), are placed in that kernel so they cause no
+interference there; remaining streams are isotropic on the unit sphere of the
+active transmit space.  W2 is built symmetrically against receiver 1.  A
+cognitive receiver subtracts every stream of the message it knows, so no
+nulling is aimed at it.  ``_nulled`` is the one place the nulled counts are
+decided: the schemes null exactly the streams that the null residual checks.
+Decodability is verified by subspace rank diagnostics on concrete channels.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
 zero on the rows of a transmitter that does not carry it.  Trials are built
@@ -44,7 +44,7 @@ from .channel import (
     _runs,
     sample_channels,
 )
-from .regions import _achievable, _pos, inner_points
+from .regions import _achievable, _nullable, inner_points
 
 
 class AchievabilityError(ValueError):
@@ -128,10 +128,9 @@ def _cross_links(scenario: CognitionScenario) -> tuple[str, str]:
 
 def _nulled(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int):
     """How many W1 (W2) streams are nulled: none when the opposite receiver is
-    cognitive, else as many as fit in the cross channel's kernel, r1 (r2)."""
-    m1, m2 = config.m1, config.m2
-    r1 = _pos(m1 + (m2 if scenario.t2 else 0) - config.n2)
-    r2 = _pos((m1 if scenario.t1 else 0) + m2 - config.n1)
+    cognitive, else as many as fit in the cross channel's kernel, r1 (r2),
+    read from ``regions._nullable``."""
+    r1, r2 = _nullable(config, scenario)
     return (0 if scenario.r2 else min(d1, r1)), (0 if scenario.r1 else min(d2, r2))
 
 

@@ -186,12 +186,11 @@ def test_verify_fails_on_wrong_cooperation_dof(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("which,builds", [
-    ("all", 256), ("regions", 256), ("ordering", 80), ("lemma5", 0),
+    ("all", 256), ("regions", 256), ("ordering", 256), ("lemma5", 0),
 ])
 def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds):
-    # The region and ordering sweeps share a config's outer cap triples, each
-    # read once: all 16 when the region sweep runs, else only the five of
-    # the ordering chain.
+    # The region and ordering sweeps share a config's 16 outer cap triples,
+    # each read once, whichever sweeps are asked for; lemma5 reads none.
     built = []
 
     def counted(config, scenario):
@@ -206,11 +205,11 @@ def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds
 
 
 @pytest.mark.parametrize("which,walks", [
-    ("all", 256), ("regions", 256), ("ordering", 16), ("lemma5", 0),
+    ("all", 256), ("regions", 256), ("ordering", 256), ("lemma5", 0),
 ])
 def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
-    # The cooperation check reads the no-cognition staircase the region
-    # sweep walked; under --which ordering alone it walks just that one.
+    # Each config's 16 staircases are read once, whichever sweeps are asked
+    # for, and the cooperation check reads the no-cognition one among them.
     walked = []
 
     def counted(config, scenario):
@@ -273,6 +272,37 @@ def test_verify_reports_region_failures_before_ordering_failures(capsys, monkeyp
     assert fails == region_fails + ordering_fails
     assert region_fails == sorted(region_fails)  # config by config, scenario by scenario
     assert lines[-1] == f"FAIL ({len(fails)} of 353 checks)"
+
+
+@pytest.mark.parametrize("loosen", [False, True])
+def test_verify_which_prints_its_lines_of_all(capsys, monkeypatch, loosen):
+    # Each sweep asked for alone prints its header and FAIL lines exactly as
+    # --which all does: all prints the three headers, then the three sweeps'
+    # FAIL lines in the same order.  Loosening A where receiver 2 is
+    # cognitive makes the region and ordering sweeps fail.
+    if loosen:
+        def loosened(config, scenario):
+            a, b, c = _outer_caps(config, scenario)
+            return (a + 1 if scenario.r2 else a), b, c
+
+        monkeypatch.setattr(micdof.cli, "_outer_caps", loosened)
+
+    def summary(fails, checks):
+        return f"FAIL ({len(fails)} of {checks} checks)" if fails else f"PASS ({checks} checks)"
+
+    _, everything, _ = run(capsys, "verify", "--max-antennas", "3", "--which", "all")
+    headers, fails, checks = [], [], 0
+    for which in ("regions", "lemma5", "ordering"):
+        code, out, _ = run(capsys, "verify", "--max-antennas", "3", "--which", which)
+        header, *own_fails, last = out.splitlines()
+        assert header.startswith(f"{which}: ")
+        own_checks = int(header.split()[1])
+        assert (code, last) == (int(bool(own_fails)), summary(own_fails, own_checks))
+        headers.append(header)
+        fails += own_fails
+        checks += own_checks
+    assert bool(fails) == loosen
+    assert everything.splitlines() == headers + fails + [summary(fails, checks)]
 
 
 def test_verify_rejects_zero_antennas(capsys):

@@ -10,6 +10,7 @@ from micdof.regions import (
     DofPoint,
     Halfspace,
     Region2D,
+    _achievable,
     _convex_hull,
     _corners,
     _outer_caps,
@@ -116,15 +117,20 @@ def test_inner_points_full_cognitive_transmitters():
     assert (2, 2) in aset.points
 
 
-@settings(max_examples=60)
-@given(configs, scenarios)
-def test_inner_points_contains_origin_and_matches_definition(config, scenario):
-    aset = inner_points(config, scenario)
-    assert (0, 0) in aset.points
-    box = config.m1 + config.m2
-    for d1 in range(box + 1):
-        for d2 in range(box + 1):
-            assert ((d1, d2) in aset.points) == definition_membership(config, scenario, d1, d2)
+def test_inner_points_contains_origin_and_matches_definition():
+    # Every config at counts 1..4 and every scenario, on d1, d2 from -1 to
+    # one past m1 + m2; _achievable is checked at counts 1..3.
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        box = range(-1, config.m1 + config.m2 + 2)
+        for scenario in CognitionScenario.all_scenarios():
+            points = inner_points(config, scenario).points
+            assert (0, 0) in points
+            for d1, d2 in itertools.product(box, box):
+                expected = min(d1, d2) >= 0 and definition_membership(config, scenario, d1, d2)
+                assert ((d1, d2) in points) == expected, (config, scenario, d1, d2)
+                if max(counts) <= 3:
+                    assert _achievable(config, scenario, d1, d2) == expected, (config, scenario, d1, d2)
 
 
 @settings(max_examples=60)

@@ -101,10 +101,9 @@ def test_build_scheme_single_antenna_single_stream():
 def test_build_scheme_rejects_unachievable_point():
     config = AntennaConfig(2, 2, 2, 2)
     ch = sample_channel(config, seed=1)
-    with pytest.raises(AchievabilityError, match="achievable"):
-        build_scheme(config, scenario(0, 0, 0, 0), 2, 1, ch, seed=0)
-    with pytest.raises(AchievabilityError, match="achievable"):
-        build_scheme(config, scenario(0, 0, 0, 0), 0.5, 1, ch, seed=0)
+    for d1, d2 in ((2, 1), (0.5, 1), (-1, 0), (0, -1)):
+        with pytest.raises(AchievabilityError, match="achievable"):
+            build_scheme(config, scenario(0, 0, 0, 0), d1, d2, ch, seed=0)
 
 
 def test_build_scheme_rejects_mismatched_channel():
