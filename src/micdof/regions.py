@@ -13,14 +13,18 @@ d1 + d2, so the outer region is fixed by three caps A, B and C, written once
 in ``_outer_caps``, and its at most five corners follow from them.  The two
 regions coincide exactly when every outer corner is achievable and every
 column top lies within the caps, and a closed-form minimum gives the same
-sum DOF; the verification sweeps check both exhaustively.
+sum DOF; the verification sweeps check both exhaustively.  They read only
+the caps and the column tops, as lists in ``CognitionScenario.all_scenarios()``
+order, test the raw corners of ``_corner_points`` as plain pairs, and read
+the ordering chain's caps by position (``_ORDERING_POSITIONS``); they build
+no ``DofPoint`` or ``Region2D``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .channel import AntennaConfig, CognitionScenario
 
@@ -50,6 +54,7 @@ class DofPoint(NamedTuple):
 
 
 NONNEGATIVITY = (Halfspace(-1, 0, 0), Halfspace(0, -1, 0))
+_NO_COGNITION = CognitionScenario()
 
 
 def _pos(x: int) -> int:
@@ -235,12 +240,17 @@ def _outer_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int
     return min(a, c), min(b, c), c
 
 
+def _corner_points(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
+    """The five candidate corners of {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c}
+    for a, b <= c, counterclockwise from (0, 0), as plain pairs; coincident
+    ones are not merged."""
+    return (0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)
+
+
 def _corners(a: int, b: int, c: int) -> tuple[DofPoint, ...]:
-    """The corners of {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c} for a, b <= c,
-    counterclockwise from (0, 0) with coincident ones merged, as
+    """The corners of ``_corner_points`` with coincident ones merged, as
     ``_convex_hull`` of them would give; no hull is taken."""
-    return tuple(dict.fromkeys((DofPoint(0, 0), DofPoint(a, 0), DofPoint(a, min(b, c - a)),
-                                DofPoint(min(a, c - b), b), DofPoint(0, b))))
+    return tuple(dict.fromkeys(DofPoint(*p) for p in _corner_points(a, b, c)))
 
 
 def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
@@ -286,7 +296,7 @@ def dof_cooperation(config: AntennaConfig) -> int:
 
     Cooperation does not help: the value equals the no-cognition DOF.
     """
-    return dof_formula(config, CognitionScenario())
+    return dof_formula(config, _NO_COGNITION)
 
 
 def dof_cooperation_upper_bounds(config: AntennaConfig) -> tuple[int, int]:
@@ -305,11 +315,11 @@ def lemma5_holds(c: int, d: int, box: int) -> bool:
         raise ValueError("c and d must be nonnegative")
     if box < c + d:
         raise ValueError(f"box {box} too small; need at least c + d = {c + d}")
-    shift = _pos(c - d)
+    shift, top = _pos(c - d), max(c, d)
     for a in range(box + 1):
         for b in range(box + 1):
             lhs = a + _pos(b - shift) <= d
-            rhs = a <= d and a + b <= max(c, d)
+            rhs = a <= d and a + b <= top
             if lhs != rhs:
                 return False
     return True
@@ -325,6 +335,8 @@ _ORDERING_CHAIN = tuple(CognitionScenario.from_bits(bits) for bits in (
     (0, 1, 1, 0),
     (1, 1, 0, 0),
 ))
+# The chain's positions in ``CognitionScenario.all_scenarios()``.
+_ORDERING_POSITIONS = tuple(CognitionScenario.all_scenarios().index(s) for s in _ORDERING_CHAIN)
 
 
 def scenario_ordering_holds(config: AntennaConfig) -> bool:
@@ -335,17 +347,17 @@ def scenario_ordering_holds(config: AntennaConfig) -> bool:
     and the region-inclusion chain for the same scenarios (with the middle
     pair equal as regions).
     """
-    return _ordering_holds(config, {s: _outer_caps(config, s) for s in _ORDERING_CHAIN})
+    return _ordering_holds(config, [_outer_caps(config, s) for s in _ORDERING_CHAIN])
 
 
-def _ordering_holds(config: AntennaConfig,
-                    caps: Mapping[CognitionScenario, tuple[int, int, int]]) -> bool:
-    """``scenario_ordering_holds``, reading the chain's outer caps from ``caps``.
-    The converse's caps have A, B <= C <= A + B, so each is attained and one
-    outer region lies in another exactly when its caps are no larger."""
+def _ordering_holds(config: AntennaConfig, caps: Sequence[tuple[int, int, int]]) -> bool:
+    """``scenario_ordering_holds``, reading the outer caps of the chain's five
+    scenarios, in chain order, from ``caps``.  The converse's caps have
+    A, B <= C <= A + B, so each is attained and one outer region lies in
+    another exactly when its caps are no larger."""
     etas = [dof_formula(config, s) for s in _ORDERING_CHAIN]
     if not (etas[0] <= etas[1] == etas[2] <= etas[3] <= etas[4]):
         return False
-    r = [caps[s] for s in _ORDERING_CHAIN]
-    return r[1] == r[2] and all(x <= y for lo, hi in ((r[0], r[1]), (r[2], r[3]), (r[3], r[4]))
-                                for x, y in zip(lo, hi))
+    r0, r1, r2, r3, r4 = caps
+    return r1 == r2 and all(x <= y for lo, hi in ((r0, r1), (r2, r3), (r3, r4))
+                            for x, y in zip(lo, hi))

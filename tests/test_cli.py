@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import micdof.regions
 from micdof.channel import CognitionScenario
 from micdof.cli import main
 from micdof.regions import (
+    DofPoint,
     Region2D,
     _column_tops,
     _outer_caps,
@@ -246,6 +248,47 @@ def test_verify_derives_no_inner_halfspaces(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
     assert code == 0
     assert out.endswith("PASS (353 checks)\n")
+
+
+def test_verify_builds_no_dof_point_and_the_scenarios_once(capsys, monkeypatch):
+    # The region sweep tests corners as plain pairs, and the 16 scenarios are
+    # built once per run, not once per config.
+    def refuse(*args):
+        raise AssertionError("verify built a DofPoint")
+
+    listed = []
+    all_scenarios = CognitionScenario.all_scenarios
+
+    def counted():
+        listed.append(1)
+        return all_scenarios()
+
+    monkeypatch.setattr(DofPoint, "__new__", refuse)
+    monkeypatch.setattr(CognitionScenario, "all_scenarios", staticmethod(counted))
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
+    assert code == 0
+    assert out.endswith("PASS (353 checks)\n")
+    assert len(listed) <= 1
+
+
+def test_verify_stdout_is_pinned(capsys, monkeypatch):
+    # The acceptance gate's bytes, clean and under the loosened-A control.
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    code, out, _ = run(capsys, "verify", "--max-antennas", "4")
+    assert code == 0
+    assert sha256(out) == "698a1f4b5925dc266b4438b3d37a7225f96934238a1dc5c1fe7e819d0752c631"
+
+    def loosened(config, scenario):
+        a, b, c = _outer_caps(config, scenario)
+        return a + 1, b, c
+
+    monkeypatch.setattr(micdof.cli, "_outer_caps", loosened)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "3", "--which", "all")
+    assert code == 1
+    assert len(out.splitlines()) == 1300
+    assert sha256(out) == "7af647fbf93bf8bb64ca8e91840f32a1be4f225d37fd9244ae0b6f0d2625d17c"
 
 
 def test_verify_reports_region_failures_before_ordering_failures(capsys, monkeypatch):
