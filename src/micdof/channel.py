@@ -54,6 +54,9 @@ class AntennaConfig:
     n1: int
     n2: int
 
+    # (m1, m2, n1, n2), stored once; not part of equality, hash or repr.
+    counts: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         for name in ("m1", "m2", "n1", "n2"):
             value = getattr(self, name)
@@ -61,10 +64,7 @@ class AntennaConfig:
                 raise ValueError(f"antenna count {name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"antenna count {name} must be >= 1, got {value}")
-
-    @property
-    def counts(self) -> tuple[int, int, int, int]:
-        return (self.m1, self.m2, self.n1, self.n2)
+        object.__setattr__(self, "counts", (self.m1, self.m2, self.n1, self.n2))
 
     def to_json_dict(self) -> dict[str, int]:
         return {"m1": self.m1, "m2": self.m2, "n1": self.n1, "n2": self.n2}

@@ -226,34 +226,37 @@ def _verify_lemma5() -> tuple[int, list[str]]:
 
 def _verify_configs(configs: list[AntennaConfig]) -> tuple[list[str], list[str]]:
     """The region and ordering sweeps' failures, config by config.  The 16
-    scenarios are built once; each config's 16 outer cap triples (A, B, C)
-    and column tops are read once, as lists in ``all_scenarios()`` order,
-    and shared by both sweeps.  The regions are equal exactly when each
-    outer corner, a plain (d1, d2) pair, is under its column's top (the
-    achievable set is closed under lowering either count) and each column
-    top is within the caps; the LP value is min(C, A + B).  The ordering
-    check reads the chain's caps by position, and the cooperation check the
-    no-cognition column tops, the first in that order."""
+    scenarios are built once; each config's 16 outer cap triples (A, B, C),
+    column tops and ``dof_formula`` values are computed once, as lists in
+    ``all_scenarios()`` order, and shared by both sweeps.  The regions are
+    equal exactly when each outer corner, a plain (d1, d2) pair, is under
+    its column's top (the achievable set is closed under lowering either
+    count) and each column top is within the caps; the LP value is
+    min(C, A + B).  The ordering check reads the chain's caps and formula
+    values by position, and the cooperation check the no-cognition column
+    tops, the first in that order."""
     region_failures: list[str] = []
     ordering_failures: list[str] = []
     scenarios = CognitionScenario.all_scenarios()
     for config in configs:
         caps = [_outer_caps(config, s) for s in scenarios]
         tops = [_column_tops(config, s) for s in scenarios]
-        for scenario, (a, b, c), column in zip(scenarios, caps, tops):
+        etas = [dof_formula(config, s) for s in scenarios]
+        for scenario, (a, b, c), column, eta in zip(scenarios, caps, tops, etas):
             if type(a) is not int or type(b) is not int or type(c) is not int:
                 region_failures.append(f"non-integer vertex at {config} {scenario}")
                 continue
-            if not (all(x < len(column) and column[x][1] >= y
-                        for x, y in _corner_points(a, b, c))
-                    and all(d1 <= a and top <= b and d1 + top <= c for d1, top in column)):
+            if not (all(x < len(column) and column[x] >= y for x, y in _corner_points(a, b, c))
+                    and all(d1 <= a and top <= b and d1 + top <= c
+                            for d1, top in enumerate(column))):
                 region_failures.append(f"region mismatch at {config} {scenario}")
                 continue
-            if dof_formula(config, scenario) != min(c, a + b):
+            if eta != min(c, a + b):
                 region_failures.append(f"formula/LP mismatch at {config} {scenario}")
-        if not _ordering_holds(config, [caps[i] for i in _ORDERING_POSITIONS]):
+        if not _ordering_holds([caps[i] for i in _ORDERING_POSITIONS],
+                               [etas[i] for i in _ORDERING_POSITIONS]):
             ordering_failures.append(f"cognition ordering fails at {config}")
-        if dof_cooperation(config) != max(d1 + top for d1, top in tops[0]):
+        if dof_cooperation(config) != max(d1 + top for d1, top in enumerate(tops[0])):
             ordering_failures.append(
                 f"cooperation DOF differs from the largest achievable no-cognition "
                 f"sum at {config}"

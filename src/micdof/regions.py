@@ -4,20 +4,22 @@ Everything here is integer arithmetic: regions are intersections of integer
 halfspaces, vertices are integer points, and the sum-DOF linear program is
 solved by evaluating the objective at every vertex.  The zero-forcing
 achievability rule is written once, as each column's top in closed form
-(``_column_tops``); ``_achievable`` reads the tops, and ``zf`` reads the
-streams each message can null from ``_nullable``.  The inner region is the
-convex hull of the achievable integer points, a staircase closed under
-lowering either count, so the hull is read off (0, 0), the far end of the d1
-axis and the top of each column.  Every converse bound limits d1, d2 or
-d1 + d2, so the outer region is fixed by three caps A, B and C, written once
-in ``_outer_caps``, and its at most five corners follow from them.  The two
-regions coincide exactly when every outer corner is achievable and every
-column top lies within the caps, and a closed-form minimum gives the same
-sum DOF; the verification sweeps check both exhaustively.  They read only
-the caps and the column tops, as lists in ``CognitionScenario.all_scenarios()``
-order, test the raw corners of ``_corner_points`` as plain pairs, and read
-the ordering chain's caps by position (``_ORDERING_POSITIONS``); they build
-no ``DofPoint`` or ``Region2D``.
+(``_column_tops``, a list of ints with ``tops[d1]`` the top of column d1);
+``_achievable`` reads the tops, and ``zf`` reads the streams each message
+can null from ``_nullable``.  The inner region is the convex hull of the
+achievable integer points, a staircase closed under lowering either count,
+so the hull is read off (0, 0), the far end of the d1 axis and the top of
+each column.  Every converse bound limits d1, d2 or d1 + d2, so the outer
+region is fixed by three caps A, B and C, written once in ``_outer_caps``,
+and its at most five corners follow from them.  The two regions coincide
+exactly when every outer corner is achievable and every column top lies
+within the caps, and a closed-form minimum gives the same sum DOF; the
+verification sweeps check both exhaustively.  They read only the caps, the
+column tops and the ``dof_formula`` values, as lists in
+``CognitionScenario.all_scenarios()`` order, test the raw corners of
+``_corner_points`` as plain pairs, and read the ordering chain's caps and
+formula values by position (``_ORDERING_POSITIONS``); they build no
+``DofPoint`` or ``Region2D``.
 """
 
 from __future__ import annotations
@@ -168,51 +170,54 @@ def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, 
     return _pos(m1 + scenario.t2 * m2 - n2), _pos(scenario.t1 * m1 + m2 - n1)
 
 
-def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[tuple[int, int]]:
-    """(d1, largest achievable d2) for each achievable d1 = 0, 1, ....
+def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[int]:
+    """The largest achievable d2 in each column, ``tops[d1]`` for the
+    achievable d1 = 0, 1, ..., len(tops) - 1, as plain ints.
 
     This is the zero-forcing achievability rule, written once.  Transmit
     side: d1 <= m1 + t2*m2 and d2 <= m2 + t1*(m1 - d1), and with a cognitive
     transmitter 2 also d1 + d2 <= m1 + m2.  Receive side: d1 <= n1, and a
     receiver that is not cognitive keeps the other message's streams that
     are not nulled at it apart from its own, so d2 <= k2 + n1 - d1 where
-    receiver 1 is not cognitive and d2 <= n2 - (d1 - k1)^+ where receiver 2
-    is not, with (k1, k2) from ``_nullable``.  Every cap falls as d1 grows,
-    so the achievable set is closed under lowering either count and the
-    columns end at the first negative top.
+    receiver 1 is not cognitive and d2 <= n2 - (d1 - k1)^+, that is d2 <= n2
+    and d2 <= n2 + k1 - d1, where receiver 2 is not, with (k1, k2) from
+    ``_nullable``.  Every scenario has d1 + d2 <= m1 + m2 (without t2,
+    d1 <= m1 and d2 <= m2 + t1*(m1 - d1)), so the caps of slope -1 are one
+    cap d2 <= s - d1, with s the least of m1 + m2 and the receive sums in
+    force (with t1, m2 + t1*(m1 - d1) is m1 + m2 - d1).  The flat caps are
+    n2 and, without t1, m2.  Each top is the lesser of the flat cap and
+    s - d1, both at least 0 up to d1 = s, so the achievable set is closed
+    under lowering either count and the columns end at the least of n1,
+    m1 + t2*m2 and s.
     """
     m1, m2, n1, n2 = config.counts
-    t1, t2 = scenario.t1, scenario.t2
     k1, k2 = _nullable(config, scenario)
-    tops = []
-    for d1 in range(min(n1, m1 + t2 * m2) + 1):
-        top = min(m2 + t1 * (m1 - d1), n2 - (0 if scenario.r2 else _pos(d1 - k1)))
-        if t2:
-            top = min(top, m1 + m2 - d1)
-        if not scenario.r1:
-            top = min(top, k2 + n1 - d1)
-        if top < 0:
-            break
-        tops.append((d1, top))
-    return tops
+    s = m1 + m2
+    if not scenario.r1:
+        s = min(s, k2 + n1)
+    if not scenario.r2:
+        s = min(s, n2 + k1)
+    flat = n2 if scenario.t1 else min(m2, n2)
+    return [min(flat, s - d1) for d1 in range(min(n1, m1 + scenario.t2 * m2, s) + 1)]
 
 
 def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
     """Whether the integer pair (d1, d2) is achievable by zero forcing: d2
     lies between 0 and the top of column d1 of ``_column_tops``."""
-    return any(x == d1 and 0 <= d2 <= top for x, top in _column_tops(config, scenario))
+    tops = _column_tops(config, scenario)
+    return 0 <= d1 < len(tops) and 0 <= d2 <= tops[d1]
 
 
 def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> AchievableSet:
     """Enumerate the achievable integer DOF pairs: each column up to its top."""
     tops = _column_tops(config, scenario)
-    points = frozenset((d1, d2) for d1, top in tops for d2 in range(top + 1))
+    points = frozenset((d1, d2) for d1, top in enumerate(tops) for d2 in range(top + 1))
     return AchievableSet(points=points, config=config, scenario=scenario)
 
 
-def _staircase(tops: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _staircase(tops: list[int]) -> list[tuple[int, int]]:
     """(0, 0), the far end of the d1 axis and the column tops."""
-    return [(0, 0), (tops[-1][0], 0), *tops]
+    return [(0, 0), (len(tops) - 1, 0), *enumerate(tops)]
 
 
 def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
@@ -316,12 +321,11 @@ def lemma5_holds(c: int, d: int, box: int) -> bool:
     if box < c + d:
         raise ValueError(f"box {box} too small; need at least c + d = {c + d}")
     shift, top = _pos(c - d), max(c, d)
-    for a in range(box + 1):
-        for b in range(box + 1):
-            lhs = a + _pos(b - shift) <= d
-            rhs = a <= d and a + b <= top
-            if lhs != rhs:
-                return False
+    values = range(box + 1)
+    for b in values:  # one row of both predicates per b, over every a
+        clipped = _pos(b - shift)
+        if [a + clipped <= d for a in values] != [a <= d and a + b <= top for a in values]:
+            return False
     return True
 
 
@@ -347,16 +351,17 @@ def scenario_ordering_holds(config: AntennaConfig) -> bool:
     and the region-inclusion chain for the same scenarios (with the middle
     pair equal as regions).
     """
-    return _ordering_holds(config, [_outer_caps(config, s) for s in _ORDERING_CHAIN])
+    return _ordering_holds([_outer_caps(config, s) for s in _ORDERING_CHAIN],
+                           [dof_formula(config, s) for s in _ORDERING_CHAIN])
 
 
-def _ordering_holds(config: AntennaConfig, caps: Sequence[tuple[int, int, int]]) -> bool:
-    """``scenario_ordering_holds``, reading the outer caps of the chain's five
-    scenarios, in chain order, from ``caps``.  The converse's caps have
-    A, B <= C <= A + B, so each is attained and one outer region lies in
-    another exactly when its caps are no larger."""
-    etas = [dof_formula(config, s) for s in _ORDERING_CHAIN]
-    if not (etas[0] <= etas[1] == etas[2] <= etas[3] <= etas[4]):
+def _ordering_holds(caps: Sequence[tuple[int, int, int]], etas: Sequence[int]) -> bool:
+    """``scenario_ordering_holds``, reading the chain's five outer cap
+    triples and five ``dof_formula`` values by position, in chain order.  The
+    converse's caps have A, B <= C <= A + B, so each is attained and one
+    outer region lies in another exactly when its caps are no larger."""
+    e0, e1, e2, e3, e4 = etas
+    if not (e0 <= e1 == e2 <= e3 <= e4):
         return False
     r0, r1, r2, r3, r4 = caps
     return r1 == r2 and all(x <= y for lo, hi in ((r0, r1), (r2, r3), (r3, r4))

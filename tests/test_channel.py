@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +27,18 @@ def test_validate_config_accepts_valid():
     assert AntennaConfig(2, 2, 2, 2).counts == (2, 2, 2, 2)
     data = {"m1": 1, "m2": 5, "n1": 5, "n2": 1}
     assert AntennaConfig.from_json_dict(data) == AntennaConfig(1, 5, 5, 1)
+
+
+def test_counts_are_stored_once_outside_equality_hash_and_repr():
+    config = AntennaConfig(1, 2, 3, 4)
+    assert config.counts == (1, 2, 3, 4)
+    assert config.counts is config.counts
+    assert repr(config) == "AntennaConfig(m1=1, m2=2, n1=3, n2=4)"
+    assert config == AntennaConfig(1, 2, 3, 4) and hash(config) == hash(AntennaConfig(1, 2, 3, 4))
+    assert dataclasses.replace(config, n2=5).counts == (1, 2, 3, 5)
+    assert pickle.loads(pickle.dumps(config)).counts == (1, 2, 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.counts = (4, 3, 2, 1)
 
 
 @pytest.mark.parametrize("bad,field", [

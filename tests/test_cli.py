@@ -225,6 +225,45 @@ def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
     assert len(walked) == len(set(walked)) == walks
 
 
+def test_verify_computes_each_formula_value_once(capsys, monkeypatch):
+    # Each config's 16 dof_formula values are shared by the region and
+    # ordering checks: 256 calls at counts 1..2, plus the 16 that
+    # dof_cooperation makes for the cooperation check.  The column tops the
+    # checks read are plain ints, one per column.
+    calls = []
+
+    def counted(config, scenario):
+        calls.append((config, scenario))
+        return dof_formula(config, scenario)
+
+    def checked(config, scenario):
+        tops = _column_tops(config, scenario)
+        assert type(tops) is list and all(type(top) is int for top in tops), tops
+        return tops
+
+    monkeypatch.setattr(micdof.cli, "dof_formula", counted)
+    monkeypatch.setattr(micdof.regions, "dof_formula", counted)
+    monkeypatch.setattr(micdof.cli, "_column_tops", checked)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
+    assert code == 0
+    assert out.endswith("PASS (353 checks)\n")
+    assert len(calls) == 256 + 16
+    assert len(set(calls)) == 256
+
+
+def test_verify_fails_when_the_clip_in_lemma5_is_dropped(capsys, monkeypatch):
+    # Without the clip the two sets differ wherever c != d: 72 of 81 pairs.
+    monkeypatch.setattr(micdof.regions, "_pos", lambda x: x)
+    code, out, _ = run(capsys, "verify", "--which", "lemma5")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    assert code == 1
+    assert fails and all(line.startswith("FAIL: clipped-sum identity fails at c=")
+                         for line in fails)
+    assert "FAIL: clipped-sum identity fails at c=1, d=0" in fails
+    assert "FAIL: clipped-sum identity fails at c=2, d=2" not in fails
+    assert out.endswith("FAIL (72 of 81 checks)\n")
+
+
 def test_verify_fails_on_a_dropped_column(capsys, monkeypatch):
     # Every other control changes the outer side or a formula; this one
     # drops the last column of the staircase, so an outer corner is no
