@@ -2,8 +2,9 @@
 achievability checks, and rate simulations, all reproducible by seed.
 
 Exit status is 0 only when every requested check met its threshold, 1 when
-a check failed, and 2 when the arguments were rejected, including a --point
-outside the achievable set and an --out path that cannot be written.  JSON
+a check failed, including a simulate trial whose scheme is not decodable,
+and 2 when the arguments were rejected, including a --point outside the
+achievable set and an --out path that cannot be written.  JSON
 output carries full precision; text output rounds to 4 significant digits.
 The MICDOF_OUTPUT_DIR environment variable, when set, is the base directory
 for relative output paths.
@@ -16,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+from operator import add
 
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
@@ -36,6 +38,7 @@ from .regions import (
 from .zf import _require_achievable, _sweep_cells
 from .rates import (
     COOP_SLOPE_THRESHOLD,
+    UndecodableSchemeError,
     cooperation_dof_gap_check,
     default_rho_grid,
     simulate_point,
@@ -246,9 +249,10 @@ def _verify_configs(configs: list[AntennaConfig]) -> tuple[list[str], list[str]]
             if type(a) is not int or type(b) is not int or type(c) is not int:
                 region_failures.append(f"non-integer vertex at {config} {scenario}")
                 continue
-            if not (all(x < len(column) and column[x] >= y for x, y in _corner_points(a, b, c))
-                    and all(d1 <= a and top <= b and d1 + top <= c
-                            for d1, top in enumerate(column))):
+            n = len(column)
+            if not (all(x < n and column[x] >= y for x, y in _corner_points(a, b, c))
+                    and n - 1 <= a and max(column) <= b
+                    and max(map(add, range(n), column)) <= c):
                 region_failures.append(f"region mismatch at {config} {scenario}")
                 continue
             if eta != min(c, a + b):
@@ -312,8 +316,12 @@ def _cmd_simulate(args) -> int:
     config, scenario = args.config, args.scenario
     d1, d2 = args.point
     grid = default_rho_grid(args.rho_min, args.rho_max, args.points)
-    sweep = simulate_point(config, scenario, d1, d2, trials=args.trials,
-                           seed=args.seed, rho_grid=grid)
+    try:
+        sweep = simulate_point(config, scenario, d1, d2, trials=args.trials,
+                               seed=args.seed, rho_grid=grid)
+    except UndecodableSchemeError as exc:  # a failed check, not a rejected argument
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     eta = dof_formula(config, scenario)
     target = d1 + d2
     if args.out:

@@ -48,7 +48,12 @@ COOP_SLOPE_THRESHOLD = 0.01
 
 
 class UndecodableSchemeError(RuntimeError):
-    """Raised when rates are requested for a scheme that fails diagnostics."""
+    """Raised when rates are requested for a scheme that fails diagnostics.
+
+    The message names the first failing trial's channel seed (in
+    ``simulate_point`` also its scheme seed), the receiver, and that
+    receiver's signal, interference and intersection dimensions, so the
+    trial can be replayed alone."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,13 @@ def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     read from the batch's receiver stacks (``zf._receivers``)."""
     rx1, rx2 = _receivers(trials)
     if not all(rx1[3]) or not all(rx2[3]):
+        i = [a and b for a, b in zip(rx1[3], rx2[3])].index(False)  # the first failing trial
+        receiver, rx = (1, rx1) if not rx1[3][i] else (2, rx2)
+        seed = [ch.seed for *_, channels in trials.cells for ch in channels][i]
         raise UndecodableSchemeError(
-            "scheme fails decodability diagnostics on this channel; "
-            "rates are undefined"
+            f"scheme fails decodability diagnostics on the channel of seed {seed} at "
+            f"receiver {receiver} (signal dim {rx[0][i]}, interference dim {rx[1][i]}, "
+            f"intersection dim {rx[2][i]}); rates are undefined"
         )
     k1, k2 = np.array([_streams_per_node(sc, trials.d1, trials.d2)
                        for _, sc, _, channels in trials.cells for _ in channels]).T

@@ -19,7 +19,9 @@ column tops and the ``dof_formula`` values, as lists in
 ``CognitionScenario.all_scenarios()`` order, test the raw corners of
 ``_corner_points`` as plain pairs, and read the ordering chain's caps and
 formula values by position (``_ORDERING_POSITIONS``); they build no
-``DofPoint`` or ``Region2D``.
+``DofPoint`` or ``Region2D``.  The clipped-sum identity (``lemma5_holds``)
+is checked by brute force over a whole box, as two exact integer/boolean
+arrays compared element by element.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .channel import AntennaConfig, CognitionScenario
 
@@ -188,7 +192,8 @@ def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[int
     n2 and, without t1, m2.  Each top is the lesser of the flat cap and
     s - d1, both at least 0 up to d1 = s, so the achievable set is closed
     under lowering either count and the columns end at the least of n1,
-    m1 + t2*m2 and s.
+    m1 + t2*m2 and s.  The list is written as two runs: the flat cap while
+    s - d1 >= flat, then s - d1, falling by one per column, to the last.
     """
     m1, m2, n1, n2 = config.counts
     k1, k2 = _nullable(config, scenario)
@@ -198,7 +203,11 @@ def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[int
     if not scenario.r2:
         s = min(s, n2 + k1)
     flat = n2 if scenario.t1 else min(m2, n2)
-    return [min(flat, s - d1) for d1 in range(min(n1, m1 + scenario.t2 * m2, s) + 1)]
+    last = min(n1, m1 + scenario.t2 * m2, s)
+    level = min(max(s - flat + 1, 0), last + 1)  # split at d1 = s - flat + 1: first s - d1 < flat
+    tops = [flat] * level
+    tops += range(s - level, s - last - 1, -1)
+    return tops
 
 
 def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
@@ -314,19 +323,19 @@ def lemma5_holds(c: int, d: int, box: int) -> bool:
 
     The set {a + (b - (c - d)^+)^+ <= d} must coincide with
     {a <= d and a + b <= max(c, d)}.  Requires box >= c + d so the box covers
-    everywhere the two sets could differ.
+    everywhere the two sets could differ.  The clipped b is taken per b with
+    ``_pos``; each set is then one boolean array over (b, a) in [0, box]^2,
+    and the two arrays are compared exactly.
     """
     if min(c, d) < 0:
         raise ValueError("c and d must be nonnegative")
     if box < c + d:
         raise ValueError(f"box {box} too small; need at least c + d = {c + d}")
-    shift, top = _pos(c - d), max(c, d)
-    values = range(box + 1)
-    for b in values:  # one row of both predicates per b, over every a
-        clipped = _pos(b - shift)
-        if [a + clipped <= d for a in values] != [a <= d and a + b <= top for a in values]:
-            return False
-    return True
+    shift = _pos(c - d)
+    clipped = np.array([_pos(b - shift) for b in range(box + 1)])[:, None]
+    a = np.arange(box + 1)
+    b = a[:, None]
+    return np.array_equal(a + clipped <= d, (a <= d) & (a + b <= max(c, d)))
 
 
 # The cognition-ordering chain, from scenario bit 4-tuples [t1, t2, r1, r2]:

@@ -158,6 +158,25 @@ def test_verify_fails_on_a_tightened_sum_cap(capsys, monkeypatch):
     assert "FAIL: region mismatch" in out
 
 
+@pytest.mark.parametrize("lowered", [0, 1, 2])
+def test_verify_fails_on_a_lowered_cap(capsys, monkeypatch, lowered):
+    # A - 1 (B - 1) shrinks the outer region, so every corner stays
+    # achievable; only the column check's own term, the last column against
+    # A (the highest top against B), can see it, in every case.  C - 1 also
+    # moves a corner off the staircase where A or B equals C, so only the
+    # column sums against C see every case.
+    def lowered_cap(config, scenario):
+        caps = list(_outer_caps(config, scenario))
+        caps[lowered] -= 1
+        return tuple(caps)
+
+    monkeypatch.setattr(micdof.cli, "_outer_caps", lowered_cap)
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
+    assert code == 1
+    assert all(line.startswith("FAIL: region mismatch at ") for line in out.splitlines()[1:-1])
+    assert out.endswith("FAIL (256 of 256 checks)\n")
+
+
 def test_verify_fails_on_wrong_formula(capsys, monkeypatch):
     monkeypatch.setattr(micdof.cli, "dof_formula", lambda c, s: dof_formula(c, s) + 1)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
@@ -454,6 +473,21 @@ def test_simulate_rejects_unachievable_point(capsys):
                        "--scenario", "0,0,0,0", "--point", "1,1")
     assert code == 2
     assert "not in the achievable integer set" in err
+
+
+def test_simulate_reports_an_undecodable_trial_and_exits_1(capsys):
+    # A near-collinear draw: at receiver 1, W1's signal and W2's
+    # interference count as one direction.  The error names the trial's
+    # seed, receiver and dimensions, and no traceback escapes.
+    code, out, err = run(capsys, "simulate", "--config", "2,2,2,2",
+                         "--scenario", "0,0,0,0", "--point", "1,1",
+                         "--trials", "1", "--seed", "242600675172")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: scheme fails decodability diagnostics on the channel of seed "
+        "242600675172 at receiver 1 (signal dim 1, interference dim 1, "
+        "intersection dim 1); rates are undefined\n"
+    )
 
 
 # ---------------------------------------------------------------- coop-bound

@@ -73,6 +73,23 @@ def test_rates_refuse_undecodable_scheme():
         achievable_rates(corrupted, ch, 100.0)
 
 
+def test_undecodable_trial_is_named_for_replay():
+    # One near-collinear draw: [h31 w1, h32 w2] has singular values 2.85 and
+    # 8.6e-10, so at receiver 1 signal and interference share a direction.
+    config, seed = AntennaConfig(2, 2, 2, 2), 242600675172
+    with pytest.raises(UndecodableSchemeError) as raised:
+        simulate_point(config, CognitionScenario(), 1, 1, trials=1, seed=seed)
+    assert str(raised.value) == (
+        "scheme fails decodability diagnostics on the channel of seed 242600675172 "
+        "at receiver 1 (signal dim 1, interference dim 1, intersection dim 1); "
+        "rates are undefined"
+    )
+    ch = sample_channel(config, seed=seed)
+    diag = verify_scheme(build_scheme(config, CognitionScenario(), 1, 1, ch, seed=seed), ch)
+    assert (diag.signal_dim_rx1, diag.interference_dim_rx1, diag.intersection_dim_rx1) == (1, 1, 1)
+    assert not diag.decodable_w1
+
+
 def _high_snr_gap_holds(totals, models, rho, streams, k_shift=0):
     # Per channel: the sum rate minus streams * log2(rho) is the offset
     # -sum log2(k / sigma^2) plus a remainder sum log2(1 + k / (rho sigma^2))

@@ -416,6 +416,13 @@ def test_lemma5_spot_values():
     assert not in_lhs(0, 4) and not in_rhs(0, 4)
 
 
+def test_lemma5_arrays_match_the_brute_force_sets_verify_checks():
+    # The 81 (c, d) pairs of ``micdof verify``, on its box.
+    for c in range(9):
+        for d in range(9):
+            assert lemma5_holds(c, d, 20) == brute_lemma5(c, d, 20), (c, d)
+
+
 def test_lemma5_rejects_small_box():
     with pytest.raises(ValueError, match="box"):
         lemma5_holds(5, 4, box=8)
