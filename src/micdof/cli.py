@@ -17,13 +17,11 @@ import itertools
 import json
 import os
 import sys
-from operator import add
 
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
     _ORDERING_POSITIONS,
-    _column_tops,
-    _corner_points,
+    _inner_caps,
     _ordering_holds,
     _outer_caps,
     dof_cooperation,
@@ -230,37 +228,33 @@ def _verify_lemma5() -> tuple[int, list[str]]:
 def _verify_configs(configs: list[AntennaConfig]) -> tuple[list[str], list[str]]:
     """The region and ordering sweeps' failures, config by config.  The 16
     scenarios are built once; each config's 16 outer cap triples (A, B, C),
-    column tops and ``dof_formula`` values are computed once, as lists in
-    ``all_scenarios()`` order, and shared by both sweeps.  The regions are
-    equal exactly when each outer corner, a plain (d1, d2) pair, is under
-    its column's top (the achievable set is closed under lowering either
-    count) and each column top is within the caps; the LP value is
-    min(C, A + B).  The ordering check reads the chain's caps and formula
-    values by position, and the cooperation check the no-cognition column
-    tops, the first in that order."""
+    16 inner cap triples and 16 ``dof_formula`` values are computed once, as
+    lists in ``all_scenarios()`` order, and shared by both sweeps.  Both
+    triples are normalised to A, B <= C <= A + B, so the regions are equal
+    exactly when the triples are, and the LP value is then C.  The ordering
+    check reads the chain's outer caps and formula values by position, and
+    the cooperation check the no-cognition inner C, the first in that
+    order."""
     region_failures: list[str] = []
     ordering_failures: list[str] = []
     scenarios = CognitionScenario.all_scenarios()
     for config in configs:
         caps = [_outer_caps(config, s) for s in scenarios]
-        tops = [_column_tops(config, s) for s in scenarios]
+        inner = [_inner_caps(config, s) for s in scenarios]
         etas = [dof_formula(config, s) for s in scenarios]
-        for scenario, (a, b, c), column, eta in zip(scenarios, caps, tops, etas):
+        for scenario, (a, b, c), achievable, eta in zip(scenarios, caps, inner, etas):
             if type(a) is not int or type(b) is not int or type(c) is not int:
                 region_failures.append(f"non-integer vertex at {config} {scenario}")
                 continue
-            n = len(column)
-            if not (all(x < n and column[x] >= y for x, y in _corner_points(a, b, c))
-                    and n - 1 <= a and max(column) <= b
-                    and max(map(add, range(n), column)) <= c):
+            if achievable != (a, b, c):
                 region_failures.append(f"region mismatch at {config} {scenario}")
                 continue
-            if eta != min(c, a + b):
+            if eta != c:
                 region_failures.append(f"formula/LP mismatch at {config} {scenario}")
         if not _ordering_holds([caps[i] for i in _ORDERING_POSITIONS],
                                [etas[i] for i in _ORDERING_POSITIONS]):
             ordering_failures.append(f"cognition ordering fails at {config}")
-        if dof_cooperation(config) != max(d1 + top for d1, top in enumerate(tops[0])):
+        if dof_cooperation(config) != inner[0][2]:
             ordering_failures.append(
                 f"cooperation DOF differs from the largest achievable no-cognition "
                 f"sum at {config}"

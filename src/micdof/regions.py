@@ -1,34 +1,30 @@
 """Exact DOF-region computation for the two-user interference channel.
 
-Everything here is integer arithmetic: regions are intersections of integer
-halfspaces, vertices are integer points, and the sum-DOF linear program is
-solved by evaluating the objective at every vertex.  The zero-forcing
-achievability rule is written once, as each column's top in closed form
-(``_column_tops``, a list of ints with ``tops[d1]`` the top of column d1);
-``_achievable`` reads the tops, and ``zf`` reads the streams each message
-can null from ``_nullable``.  The inner region is the convex hull of the
-achievable integer points, a staircase closed under lowering either count,
-so the hull is read off (0, 0), the far end of the d1 axis and the top of
-each column.  Every converse bound limits d1, d2 or d1 + d2, so the outer
-region is fixed by three caps A, B and C, written once in ``_outer_caps``,
-and its at most five corners follow from them.  The two regions coincide
-exactly when every outer corner is achievable and every column top lies
-within the caps, and a closed-form minimum gives the same sum DOF; the
-verification sweeps check both exhaustively.  They read only the caps, the
-column tops and the ``dof_formula`` values, as lists in
-``CognitionScenario.all_scenarios()`` order, test the raw corners of
-``_corner_points`` as plain pairs, and read the ordering chain's caps and
-formula values by position (``_ORDERING_POSITIONS``); they build no
-``DofPoint`` or ``Region2D``.  The clipped-sum identity (``lemma5_holds``)
-is checked by brute force over a whole box, as two exact integer/boolean
-arrays compared element by element.
+Everything here is integer arithmetic.  Each region is the set of points
+d >= 0 under three integer caps, d1 <= A, d2 <= B and d1 + d2 <= C, kept
+normalised so that A, B <= C <= A + B: every cap is then attained, and equal
+triples mean equal regions.  The zero-forcing achievability rule is written
+once, as the inner caps of ``_inner_caps``; ``_achievable`` and
+``inner_points`` read them, and ``zf`` reads the streams each message can
+null from ``_nullable``.  Every converse bound limits d1, d2 or d1 + d2, so
+the outer region is the caps of ``_outer_caps``.  The caps' constraint
+matrix is totally unimodular, so the region under integer caps has integer
+corners and is the convex hull of its integer points; ``_cap_region`` turns
+either triple into a ``Region2D`` of nonnegativity, the three caps and the
+at most five corners, and no hull is taken.  The two regions coincide
+exactly when the two triples are equal, and the sum DOF is then C.  The
+verification sweeps compare the triples and the ``dof_formula`` values, as
+lists in ``CognitionScenario.all_scenarios()`` order, and read the ordering
+chain's caps and formula values by position (``_ORDERING_POSITIONS``); they
+build no ``DofPoint`` or ``Region2D``.  The clipped-sum identity
+(``lemma5_holds``) is checked by brute force over a whole box, as two exact
+integer/boolean arrays compared element by element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,12 +40,6 @@ class Halfspace(NamedTuple):
 
     def holds(self, point: "DofPoint") -> bool:
         return self.a1 * point.d1 + self.a2 * point.d2 <= self.b
-
-    def normalized(self) -> "Halfspace":
-        g = gcd(self.a1, self.a2, self.b)
-        if g > 1:
-            return Halfspace(self.a1 // g, self.a2 // g, self.b // g)
-        return self
 
 
 class DofPoint(NamedTuple):
@@ -67,28 +57,6 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _convex_hull(points: Iterable[tuple[int, int]]) -> list[DofPoint]:
-    """Monotone-chain hull, counterclockwise from the lexicographically
-    smallest point, collinear interiors dropped; a degenerate hull is its
-    sorted point or segment endpoints."""
-    pts = sorted({(x, y) for x, y in points})
-    if len(pts) <= 2:
-        return [DofPoint(x, y) for x, y in pts]
-    hull: list[tuple[int, int]] = []
-    for chain_points in (pts, pts[::-1]):  # the lower chain, then the upper
-        chain: list[tuple[int, int]] = []
-        for p in chain_points:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        hull += chain[:-1]
-    return [DofPoint(x, y) for x, y in (hull if len(hull) >= 3 else sorted(set(hull)))]
-
-
 @dataclass(frozen=True)
 class Region2D:
     """A bounded convex 2-D region: integer halfspaces plus integer vertices.
@@ -100,40 +68,6 @@ class Region2D:
 
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[DofPoint, ...]
-
-    @classmethod
-    def from_integer_points(cls, points: Iterable[tuple[int, int]]) -> "Region2D":
-        pts = list(points)
-        if not pts:
-            raise ValueError("region is empty")
-        hull = _convex_hull(pts)
-        halfspaces = list(NONNEGATIVITY)
-        if len(hull) == 1:
-            (p,) = hull
-            halfspaces += [
-                Halfspace(1, 0, p.d1),
-                Halfspace(0, 1, p.d2),
-                Halfspace(-1, 0, -p.d1),
-                Halfspace(0, -1, -p.d2),
-            ]
-        elif len(hull) == 2:
-            p, q = hull
-            ex, ey = q.d1 - p.d1, q.d2 - p.d2
-            # The carrier line from both sides, then caps at the endpoints.
-            halfspaces += [
-                Halfspace(ey, -ex, ey * p.d1 - ex * p.d2),
-                Halfspace(-ey, ex, -ey * p.d1 + ex * p.d2),
-                Halfspace(ex, ey, ex * q.d1 + ey * q.d2),
-                Halfspace(-ex, -ey, -ex * p.d1 - ey * p.d2),
-            ]
-        else:
-            n = len(hull)
-            for i in range(n):
-                p, q = hull[i], hull[(i + 1) % n]
-                ex, ey = q.d1 - p.d1, q.d2 - p.d2
-                halfspaces.append(Halfspace(ey, -ex, ey * p.d1 - ex * p.d2))
-        normalized = tuple(dict.fromkeys(h.normalized() for h in halfspaces))
-        return cls(halfspaces=normalized, vertices=tuple(hull))
 
     def to_json_dict(
         self,
@@ -174,9 +108,9 @@ def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, 
     return _pos(m1 + scenario.t2 * m2 - n2), _pos(scenario.t1 * m1 + m2 - n1)
 
 
-def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[int]:
-    """The largest achievable d2 in each column, ``tops[d1]`` for the
-    achievable d1 = 0, 1, ..., len(tops) - 1, as plain ints.
+def _inner_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int, int]:
+    """The achievable caps d1 <= A', d2 <= B' and d1 + d2 <= C', with
+    A', B' <= C' <= A' + B', as plain ints.
 
     This is the zero-forcing achievability rule, written once.  Transmit
     side: d1 <= m1 + t2*m2 and d2 <= m2 + t1*(m1 - d1), and with a cognitive
@@ -187,13 +121,14 @@ def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[int
     and d2 <= n2 + k1 - d1, where receiver 2 is not, with (k1, k2) from
     ``_nullable``.  Every scenario has d1 + d2 <= m1 + m2 (without t2,
     d1 <= m1 and d2 <= m2 + t1*(m1 - d1)), so the caps of slope -1 are one
-    cap d2 <= s - d1, with s the least of m1 + m2 and the receive sums in
-    force (with t1, m2 + t1*(m1 - d1) is m1 + m2 - d1).  The flat caps are
-    n2 and, without t1, m2.  Each top is the lesser of the flat cap and
-    s - d1, both at least 0 up to d1 = s, so the achievable set is closed
-    under lowering either count and the columns end at the least of n1,
-    m1 + t2*m2 and s.  The list is written as two runs: the flat cap while
-    s - d1 >= flat, then s - d1, falling by one per column, to the last.
+    cap d1 + d2 <= s, with s the least of m1 + m2 and the receive sums in
+    force (with t1, m2 + t1*(m1 - d1) is m1 + m2 - d1).  The caps on d2
+    alone are n2 and, without t1, m2; those on d1 alone are n1 and
+    m1 + t2*m2.  The caps are at least 0 and their coefficients are too, so
+    the achievable set holds (0, 0) and is closed under lowering either
+    count.  Normalising removes no point: d1 <= s and d2 <= s follow from
+    the sum cap, so A' and B' take s in their minimum, and d1 + d2 <= A' + B'
+    follows from the other two caps.
     """
     m1, m2, n1, n2 = config.counts
     k1, k2 = _nullable(config, scenario)
@@ -202,42 +137,46 @@ def _column_tops(config: AntennaConfig, scenario: CognitionScenario) -> list[int
         s = min(s, k2 + n1)
     if not scenario.r2:
         s = min(s, n2 + k1)
-    flat = n2 if scenario.t1 else min(m2, n2)
-    last = min(n1, m1 + scenario.t2 * m2, s)
-    level = min(max(s - flat + 1, 0), last + 1)  # split at d1 = s - flat + 1: first s - d1 < flat
-    tops = [flat] * level
-    tops += range(s - level, s - last - 1, -1)
-    return tops
+    a = min(n1, m1 + scenario.t2 * m2, s)
+    b = min(n2 if scenario.t1 else min(m2, n2), s)
+    return a, b, min(s, a + b)
 
 
 def _achievable(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int) -> bool:
-    """Whether the integer pair (d1, d2) is achievable by zero forcing: d2
-    lies between 0 and the top of column d1 of ``_column_tops``."""
-    tops = _column_tops(config, scenario)
-    return 0 <= d1 < len(tops) and 0 <= d2 <= tops[d1]
+    """Whether the integer pair (d1, d2) is achievable by zero forcing: it
+    is nonnegative and under the caps of ``_inner_caps``."""
+    a, b, c = _inner_caps(config, scenario)
+    return 0 <= d1 <= a and 0 <= d2 <= b and d1 + d2 <= c
 
 
 def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> AchievableSet:
-    """Enumerate the achievable integer DOF pairs: each column up to its top."""
-    tops = _column_tops(config, scenario)
-    points = frozenset((d1, d2) for d1, top in enumerate(tops) for d2 in range(top + 1))
+    """Enumerate the achievable integer DOF pairs: each column d1 <= A' up
+    to min(B', C' - d1)."""
+    a, b, c = _inner_caps(config, scenario)
+    points = frozenset((d1, d2) for d1 in range(a + 1) for d2 in range(min(b, c - d1) + 1))
     return AchievableSet(points=points, config=config, scenario=scenario)
 
 
-def _staircase(tops: list[int]) -> list[tuple[int, int]]:
-    """(0, 0), the far end of the d1 axis and the column tops."""
-    return [(0, 0), (len(tops) - 1, 0), *enumerate(tops)]
+def _cap_region(a: int, b: int, c: int) -> Region2D:
+    """The region {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c} for integer caps
+    with a, b <= c: the nonnegativity halfspaces, the three caps and the
+    corners counterclockwise from (0, 0), coincident ones merged.  The
+    corners are integer points, so the region is the convex hull of its
+    integer points; no hull is taken."""
+    halfspaces = (*NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
+    corners = (0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)
+    return Region2D(halfspaces=halfspaces, vertices=tuple(dict.fromkeys(DofPoint(*p) for p in corners)))
 
 
 def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
-    """Convex hull of the achievable integer points, read off the staircase:
-    every point lies between its column's top and the d1 axis, so the hull of
-    (0, 0), the axis's far end and the column tops is the hull of them all."""
-    return Region2D.from_integer_points(_staircase(_column_tops(config, scenario)))
+    """The achievable region: the caps of ``_inner_caps``, which already
+    bound the convex hull of the achievable integer points."""
+    return _cap_region(*_inner_caps(config, scenario))
 
 
 def _outer_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int, int]:
-    """The converse caps d1 <= A, d2 <= B and d1 + d2 <= C, with A, B <= C.
+    """The converse caps d1 <= A, d2 <= B and d1 + d2 <= C, with
+    A, B <= C <= A + B.
 
     The two bounds tied to a transmitter are dropped exactly when it is
     cognitive, as in dof_formula; a cognitive receiver on the same side
@@ -254,26 +193,9 @@ def _outer_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int
     return min(a, c), min(b, c), c
 
 
-def _corner_points(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
-    """The five candidate corners of {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c}
-    for a, b <= c, counterclockwise from (0, 0), as plain pairs; coincident
-    ones are not merged."""
-    return (0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)
-
-
-def _corners(a: int, b: int, c: int) -> tuple[DofPoint, ...]:
-    """The corners of ``_corner_points`` with coincident ones merged, as
-    ``_convex_hull`` of them would give; no hull is taken."""
-    return tuple(dict.fromkeys(DofPoint(*p) for p in _corner_points(a, b, c)))
-
-
 def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
-    """Converse region {d >= 0, d1 <= A, d2 <= B, d1 + d2 <= C} for the caps
-    of ``_outer_caps``: the nonnegativity halfspaces, the three caps and
-    their corners."""
-    a, b, c = _outer_caps(config, scenario)
-    halfspaces = (*NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
-    return Region2D(halfspaces=halfspaces, vertices=_corners(a, b, c))
+    """The converse region: the caps of ``_outer_caps``."""
+    return _cap_region(*_outer_caps(config, scenario))
 
 
 def regions_equal(a: Region2D, b: Region2D) -> bool:

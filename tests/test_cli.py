@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -9,8 +10,7 @@ from micdof.channel import CognitionScenario
 from micdof.cli import main
 from micdof.regions import (
     DofPoint,
-    Region2D,
-    _column_tops,
+    _inner_caps,
     _outer_caps,
     dof_cooperation,
     dof_formula,
@@ -101,6 +101,24 @@ def test_region_sum_dof(capsys):
     assert "sum dof: 3" in out
 
 
+def test_region_json_is_pinned(capsys):
+    # The report's bytes for every config at counts 1..3 and every scenario,
+    # concatenated.  The inner region is reported field by field as the
+    # outer one is: nonnegativity, then the caps on d1, d2 and d1 + d2.
+    texts = []
+    for counts in itertools.product(range(1, 4), repeat=4):
+        for scenario in CognitionScenario.all_scenarios():
+            code, out, _ = run(capsys, "region", "--config", ",".join(map(str, counts)),
+                               "--scenario", ",".join(map(str, scenario.bits)),
+                               "--format", "json")
+            report = json.loads(out)
+            assert code == 0 and report["equal"] is True
+            assert report["inner"] == report["outer"], (counts, scenario)
+            texts.append(out)
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "dbaa013329a129076ba31618f2326ff011c34175f5301f78c140802b54276a1d"
+
+
 def test_region_writes_report(tmp_path, capsys):
     out_file = tmp_path / "region.json"
     code, _, _ = run(capsys, "region", "--config", "2,2,2,2",
@@ -146,8 +164,7 @@ def test_verify_fails_on_loosened_outer_bound(capsys, monkeypatch):
 
 
 def test_verify_fails_on_a_tightened_sum_cap(capsys, monkeypatch):
-    # The outer region shrinks, so every corner stays achievable; only the
-    # check that every column top lies within the caps can see it.
+    # The outer caps shrink, so they no longer equal the inner caps.
     def tightened(config, scenario):
         a, b, c = _outer_caps(config, scenario)
         return min(a, c - 1), min(b, c - 1), c - 1
@@ -160,11 +177,8 @@ def test_verify_fails_on_a_tightened_sum_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("lowered", [0, 1, 2])
 def test_verify_fails_on_a_lowered_cap(capsys, monkeypatch, lowered):
-    # A - 1 (B - 1) shrinks the outer region, so every corner stays
-    # achievable; only the column check's own term, the last column against
-    # A (the highest top against B), can see it, in every case.  C - 1 also
-    # moves a corner off the staircase where A or B equals C, so only the
-    # column sums against C see every case.
+    # Lowering any one outer cap makes the two triples differ in every case,
+    # and no other check runs or fails.
     def lowered_cap(config, scenario):
         caps = list(_outer_caps(config, scenario))
         caps[lowered] -= 1
@@ -185,7 +199,7 @@ def test_verify_fails_on_wrong_formula(capsys, monkeypatch):
 
 
 def test_verify_fails_on_float_vertices(capsys, monkeypatch):
-    # Float caps compare equal to the staircase's ints and give the same LP
+    # Float caps compare equal to the inner caps' ints and give the same LP
     # value, so only the integrality check, which runs first, can see them.
     def floated(config, scenario):
         return tuple(float(cap) for cap in _outer_caps(config, scenario))
@@ -229,16 +243,17 @@ def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds
     ("all", 256), ("regions", 256), ("ordering", 256), ("lemma5", 0),
 ])
 def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
-    # Each config's 16 staircases are read once, whichever sweeps are asked
-    # for, and the cooperation check reads the no-cognition one among them.
+    # Each config's 16 inner cap triples are computed once, whichever sweeps
+    # are asked for, and the cooperation check reads the no-cognition one
+    # among them.
     walked = []
 
     def counted(config, scenario):
         walked.append((config, scenario))
-        return _column_tops(config, scenario)
+        return _inner_caps(config, scenario)
 
-    monkeypatch.setattr(micdof.cli, "_column_tops", counted)
-    monkeypatch.setattr(micdof.regions, "_column_tops", counted)
+    monkeypatch.setattr(micdof.cli, "_inner_caps", counted)
+    monkeypatch.setattr(micdof.regions, "_inner_caps", counted)
     code, _, _ = run(capsys, "verify", "--max-antennas", "2", "--which", which)
     assert code == 0
     assert len(walked) == len(set(walked)) == walks
@@ -247,8 +262,8 @@ def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
 def test_verify_computes_each_formula_value_once(capsys, monkeypatch):
     # Each config's 16 dof_formula values are shared by the region and
     # ordering checks: 256 calls at counts 1..2, plus the 16 that
-    # dof_cooperation makes for the cooperation check.  The column tops the
-    # checks read are plain ints, one per column.
+    # dof_cooperation makes for the cooperation check.  The inner caps the
+    # checks read are a tuple of three plain ints.
     calls = []
 
     def counted(config, scenario):
@@ -256,13 +271,14 @@ def test_verify_computes_each_formula_value_once(capsys, monkeypatch):
         return dof_formula(config, scenario)
 
     def checked(config, scenario):
-        tops = _column_tops(config, scenario)
-        assert type(tops) is list and all(type(top) is int for top in tops), tops
-        return tops
+        caps = _inner_caps(config, scenario)
+        assert type(caps) is tuple and len(caps) == 3, caps
+        assert all(type(cap) is int for cap in caps), caps
+        return caps
 
     monkeypatch.setattr(micdof.cli, "dof_formula", counted)
     monkeypatch.setattr(micdof.regions, "dof_formula", counted)
-    monkeypatch.setattr(micdof.cli, "_column_tops", checked)
+    monkeypatch.setattr(micdof.cli, "_inner_caps", checked)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
     assert code == 0
     assert out.endswith("PASS (353 checks)\n")
@@ -283,33 +299,40 @@ def test_verify_fails_when_the_clip_in_lemma5_is_dropped(capsys, monkeypatch):
     assert out.endswith("FAIL (72 of 81 checks)\n")
 
 
-def test_verify_fails_on_a_dropped_column(capsys, monkeypatch):
-    # Every other control changes the outer side or a formula; this one
-    # drops the last column of the staircase, so an outer corner is no
-    # longer under a column top.
-    monkeypatch.setattr(micdof.cli, "_column_tops", lambda c, s: _column_tops(c, s)[:-1])
+@pytest.mark.parametrize("lowered", [0, 1, 2])
+def test_verify_fails_on_a_lowered_inner_cap(capsys, monkeypatch, lowered):
+    # Every other control changes the outer side or a formula; these lower
+    # A', B' or C' on the achievable side, so the two triples differ in
+    # every case and no other check runs or fails.
+    def lowered_cap(config, scenario):
+        caps = list(_inner_caps(config, scenario))
+        caps[lowered] -= 1
+        return tuple(caps)
+
+    monkeypatch.setattr(micdof.cli, "_inner_caps", lowered_cap)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "regions")
     assert code == 1
-    assert "FAIL: region mismatch" in out
+    assert all(line.startswith("FAIL: region mismatch at ") for line in out.splitlines()[1:-1])
+    assert out.endswith("FAIL (256 of 256 checks)\n")
 
 
 def test_verify_derives_no_inner_halfspaces(capsys, monkeypatch):
-    # The region sweep compares caps with column tops only: it builds no
-    # inner or outer Region2D and takes no hull.
+    # The region sweep compares the two cap triples only: it builds no inner
+    # or outer Region2D.
     def refuse(*args):
-        raise AssertionError("verify built a region or took a hull")
+        raise AssertionError("verify built a region")
 
-    monkeypatch.setattr(Region2D, "from_integer_points", refuse)
-    monkeypatch.setattr(micdof.regions, "_convex_hull", refuse)
-    monkeypatch.setattr(micdof.regions, "outer_region", refuse)
-    monkeypatch.setattr(micdof.cli, "outer_region", refuse)
+    for module in (micdof.regions, micdof.cli):
+        monkeypatch.setattr(module, "inner_region", refuse)
+        monkeypatch.setattr(module, "outer_region", refuse)
+    monkeypatch.setattr(micdof.regions, "_cap_region", refuse)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
     assert code == 0
     assert out.endswith("PASS (353 checks)\n")
 
 
 def test_verify_builds_no_dof_point_and_the_scenarios_once(capsys, monkeypatch):
-    # The region sweep tests corners as plain pairs, and the 16 scenarios are
+    # The region sweep compares plain int triples, and the 16 scenarios are
     # built once per run, not once per config.
     def refuse(*args):
         raise AssertionError("verify built a DofPoint")

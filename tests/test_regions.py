@@ -11,8 +11,8 @@ from micdof.regions import (
     Halfspace,
     Region2D,
     _achievable,
-    _convex_hull,
-    _corners,
+    _cap_region,
+    _inner_caps,
     _outer_caps,
     dof_cooperation,
     dof_cooperation_upper_bounds,
@@ -70,6 +70,18 @@ def reference_vertices(halfspaces):
         if all(other.holds(candidate) for other in hs):
             found.add(candidate)
     return found
+
+
+def counterclockwise_from_origin(vertices):
+    """Whether the vertices start at (0, 0) and turn strictly left at each
+    one; a point or a segment is its endpoints in sorted order."""
+    vs = list(vertices)
+    if vs[:1] != [(0, 0)]:
+        return False
+    if len(vs) <= 2:
+        return vs == sorted(vs)
+    turns = zip(vs, vs[1:] + vs[:1], vs[2:] + vs[:2])
+    return all((q[0] - p[0]) * (r[1] - q[1]) > (q[1] - p[1]) * (r[0] - q[0]) for p, q, r in turns)
 
 
 def paper_bounds(config, scenario):
@@ -184,8 +196,8 @@ def test_nonnegativity_always_present():
 
 
 def test_regions_equal_is_reflexive_and_scale_sensitive():
-    tri = Region2D.from_integer_points([(0, 0), (1, 0), (0, 1)])
-    tri2 = Region2D.from_integer_points([(0, 0), (2, 0), (0, 2)])
+    tri = _cap_region(1, 1, 1)
+    tri2 = _cap_region(2, 2, 2)
     assert regions_equal(tri, tri)
     assert not regions_equal(tri, tri2)
 
@@ -194,8 +206,8 @@ def test_inner_outer_equality_small_sweep():
     # Independent cross-check of inner = outer, at the integer level:
     # membership under the achievability inequalities must coincide with the
     # outer halfspaces on the whole enumeration box, and every outer vertex
-    # must be an achievable integer point.  Together those force hull
-    # equality without trusting the hull or vertex-enumeration code.
+    # must be an achievable integer point.  Together those force region
+    # equality without trusting the cap or vertex-enumeration code.
     for m1, m2, n1, n2 in itertools.product(range(1, 4), repeat=4):
         config = AntennaConfig(m1, m2, n1, n2)
         for scenario in CognitionScenario.all_scenarios():
@@ -253,16 +265,23 @@ def test_region_vertices_are_python_ints():
 
 
 def test_inner_region_off_the_staircase_is_the_hull_of_every_point():
-    # inner_region hulls only (0, 0), the far end of the d1 axis and the
-    # column tops; that must give the region the hull of every achievable
-    # point gives, down to the element types.
+    # inner_region is read off the three inner caps alone.  Its corners are
+    # the vertices of its halfspaces, in order, and every corner is
+    # achievable, while every achievable point satisfies the caps: so the
+    # region is the hull of every achievable point, down to the element
+    # types, without taking a hull.
     for counts in itertools.product(range(1, 5), repeat=4):
         config = AntennaConfig(*counts)
         for scenario in CognitionScenario.all_scenarios():
             got = inner_region(config, scenario)
-            want = Region2D.from_integer_points(inner_points(config, scenario).points)
-            assert got.halfspaces == want.halfspaces
-            assert got.vertices == want.vertices
+            a, b, c = _inner_caps(config, scenario)
+            assert got.halfspaces == (
+                *NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
+            assert set(got.vertices) == reference_vertices(got.halfspaces)
+            assert counterclockwise_from_origin(got.vertices)
+            assert all(definition_membership(config, scenario, *v) for v in got.vertices)
+            points = inner_points(config, scenario).points
+            assert all(h.holds(DofPoint(*p)) for p in points for h in got.halfspaces)
             assert all(type(h) is Halfspace for h in got.halfspaces)
             assert all(type(v) is DofPoint for v in got.vertices)
             assert all(type(c) is int for h in got.halfspaces for c in h)
@@ -270,15 +289,31 @@ def test_inner_region_off_the_staircase_is_the_hull_of_every_point():
 
 
 def test_corners_are_the_hull_of_the_five_corners():
-    # The corners are written from A, B and C; _convex_hull of the five
-    # candidates is the reference, down to the order and the element types.
+    # _cap_region writes its corners from a, b and c; they must be the
+    # vertices of its own halfspaces, distinct and in order, and integer
+    # points under the caps, so the region is the hull of its integer points.
     for a, b in itertools.product(range(13), repeat=2):
         for c in range(max(a, b), a + b + 3):
-            corners = _corners(a, b, c)
-            want = _convex_hull([(0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)])
-            assert list(corners) == want
+            region = _cap_region(a, b, c)
+            corners = region.vertices
+            assert set(corners) == reference_vertices(region.halfspaces)
+            assert len(set(corners)) == len(corners)
+            assert counterclockwise_from_origin(corners)
+            assert all(h.holds(v) for v in corners for h in region.halfspaces)
             assert all(type(v) is DofPoint for v in corners)
             assert all(type(x) is int for v in corners for x in v)
+
+
+def test_inner_caps_are_normalised():
+    # Equal triples mean equal regions only for normalised caps: A', B' <=
+    # C' <= A' + B' as plain ints, so every cap is attained.
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        for scenario in CognitionScenario.all_scenarios():
+            caps = _inner_caps(config, scenario)
+            assert type(caps) is tuple and all(type(cap) is int for cap in caps), caps
+            a, b, c = caps
+            assert 0 <= a <= c and 0 <= b <= c <= a + b, (config, scenario, caps)
 
 
 @settings(max_examples=40)
@@ -306,9 +341,9 @@ def test_more_cognition_never_shrinks_region(config, a, b):
 
 
 def test_sum_dof_lp_examples():
-    tri = Region2D.from_integer_points([(0, 0), (2, 0), (0, 2)])
+    tri = _cap_region(2, 2, 2)
     assert sum_dof_lp(tri) == 2
-    single = Region2D.from_integer_points([(0, 0)])
+    single = _cap_region(0, 0, 0)
     assert sum_dof_lp(single) == 0
 
 
