@@ -1,7 +1,7 @@
 """Finite-SNR rates of ZF schemes and empirical DOF via sum-rate slopes.
 
-Rates are read from the same receiver model as the decodability
-diagnostics (``zf._receivers``, one batch of trials that share
+Rates are read from the same receiver model as the pass rule
+(``zf._receivers``, one batch of trials that share
 config and point): each receiver projects its observation off the residual
 interference subspace (a cognitive receiver first subtracts the message it
 knows, exactly) and decodes its own streams, with unit noise, in what is
@@ -52,8 +52,8 @@ class UndecodableSchemeError(RuntimeError):
 
     The message names the first failing trial's channel seed (in
     ``simulate_point`` also its scheme seed), the receiver, and that
-    receiver's signal, interference and intersection dimensions, so the
-    trial can be replayed alone."""
+    receiver's interference and signal ranks with their generic values
+    (``zf._receivers``), so the trial can be replayed alone."""
 
 
 @dataclass(frozen=True)
@@ -133,19 +133,19 @@ def _streams_per_node(scenario: CognitionScenario, d1: int, d2: int) -> tuple[in
 def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per message, k (B,) and the squared projected singular values (B, s),
     read from the batch's receiver stacks (``zf._receivers``)."""
-    rx1, rx2 = _receivers(trials)
-    if not all(rx1[3]) or not all(rx2[3]):
-        i = [a and b for a, b in zip(rx1[3], rx2[3])].index(False)  # the first failing trial
-        receiver, rx = (1, rx1) if not rx1[3][i] else (2, rx2)
+    rx1, rx2, failed = _receivers(trials)
+    if failed:
+        i = min(failed)  # the first failing trial
+        receiver, rx = (1, rx1) if not rx1.passes[i] else (2, rx2)
         seed = [ch.seed for *_, channels in trials.cells for ch in channels][i]
         raise UndecodableSchemeError(
-            f"scheme fails decodability diagnostics on the channel of seed {seed} at "
-            f"receiver {receiver} (signal dim {rx[0][i]}, interference dim {rx[1][i]}, "
-            f"intersection dim {rx[2][i]}); rates are undefined"
+            f"scheme fails the rank rule on the channel of seed {seed} at receiver "
+            f"{receiver} (interference rank {rx.interference[i]} of {rx.unnulled[i]}, "
+            f"signal rank {rx.signal[i]} of {rx.streams}); rates are undefined"
         )
     k1, k2 = np.array([_streams_per_node(sc, trials.d1, trials.d2)
                        for _, sc, _, channels in trials.cells for _ in channels]).T
-    return (k1, rx1[4] ** 2), (k2, rx2[4] ** 2)
+    return (k1, rx1.spectrum ** 2), (k2, rx2.spectrum ** 2)
 
 
 def _rate_curves(models, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,18 +9,24 @@ active transmit space.  W2 is built symmetrically against receiver 1.  A
 cognitive receiver subtracts every stream of the message it knows, so no
 nulling is aimed at it.  ``_nulled`` is the one place the nulled counts are
 decided: the schemes null exactly the streams that the null residual checks.
-Decodability is verified by subspace rank diagnostics on concrete channels.
+
+A trial passes when every rank reaches its generic value (``_receivers``):
+at receiver i, interference rank u_i (the other message's un-nulled streams,
+0 at a cognitive receiver) and projected signal rank d_i; transmit rank
+d1 + d2; and a null residual within RANK_RTOL.  As sigma_k(P S) <= sigma_k(S),
+projected rank d_i implies signal rank d_i; with interference rank u_i it is
+joint rank d_i + u_i, which ``regions._inner_caps`` keeps <= n_i.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
 zero on the rows of a transmitter that does not carry it.  Trials are built
 and judged in batches of one stack shape (m1+m2, n1, n2, d1, d2), whatever
 configs they mix (``_Trials``), so each rank costs one batched SVD per
 batch.  numpy picks its BLAS call by shapes and strides, so the bits of a
-scheme alone are kept: projections run in groups of equal interference rank
-on views with one scheme's shapes, and norms as stacked matmuls, one BLAS
-ddot per row and one gemv per column (``_norms``, ``_column_norms``), where
-``einsum``, a batched ``np.linalg.norm`` or a strided column sum would add in
-another order.  ``ZfScheme`` is the public record of one scheme;
+scheme alone are kept: projections run in groups of equal u_i on views
+with one scheme's shapes, and norms as stacked matmuls, one BLAS ddot per
+row and one gemv per column (``_norms``, ``_column_norms``), where
+``einsum``, a batched ``np.linalg.norm`` or a strided column sum would add
+in another order.  ``ZfScheme`` is the public record of one scheme;
 ``build_scheme`` and the scalar checks are batches of one.
 """
 
@@ -76,8 +82,6 @@ class _Trials(NamedTuple):
     with the counts (``_nulled``) their blocks null, and ``w1`` (B, m1+m2, d1)
     and ``w2`` (B, m1+m2, d2) the blocks, laid out as in ZfScheme."""
 
-    n1: int
-    n2: int
     d1: int
     d2: int
     cells: list
@@ -90,29 +94,25 @@ def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Tr
     batch; each channel must match its scheme's configuration."""
     if not all(ch.matches(x.config) for x, ch in zip(schemes, channels)):
         raise ValueError("channel does not match the scheme's configuration")
-    s = schemes[0]
     cells = [(x.config, x.scenario, _nulled(x.config, x.scenario, x.d1, x.d2), [ch])
              for x, ch in zip(schemes, channels)]
-    return _Trials(s.config.n1, s.config.n2, s.d1, s.d2, cells,
+    return _Trials(schemes[0].d1, schemes[0].d2, cells,
                    np.array([x.w1 for x in schemes]), np.array([x.w2 for x in schemes]))
 
 
 @dataclass(frozen=True)
 class SchemeDiagnostics:
-    """Subspace dimension counts at both receivers, plus decodability flags.
-
-    A message is decodable when its signal subspace has full dimension d_i,
-    meets the residual interference only at the origin, and both fit inside
-    the receiver's antenna count.  Cognitive receivers subtract the known
-    message, so their residual interference is zero by construction.
+    """The ranks of the pass rule at both receivers (``_receivers``):
+    ``signal_dim_rx*`` is the rank of the signal projected off the residual
+    interference (generic value d_i), ``interference_dim_rx*`` that of the
+    residual interference (generic value u_i, 0 at a cognitive receiver),
+    and message i is decodable when both ranks reach their generic values.
     """
 
     signal_dim_rx1: int
     interference_dim_rx1: int
-    intersection_dim_rx1: int
     signal_dim_rx2: int
     interference_dim_rx2: int
-    intersection_dim_rx2: int
     decodable_w1: bool
     decodable_w2: bool
 
@@ -182,7 +182,7 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
     and its drawn vectors, read from their flat offsets and normalised with
     one ``_norms`` call.
     """
-    (dim, n1, n2), = {(c.m1 + c.m2, c.n1, c.n2) for c, *_ in cells}  # one family, or this fails
+    (dim, _, _), = {(c.m1 + c.m2, c.n1, c.n2) for c, *_ in cells}  # one family, or this fails
     plans, by_link = {}, {}
     for config, scenario, (d1, d2), channels, seed in cells:
         active = (dim if scenario.t2 else config.m1, dim if scenario.t1 else config.m2)
@@ -199,7 +199,7 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
     batches, groups, draws, entropy, end = {}, {}, [], [], 0
     for point, plan in plans.items():
         size = sum(len(cell[3]) for cell, _, _ in plan)
-        batches[point] = _Trials(n1, n2, *point, [cell for cell, _, _ in plan],
+        batches[point] = _Trials(*point, [cell for cell, _, _ in plan],
                                  np.zeros((size, dim, point[0])), np.zeros((size, dim, point[1])))
         item = 0
         for (_, _, _, channels), seed, messages in plan:
@@ -257,65 +257,66 @@ def build_scheme(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2
     return ZfScheme(config, scenario, d1, d2, trials.w1[0], trials.w2[0])
 
 
-def _receiver(rx, scale, signal, interference, cognitive, antennas: int):
-    """One receiver for a batch of B schemes that share (m1+m2, n1, n2, d1, d2).
+class _Receiver(NamedTuple):
+    """One receiver's side of the pass rule over a batch (``_receivers``)."""
 
-    ``rx`` (B, n, m1+m2) and ``scale`` (B,) are each item's channel to the
-    receiver and its spectral norm, ``signal`` and ``interference`` the blocks
-    of the intended and the other message, ``cognitive`` flags receivers that
-    subtract the other message.  Returns per item the ranks (relative to the
-    channel norm) of H W_s and of the residual H W_i, the signal dimensions
-    lost when H W_s is projected off the span of H W_i, whether the message is
-    decodable, and the projected signal's singular values (B, min(n, d)).
-    """
-    batch, _, streams = signal.shape
-    received = rx @ signal
-    projected = np.linalg.svd(received, compute_uv=False)  # until interference is off
-    signal_dim = _ranks(projected, scale).tolist()
-    interference_dim = intersection_dim = [0] * batch
-    if interference.shape[2] and not all(cognitive):
-        u, spectrum, _ = np.linalg.svd(rx @ interference, full_matrices=False)
-        ranks = _ranks(spectrum, scale).tolist()
-        interference_dim = [0 if c else r for c, r in zip(cognitive, ranks)]
-        if streams and any(interference_dim):
-            # Groups of equal rank, one scheme's shapes (see module docstring).
-            kept = received.copy()
-            for dim in set(interference_dim) - {0}:
-                sel = [i == dim for i in interference_dim]
-                sel = slice(None) if all(sel) else np.array(sel)
-                span = u[sel][:, :, :dim]
-                kept[sel] = received[sel] - span @ (np.swapaxes(span, 1, 2) @ received[sel])
-            projected = np.linalg.svd(kept, compute_uv=False)
-            ranks = _ranks(projected, scale).tolist()
-            intersection_dim = [max(s - r, 0) for s, r in zip(signal_dim, ranks)]
-    decodable = [
-        s == streams and x == 0 and s + i <= antennas
-        for s, i, x in zip(signal_dim, interference_dim, intersection_dim)
-    ]
-    return signal_dim, interference_dim, intersection_dim, decodable, projected
+    interference: list  # per trial, the residual interference rank, and
+    unnulled: list  # its generic value u_i
+    signal: list  # per trial, the projected signal rank, and
+    streams: int  # its generic value d_i
+    passes: list  # per trial, whether both ranks reach their generic values
+    spectrum: np.ndarray  # (B, min(n, d_i)) the projected singular values
 
 
 def _receivers(trials: _Trials):
-    """Both receivers' ``_receiver`` results for a batch, each trial on its
-    channel: receiver 1 decodes W1 against W2, receiver 2 W2 against W1."""
-    runs = _runs([ch for *_, channels in trials.cells for ch in channels])
-    return tuple(
-        _receiver(_gather(runs, link), _gather(runs, ("norm", link)), signal, interference,
-                  [getattr(sc, flag) for _, sc, _, chs in trials.cells for _ in chs], antennas)
-        for link, flag, signal, interference, antennas in (
-            ("rx1", "r1", trials.w1, trials.w2, trials.n1),
-            ("rx2", "r2", trials.w2, trials.w1, trials.n2),
-        )
-    )
+    """The pass rule at both receivers of a batch, each trial on its channel
+    (receiver 1 decodes W1 against W2, receiver 2 W2 against W1): the
+    residual interference H W_other has rank u_i = d_other - (its nulled
+    count), 0 at a cognitive receiver, and H W_i projected off the first u_i
+    left singular vectors of H W_other has rank d_i, relative to the channel
+    norm (why this suffices: module docstring).  Returns both ``_Receiver``s
+    and, for each failing trial only, the criteria it fails."""
+    runs, receivers, failed = _runs([ch for *_, chs in trials.cells for ch in chs]), [], {}
+    for link, flag, signal, interference, other in (
+        ("rx1", "r1", trials.w1, trials.w2, 1), ("rx2", "r2", trials.w2, trials.w1, 0)
+    ):
+        rx, scale = _gather(runs, link), _gather(runs, ("norm", link))
+        cognitive = [getattr(sc, flag) for _, sc, _, chs in trials.cells for _ in chs]
+        unnulled = [0 if getattr(sc, flag) else interference.shape[2] - nulled[other]
+                    for _, sc, nulled, chs in trials.cells for _ in chs]
+        received = rx @ signal
+        interference_rank, kept = [0] * len(rx), received
+        if interference.shape[2] and not all(cognitive):
+            u, singular, _ = np.linalg.svd(rx @ interference, full_matrices=False)
+            ranks = _ranks(singular, scale).tolist()
+            interference_rank = [0 if c else r for c, r in zip(cognitive, ranks)]
+            if signal.shape[2] and any(unnulled):
+                # Groups of equal u_i, one scheme's shapes (see module docstring).
+                kept = received.copy()
+                for dim in set(unnulled) - {0}:
+                    sel = [k == dim for k in unnulled]
+                    sel = slice(None) if all(sel) else np.array(sel)
+                    span = u[sel][:, :, :dim]
+                    kept[sel] = received[sel] - span @ (np.swapaxes(span, 1, 2) @ received[sel])
+        spectrum = np.linalg.svd(kept, compute_uv=False)
+        signal_rank, streams = _ranks(spectrum, scale).tolist(), signal.shape[2]
+        passes = [i == k and s == streams
+                  for i, k, s in zip(interference_rank, unnulled, signal_rank)]
+        receivers.append(_Receiver(interference_rank, unnulled, signal_rank, streams, passes,
+                                   spectrum))
+        for t in [t for t, ok in enumerate(passes) if not ok]:
+            shortfalls = ((f"{link} interference rank", interference_rank[t] != unnulled[t]),
+                          (f"{link} signal rank", signal_rank[t] != streams))
+            failed[t] = failed.get(t, ()) + tuple(name for name, short in shortfalls if short)
+    return (*receivers, failed)
 
 
 def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
-    """Rank diagnostics of a scheme on a concrete channel: at each receiver,
-    the ranks of the received signal and of the residual interference (zero
-    at a cognitive receiver) and the signal dimensions lost when the signal
-    is projected off the interference span."""
-    rx1, rx2 = _receivers(_stacked([scheme], [channel]))
-    return SchemeDiagnostics(*(part[0] for part in (*rx1[:3], *rx2[:3], rx1[3], rx2[3])))
+    """The pass rule's ranks of a scheme on a concrete channel, at each
+    receiver (``SchemeDiagnostics``)."""
+    rx1, rx2, _ = _receivers(_stacked([scheme], [channel]))
+    return SchemeDiagnostics(rx1.signal[0], rx1.interference[0], rx2.signal[0],
+                             rx2.interference[0], rx1.passes[0], rx2.passes[0])
 
 
 def _null_residuals(trials: _Trials) -> np.ndarray:
@@ -359,16 +360,14 @@ def transmit_rank(scheme: ZfScheme) -> int:
 
 def _verdicts(trials: _Trials) -> list[tuple[tuple[str, ...], float]]:
     """Per trial of a batch, the criteria of the pass rule it fails (empty when
-    it passes): "decodable" (both receivers' diagnostics), "null residual"
-    (at most RANK_RTOL) and "transmit rank" (the d1 + d2 vectors are
-    independent); and its null residual."""
-    rx1, rx2 = _receivers(trials)
-    streams, names = trials.d1 + trials.d2, ("decodable", "null residual", "transmit rank")
-    verdicts = []
-    for dec1, dec2, residual, rank in zip(rx1[3], rx2[3], _null_residuals(trials).tolist(),
-                                          _transmit_ranks(trials.w1, trials.w2).tolist()):
-        oks = (dec1 and dec2, residual <= RANK_RTOL, rank == streams)
-        verdicts.append((tuple(n for n, ok in zip(names, oks) if not ok), residual))
+    it passes): those of ``_receivers``, then "null residual" (above
+    RANK_RTOL) and "transmit rank" (below d1 + d2); and its null residual."""
+    *_, failed = _receivers(trials)
+    streams, verdicts = trials.d1 + trials.d2, []
+    for t, (residual, rank) in enumerate(zip(_null_residuals(trials).tolist(),
+                                             _transmit_ranks(trials.w1, trials.w2).tolist())):
+        verdicts.append((failed.get(t, ()) + ("null residual",) * (not residual <= RANK_RTOL)
+                         + ("transmit rank",) * (rank != streams), residual))
     return verdicts
 
 

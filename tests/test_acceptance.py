@@ -5,6 +5,7 @@ lines; the whole test suite takes under a minute on a 2-core x86-64 machine,
 dominated by the achievability sweep of criterion 6.
 """
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -233,3 +234,28 @@ def test_criterion_9b_seeded_outputs_are_byte_identical(capsys, tmp_path):
         "seeded channels, schemes, region JSON, and rate CSV are "
         "byte-identical across reruns",
     )
+
+
+# sha256 of seeded outputs as recorded with numpy 2.4 and its bundled
+# OpenBLAS on x86-64: a rerun in one process (9b) cannot see a change that
+# moves every run alike, these can.  A change that means to move a seeded
+# output records its new hash here and in CHANGES.md.
+SEEDED_SHA256 = {
+    "achievability_sweep(3, 1, seed=21) JSON":
+        "ae05694d9c6f3f3ce6629d5a673abdd2104e6423a99ff1f2458d9d21f49d8ab0",
+    "simulate_point((2,2,2,2), 0000, (1,1), trials=3, seed=11) CSV":
+        "5eb29634f9bc709f8368869e54bffcb5b032ed4dda3970d07b4d987cf50e7b34",
+}
+
+
+def test_criterion_9b_seeded_outputs_keep_their_recorded_sha256():
+    outputs = {
+        "achievability_sweep(3, 1, seed=21) JSON":
+            json.dumps(achievability_sweep(3, 1, seed=21).to_json_list()),
+        "simulate_point((2,2,2,2), 0000, (1,1), trials=3, seed=11) CSV":
+            simulate_point(AntennaConfig(2, 2, 2, 2), CognitionScenario(), 1, 1,
+                           trials=3, seed=11).to_csv(),
+    }
+    changed = [name for name, text in outputs.items()
+               if hashlib.sha256(text.encode()).hexdigest() != SEEDED_SHA256[name]]
+    _report(9, not changed, f"seeded outputs keep their recorded sha256; changed: {changed}")

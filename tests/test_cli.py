@@ -501,15 +501,15 @@ def test_simulate_rejects_unachievable_point(capsys):
 def test_simulate_reports_an_undecodable_trial_and_exits_1(capsys):
     # A near-collinear draw: at receiver 1, W1's signal and W2's
     # interference count as one direction.  The error names the trial's
-    # seed, receiver and dimensions, and no traceback escapes.
+    # seed, receiver and ranks with their generic values, and no traceback
+    # escapes.
     code, out, err = run(capsys, "simulate", "--config", "2,2,2,2",
                          "--scenario", "0,0,0,0", "--point", "1,1",
                          "--trials", "1", "--seed", "242600675172")
     assert (code, out) == (1, "")
     assert err == (
-        "error: scheme fails decodability diagnostics on the channel of seed "
-        "242600675172 at receiver 1 (signal dim 1, interference dim 1, "
-        "intersection dim 1); rates are undefined\n"
+        "error: scheme fails the rank rule on the channel of seed 242600675172 at "
+        "receiver 1 (interference rank 1 of 1, signal rank 0 of 1); rates are undefined\n"
     )
 
 

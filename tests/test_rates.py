@@ -75,18 +75,18 @@ def test_rates_refuse_undecodable_scheme():
 
 def test_undecodable_trial_is_named_for_replay():
     # One near-collinear draw: [h31 w1, h32 w2] has singular values 2.85 and
-    # 8.6e-10, so at receiver 1 signal and interference share a direction.
+    # 8.6e-10, so at receiver 1 signal and interference share a direction:
+    # the interference reaches u_1 = 1, the projected signal falls to rank 0.
     config, seed = AntennaConfig(2, 2, 2, 2), 242600675172
     with pytest.raises(UndecodableSchemeError) as raised:
         simulate_point(config, CognitionScenario(), 1, 1, trials=1, seed=seed)
     assert str(raised.value) == (
-        "scheme fails decodability diagnostics on the channel of seed 242600675172 "
-        "at receiver 1 (signal dim 1, interference dim 1, intersection dim 1); "
-        "rates are undefined"
+        "scheme fails the rank rule on the channel of seed 242600675172 at receiver 1 "
+        "(interference rank 1 of 1, signal rank 0 of 1); rates are undefined"
     )
     ch = sample_channel(config, seed=seed)
     diag = verify_scheme(build_scheme(config, CognitionScenario(), 1, 1, ch, seed=seed), ch)
-    assert (diag.signal_dim_rx1, diag.interference_dim_rx1, diag.intersection_dim_rx1) == (1, 1, 1)
+    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (0, 1)
     assert not diag.decodable_w1
 
 

@@ -77,10 +77,8 @@ def test_build_scheme_cognitive_rx2_example():
     assert scheme.w1.shape == scheme.w2.shape == (4, 1)
     assert scheme.w1.all() and not scheme.w2[:2].any() and scheme.w2[2:].all()
     diag = verify_scheme(scheme, ch)
-    assert (diag.signal_dim_rx1, diag.interference_dim_rx1,
-            diag.intersection_dim_rx1) == (1, 1, 0)
-    assert (diag.signal_dim_rx2, diag.interference_dim_rx2,
-            diag.intersection_dim_rx2) == (1, 0, 0)
+    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (1, 1)
+    assert (diag.signal_dim_rx2, diag.interference_dim_rx2) == (1, 0)
     assert diag.all_decodable
 
 
@@ -257,7 +255,8 @@ def test_trial_verdict_passes_a_built_scheme():
 
 
 def test_trial_verdict_fails_a_random_null_vector():
-    # Receiver 2 has room for the leak, so only the residual criterion fails.
+    # Receiver 2 has room for the leak, but the leak lifts its interference
+    # rank above u_2 = 0, and the residual criterion fails too.
     config = AntennaConfig(3, 1, 1, 2)
     ch = sample_channel(config, seed=3)
     scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 0, ch, seed=0)
@@ -267,7 +266,7 @@ def test_trial_verdict_fails_a_random_null_vector():
     w1[:3, 0] = vec / np.linalg.norm(vec)  # W1's active rows: transmitter 1
     leaky = dataclasses.replace(scheme, w1=w1)
     failed, residual = zf._verdicts(zf._stacked([leaky], [ch]))[0]
-    assert failed == ("null residual",)
+    assert failed == ("rx2 interference rank", "null residual")
     assert residual > RANK_RTOL
 
 
@@ -280,6 +279,25 @@ def test_trial_verdict_fails_a_duplicated_vector():
     assert "transmit rank" in failed and "null residual" not in failed
     assert transmit_rank(doubled) == 3
     assert residual <= RANK_RTOL
+
+
+def test_trial_verdict_fails_an_interference_rank_short_of_u():
+    # No stream can be nulled at (2,2,4,4) [0,0,0,0], so u_1 = d2 = 2.  W2's
+    # first column twice gives receiver 1 interference of rank 1: its signal
+    # is still clear of it, yet the interference rank falls short of u_1.
+    config = AntennaConfig(2, 2, 4, 4)
+    ch = sample_channel(config, seed=5)
+    scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 2, ch, seed=0)
+    assert zf._nulled(config, scheme.scenario, 1, 2) == (0, 0)
+    doubled = dataclasses.replace(scheme, w2=scheme.w2[:, [0, 0]])
+    failed, residual = zf._verdicts(zf._stacked([doubled], [ch]))[0]
+    assert failed == ("rx1 interference rank", "rx2 signal rank", "transmit rank")
+    assert residual == 0.0
+    diag = verify_scheme(doubled, ch)
+    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (1, 1)
+    assert (diag.signal_dim_rx2, diag.interference_dim_rx2) == (1, 1)
+    assert not diag.decodable_w1 and not diag.decodable_w2
+    assert diag == _union_rank_diagnostics(doubled, ch)
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,26 +526,27 @@ def _scalar_rank(matrix, scale):
 
 
 def _union_rank_diagnostics(scheme, ch):
-    # Reference: intersection dimension by dim(S) + dim(I) - dim(S + I), with
-    # the union rank taken from the stacked received columns.
-    def receiver(full, scale, signal_cols, interference_cols, antennas, streams):
+    # Reference: the projected signal rank as rank([S I]) - rank(I), and u_i
+    # in closed form from the nullable counts: the un-nulled streams of the
+    # other message, 0 at a cognitive receiver.
+    def receiver(full, scale, signal_cols, interference_cols, streams, unnulled):
         signal = full @ signal_cols
-        s = _scalar_rank(signal, scale)
-        if interference_cols is None or interference_cols.shape[1] == 0:
-            i = x = 0
+        if interference_cols is None:
+            i, s = 0, _scalar_rank(signal, scale)
         else:
             intf = full @ interference_cols
             i = _scalar_rank(intf, scale)
-            x = max(s + i - _scalar_rank(np.hstack([signal, intf]), scale), 0)
-        return s, i, x, s == streams and x == 0 and s + i <= antennas
+            s = _scalar_rank(np.hstack([signal, intf]), scale) - i
+        return s, i, s == streams and i == unnulled
 
-    w1, w2 = scheme.w1, scheme.w2
-    sc = scheme.scenario
+    w1, w2, sc = scheme.w1, scheme.w2, scheme.scenario
+    r1, r2 = _nullable(scheme.config, sc)
+    u1, u2 = (0 if sc.r1 else max(scheme.d2 - r2, 0)), (0 if sc.r2 else max(scheme.d1 - r1, 0))
     rx1, rx2 = channel._links([ch], "rx1")[0], channel._links([ch], "rx2")[0]
     norm1, norm2 = (ChannelRealization.spectral_norms([ch], link)[0] for link in ("rx1", "rx2"))
-    s1, i1, x1, dec1 = receiver(rx1, norm1, w1, None if sc.r1 else w2, scheme.config.n1, scheme.d1)
-    s2, i2, x2, dec2 = receiver(rx2, norm2, w2, None if sc.r2 else w1, scheme.config.n2, scheme.d2)
-    return zf.SchemeDiagnostics(s1, i1, x1, s2, i2, x2, dec1, dec2)
+    s1, i1, dec1 = receiver(rx1, norm1, w1, None if sc.r1 else w2, scheme.d1, u1)
+    s2, i2, dec2 = receiver(rx2, norm2, w2, None if sc.r2 else w1, scheme.d2, u2)
+    return zf.SchemeDiagnostics(s1, i1, s2, i2, dec1, dec2)
 
 
 def test_diagnostics_match_union_rank_reference():
@@ -547,15 +566,24 @@ def test_diagnostics_match_union_rank_reference():
     assert checked == achievability_sweep(max_antennas=2, trials=trials, seed=seed).total_trials
 
 
+def _aligned(ch, scheme):
+    # W2's stream drawn so receiver 1 sees it along W1's direction; the
+    # vectors stay independent in transmit space and none is nulled.
+    vec = np.linalg.solve(ch.h32, ch.h31 @ scheme.w1[:2, 0])
+    w2 = np.zeros((4, 1))
+    w2[2:, 0] = vec / np.linalg.norm(vec)  # W2's active rows: transmitter 2
+    return dataclasses.replace(scheme, w2=w2)
+
+
 def test_diagnostics_see_an_intersecting_interference():
-    # Negative control for the projected rank: W2's stream is W1's own
-    # direction at receiver 1, so the signal is lost in the interference.
+    # Negative control for the projected rank: at receiver 1 the interference
+    # reaches u_1 = 1 along the signal's direction, so the signal is lost.
     config = AntennaConfig(2, 2, 2, 2)
     ch = sample_channel(config, seed=6)
-    scheme = build_scheme(config, scenario(1, 1, 0, 0), 1, 1, ch, seed=0)
-    aligned = dataclasses.replace(scheme, w2=scheme.w1)
+    aligned = _aligned(ch, build_scheme(config, scenario(0, 0, 0, 0), 1, 1, ch, seed=0))
     diag = verify_scheme(aligned, ch)
-    assert diag.intersection_dim_rx1 == 1 and not diag.decodable_w1
+    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (0, 1)
+    assert not diag.decodable_w1 and diag.decodable_w2
     assert diag == _union_rank_diagnostics(aligned, ch)
 
 
@@ -587,16 +615,17 @@ def _corrupt_one(config, point, bits, corrupt):
     return (*verdicts, index)
 
 
-def _assert_only(clean, dirty, index, criterion):
+def _assert_only(clean, dirty, index, *criteria):
     assert all(failed == () for failed, _ in clean)
-    assert dirty[index][0] == (criterion,)
+    assert dirty[index][0] == criteria
     for i, (verdict, reference) in enumerate(zip(dirty, clean)):
         if i != index:
             assert verdict == reference  # same pass, same residual to the bit
 
 
 def test_stacked_verdict_fails_only_a_random_null_vector():
-    # Receiver 2 has room for the leak, so only the residual criterion fails.
+    # Receiver 2 has room for the leak, but it lifts the interference rank
+    # there above u_2 = 0, and the residual criterion fails too.
     def leaky(ch, scheme):
         vec = np.random.default_rng(1).standard_normal(3)
         w1 = scheme.w1.copy()
@@ -604,7 +633,7 @@ def test_stacked_verdict_fails_only_a_random_null_vector():
         return dataclasses.replace(scheme, w1=w1)
 
     clean, dirty, index = _corrupt_one(AntennaConfig(3, 1, 1, 2), (1, 0), (0, 0, 0, 0), leaky)
-    _assert_only(clean, dirty, index, "null residual")
+    _assert_only(clean, dirty, index, "rx2 interference rank", "null residual")
     assert dirty[index][1] > RANK_RTOL
 
 
@@ -619,16 +648,8 @@ def test_stacked_verdict_fails_only_a_duplicated_vector():
 
 
 def test_stacked_verdict_fails_only_an_aligned_interference():
-    # W2's stream is drawn so receiver 1 sees it along W1's direction; the
-    # vectors stay independent in transmit space and none is nulled.
-    def aligned(ch, scheme):
-        vec = np.linalg.solve(ch.h32, ch.h31 @ scheme.w1[:2, 0])
-        w2 = np.zeros((4, 1))
-        w2[2:, 0] = vec / np.linalg.norm(vec)  # W2's active rows: transmitter 2
-        return dataclasses.replace(scheme, w2=w2)
-
-    clean, dirty, index = _corrupt_one(AntennaConfig(2, 2, 2, 2), (1, 1), (0, 0, 0, 0), aligned)
-    _assert_only(clean, dirty, index, "decodable")
+    clean, dirty, index = _corrupt_one(AntennaConfig(2, 2, 2, 2), (1, 1), (0, 0, 0, 0), _aligned)
+    _assert_only(clean, dirty, index, "rx1 signal rank")
 
 
 def test_batch_of_one_matches_its_batch():
@@ -636,16 +657,22 @@ def test_batch_of_one_matches_its_batch():
     # each gets the verdict, diagnostics and projected bits it gets alone.
     config, point = AntennaConfig(3, 2, 2, 3), (1, 1)
     schemes, channels = _group(config, point, trials=3)
-    batch = zf._receivers(zf._stacked(schemes, channels))
-    assert len(set(batch[1][1])) > 1  # interference ranks at receiver 2
+    *batch, failed = zf._receivers(zf._stacked(schemes, channels))
+    assert len(set(batch[1].interference)) > 1 and not failed  # ranks at receiver 2
     assert zf._verdicts(zf._stacked(schemes, channels)) == [
         zf._verdicts(zf._stacked([scheme], [ch]))[0] for scheme, ch in zip(schemes, channels)
     ]
     for i, (scheme, ch) in enumerate(zip(schemes, channels)):
-        alone = zf._receivers(zf._stacked([scheme], [ch]))
+        *alone, _ = zf._receivers(zf._stacked([scheme], [ch]))
         for rx, rx_alone in zip(batch, alone):
-            assert [part[i] for part in rx[:4]] == [part[0] for part in rx_alone[:4]]
-            assert rx[4][i].tobytes() == rx_alone[4][0].tobytes()  # projected spectrum
+            _assert_same_receiver(rx, i, rx_alone)
+
+
+def _assert_same_receiver(rx, i, alone):
+    # Item i of a batch's receiver against the receiver of its batch of one.
+    assert [rx.interference[i], rx.unnulled[i], rx.signal[i], rx.streams, rx.passes[i]] == [
+        alone.interference[0], alone.unnulled[0], alone.signal[0], alone.streams, alone.passes[0]]
+    assert rx.spectrum[i].tobytes() == alone.spectrum[0].tobytes()  # projected spectrum
 
 
 def test_a_shape_batch_of_mixed_configs_and_stacks_matches_its_batches_of_one():
@@ -669,15 +696,14 @@ def test_a_shape_batch_of_mixed_configs_and_stacks_matches_its_batches_of_one():
     trials = zf._schemes(cells)[point]
     assert len({id(ch._row[0]) for _, ch in expected}) > 2 and len(expected) == len(trials.w1)
     assert any(any(nulled) for _, _, nulled, _ in trials.cells)
-    verdicts, batch = zf._verdicts(trials), zf._receivers(trials)
+    verdicts, (*batch, _) = zf._verdicts(trials), zf._receivers(trials)
     for i, (scheme, ch) in enumerate(expected):
         assert trials.w1[i].tobytes() == scheme.w1.tobytes()
         assert trials.w2[i].tobytes() == scheme.w2.tobytes()
         alone = zf._stacked([scheme], [ch])
         assert verdicts[i] == zf._verdicts(alone)[0]
         for rx, rx_alone in zip(batch, zf._receivers(alone)):
-            assert [part[i] for part in rx[:4]] == [part[0] for part in rx_alone[:4]]
-            assert rx[4][i].tobytes() == rx_alone[4][0].tobytes()  # projected spectrum
+            _assert_same_receiver(rx, i, rx_alone)
 
 
 def test_the_sweep_schemes_one_antenna_family_at_a_time(monkeypatch):
@@ -752,7 +778,7 @@ def test_verdict_svds_do_not_grow_with_trials(monkeypatch):
     })
     assert seen[0] == seen[1]
     assert seen[0]["groups"] == groups
-    assert 0 < seen[0]["svds"] <= 7 * groups  # 3 per receiver, 1 transmit rank
+    assert 0 < seen[0]["svds"] <= 5 * groups  # 2 per receiver, 1 transmit rank
 
 
 def _embed(vectors, dim, at_end):
