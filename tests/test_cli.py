@@ -591,3 +591,70 @@ def test_identical_command_lines_are_byte_identical(tmp_path, capsys):
             "--point", "1,1", "--trials", "3", "--seed", "42",
             "--out", str(path))
     assert csv_a.read_bytes() == csv_b.read_bytes()
+
+
+# ------------------------------------------------------------------ byte pins
+
+# Each command line's exit code, stdout, stderr and --out files, hashed as
+# one sha256 (``_digest``).  The README's ten commands, the JSON view of each
+# report, and one line per exit path: rejected arguments (2) and an
+# undecodable simulate trial (1).
+_PINNED = [
+    ("dof --config 1,3,3,1",
+     "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de"),
+    ("dof --config 1,3,3,1 --scenario 0,1,0,0",
+     "584a80e59d0d5a7fd5c4d968ab77548840d083dff98015748aa5fb3feed7b39f"),
+    ("dof --config 2,2,2,2 --all-scenarios",
+     "a56a7febb1dbbb59a2ed289381b7a441143eecabd8b4a603e33b17ae02fba5de"),
+    ("dof --config 2,2,2,2 --cooperation",
+     "2ee76e39687fde325e7a8849e184a1bee7d1dbb9aec3a0cb2a4f9f3b2e721d46"),
+    ("region --config 2,2,2,2 --scenario 0,0,0,0",
+     "4220c04dc5944041abed209221a538c8aee5fb3a1df4d3b3b1397ae974866859"),
+    ("region --config 1,1,1,1 --scenario 0,0,0,0 --format json",
+     "58523a13e5ead96c800a89aa01c9d65ca85c1355b547d61ec61d914ec2ad386d"),
+    ("verify --max-antennas 4 --which all",
+     "b956f4d7b901c2510e0b1c18809bed2bce11c7b9d976945e2a58a26e336426d5"),
+    ("achieve --config 2,2,2,2 --scenario 0,1,0,1 --point 1,1 --trials 50",
+     "f34896c56f9a75d48dd0c250f1a05474a1a66717b566b8fcf2f28753db4df845"),
+    ("simulate --config 2,2,2,2 --scenario 0,0,0,0 --point 1,1 --trials 10 --rho-max 1e9"
+     " --out sweep.csv",
+     "b04ccf73204cdff3a868285625a9b40dacd0745481a11a942ada54d6fc2d1ed2"),
+    ("coop-bound --config 2,2,2,2 --trials 10",
+     "77815df1302420dad0a36362757cde9dfb1d87d76ba0dd2ac9f395e920ef13b6"),
+    ("dof --config 1,3,3,1 --format json",
+     "ce6343e27e0bfaf6f7afb2b0b00abd9664481986c35ac23989eccb4dc55a4d4a"),
+    ("dof --config 1,3,3,1 --scenario 0,1,0,0 --format json",
+     "b920d8db756666039c8f71f2442022e9aedc07cf7a7d8148388762e24cd77358"),
+    ("dof --config 2,2,2,2 --all-scenarios --format json",
+     "b6acd3db0458850a52535c3682255f857e1d6414c7c5ab877ad4b73b60d05a67"),
+    ("dof --config 2,2,2,2 --cooperation --format json",
+     "4258a164ba5015dd182caacadb5d8860efe5ea1d20991328d22362b71fe17628"),
+    ("region --config 2,2,2,2 --scenario 0,0,0,0 --format json --out region.json",
+     "9e8ad4c6d207665e05a1c2ff0fb7803fa99159b08a490e23b3f856781eaf0ee9"),
+    ("achieve --config 2,2,2,2 --scenario 0,1,0,1 --point 1,1 --trials 50 --format json",
+     "40cc18dd27662d32456c0a757d864716453fde5a85de2c8262402d0eeaecb487"),
+    ("coop-bound --config 2,2,2,2 --trials 10 --format json",
+     "d9269c3e70a9393c15b5fe4d7ee95d1adc19f5faeb9097533e2c399fd7ffdfd5"),
+    ("verify --max-antennas 0",
+     "b0cf240c5f62d7b478f49571b2319f5276066933382c5764202949e9ea7baa00"),
+    ("achieve --config 2,2,2,2 --scenario 0,0,0,0 --point 2,1",
+     "d58de4f86811e1d987413669f55c0f713d2d37599b62c47280c3cb5c0232a70c"),
+    ("coop-bound --config 3,1,1,2",
+     "d41bbb4e624455ccf1d4385e6c935e88b4ecca51d687cedc999a7899eef75aba"),
+    ("simulate --config 2,2,2,2 --scenario 0,0,0,0 --point 1,1 --trials 1 --seed 242600675172",
+     "123791109191e4ae80d99d96a65ff89c45da30ddbb5b784bd0412af74f9cd424"),
+]
+
+
+def _digest(code: int, out: str, err: str, out_dir) -> str:
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode())
+    for path in sorted(out_dir.iterdir()):
+        digest.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("line, expected", _PINNED, ids=[line for line, _ in _PINNED])
+def test_every_cli_byte_is_pinned(capsys, tmp_path, monkeypatch, line, expected):
+    monkeypatch.setenv("MICDOF_OUTPUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *line.split())
+    assert _digest(code, out, err, tmp_path) == expected
