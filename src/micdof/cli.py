@@ -4,10 +4,16 @@ achievability checks, and rate simulations, all reproducible by seed.
 Exit status is 0 only when every requested check met its threshold, 1 when
 a check failed, including a simulate trial whose scheme is not decodable,
 and 2 when the arguments were rejected, including a --point outside the
-achievable set and an --out path that cannot be written.  JSON
-output carries full precision; text output rounds to 4 significant digits.
-The MICDOF_OUTPUT_DIR environment variable, when set, is the base directory
-for relative output paths.
+achievable set and an --out path that cannot be written.  Past argparse's
+own checks, every rejected argument is a ValueError (or an OSError) that
+``main`` prints as ``error: <message>``.
+
+Each of ``dof``, ``region``, ``achieve`` and ``coop-bound`` builds its result
+once, as the report dict that ``--format json`` prints, and its text view
+reads the report's values; ``_emit`` is the one place that picks the view.
+JSON output carries full precision; text output rounds to 4 significant
+digits.  The MICDOF_OUTPUT_DIR environment variable, when set, is the base
+directory for relative output paths.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .channel import AntennaConfig, CognitionScenario, sample_channels
 from .regions import (
@@ -31,7 +38,6 @@ from .regions import (
     lemma5_holds,
     outer_region,
     regions_equal,
-    sum_dof_lp,
 )
 from .zf import _require_achievable, _sweep_cells
 from .rates import (
@@ -81,11 +87,16 @@ def _parse_point(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"invalid point {text!r}: {exc}") from exc
 
 
-def _resolve_out(path: str) -> str:
+def _write(path: str, text: str) -> None:
+    """Write an output file; a relative path is read under MICDOF_OUTPUT_DIR when set."""
     base = os.environ.get("MICDOF_OUTPUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+    with open(os.path.join(base, path) if base else path, "w") as fh:
+        fh.write(text)
+
+
+def _emit(args, report: dict, text: str) -> None:
+    """Print a command's report: one JSON line under --format json, else its text view."""
+    print(json.dumps(report) if args.format == "json" else text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,12 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dof = sub.add_parser("dof", help="closed-form DOF values")
     p_dof.add_argument("--config", type=_parse_config, required=True,
                        help="antenna counts m1,m2,n1,n2")
-    p_dof.add_argument("--scenario", type=_parse_scenario, default=None,
-                       help="cognition bits t1,t2,r1,r2 (default all zero)")
-    p_dof.add_argument("--all-scenarios", action="store_true",
-                       help="print a 16-row scenario table")
-    p_dof.add_argument("--cooperation", action="store_true",
-                       help="print the cooperation DOF and its upper bounds")
+    mode = p_dof.add_mutually_exclusive_group()
+    mode.add_argument("--scenario", type=_parse_scenario, default=CognitionScenario(),
+                      help="cognition bits t1,t2,r1,r2 (default all zero)")
+    mode.add_argument("--all-scenarios", action="store_true",
+                      help="print a 16-row scenario table")
+    mode.add_argument("--cooperation", action="store_true",
+                      help="print the cooperation DOF and its upper bounds")
     p_dof.add_argument("--format", choices=("text", "json"), default="text")
 
     p_region = sub.add_parser("region", help="inner/outer DOF regions")
@@ -151,67 +163,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_dof(args) -> int:
     config: AntennaConfig = args.config
+    report = {"config": config.to_json_dict()}
     if args.cooperation:
-        eta = dof_cooperation(config)
-        bounds = dof_cooperation_upper_bounds(config)
-        if args.format == "json":
-            print(json.dumps({
-                "config": config.to_json_dict(),
-                "dof_cooperation": eta,
-                "upper_bounds": list(bounds),
-            }))
-        else:
-            print(f"dof with cooperation: {eta} (upper bounds {bounds[0]}, {bounds[1]})")
-        return 0
-    if args.all_scenarios:
-        rows = [
-            {"scenario": list(s.bits), "dof": dof_formula(config, s)}
-            for s in CognitionScenario.all_scenarios()
-        ]
-        if args.format == "json":
-            print(json.dumps({"config": config.to_json_dict(), "table": rows}))
-        else:
-            for row in rows:
-                bits = ",".join(str(b) for b in row["scenario"])
-                print(f"{bits}  ->  {row['dof']}")
-        return 0
-    scenario = args.scenario or CognitionScenario()
-    eta = dof_formula(config, scenario)
-    if args.format == "json":
-        print(json.dumps({
-            "config": config.to_json_dict(),
-            "scenario": list(scenario.bits),
-            "dof": eta,
-        }))
+        report["dof_cooperation"] = dof_cooperation(config)
+        report["upper_bounds"] = list(dof_cooperation_upper_bounds(config))
+        text = (f"dof with cooperation: {report['dof_cooperation']} "
+                f"(upper bounds {', '.join(map(str, report['upper_bounds']))})")
+    elif args.all_scenarios:
+        report["table"] = [{"scenario": list(s.bits), "dof": dof_formula(config, s)}
+                           for s in CognitionScenario.all_scenarios()]
+        text = "\n".join(f"{','.join(map(str, row['scenario']))}  ->  {row['dof']}"
+                         for row in report["table"])
     else:
-        print(eta)
+        report["scenario"] = list(args.scenario.bits)
+        report["dof"] = dof_formula(config, args.scenario)
+        text = str(report["dof"])
+    _emit(args, report, text)
     return 0
 
 
 def _cmd_region(args) -> int:
     config, scenario = args.config, args.scenario
-    inner = inner_region(config, scenario)
-    outer = outer_region(config, scenario)
-    equal = regions_equal(inner, outer)
+    inner, outer = inner_region(config, scenario), outer_region(config, scenario)
     report = {
         "inner": inner.to_json_dict(config, scenario),
         "outer": outer.to_json_dict(config, scenario),
-        "equal": equal,
+        "equal": regions_equal(inner, outer),
     }
     if args.out:
-        path = _resolve_out(args.out)
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        verts = ", ".join(f"({v.d1},{v.d2})" for v in outer.vertices)
-        print(f"config {config} scenario {scenario}")
-        print(f"vertices: {verts}")
-        print(f"sum dof: {sum_dof_lp(outer)}")
-        print(f"inner equals outer: {'yes' if equal else 'NO'}")
-    return 0 if equal else 1
+        _write(args.out, json.dumps(report, indent=2) + "\n")
+    # Vertices and the sum DOF are "p/q" strings in the report.
+    verts = ", ".join(f"({Fraction(d1)},{Fraction(d2)})" for d1, d2 in report["outer"]["vertices"])
+    _emit(args, report, f"config {config} scenario {scenario}\n"
+                        f"vertices: {verts}\n"
+                        f"sum dof: {Fraction(report['outer']['sum_dof'])}\n"
+                        f"inner equals outer: {'yes' if report['equal'] else 'NO'}")
+    return 0 if report["equal"] else 1
 
 
 def _verify_lemma5() -> tuple[int, list[str]]:
@@ -264,8 +251,7 @@ def _verify_configs(configs: list[AntennaConfig]) -> tuple[list[str], list[str]]
 
 def _cmd_verify(args) -> int:
     if not 1 <= args.max_antennas <= 5:
-        print("error: --max-antennas must be between 1 and 5", file=sys.stderr)
-        return 2
+        raise ValueError("--max-antennas must be between 1 and 5")
     counts = range(1, args.max_antennas + 1)
     configs = [AntennaConfig(*c) for c in itertools.product(counts, repeat=4)]
     region_failures, ordering_failures = _verify_configs(
@@ -298,12 +284,10 @@ def _cmd_achieve(args) -> int:
     _require_achievable(args.config, args.scenario, *args.point)
     channels = sample_channels(args.config, range(args.seed, args.seed + args.trials))
     cell = _sweep_cells([(args.config, args.scenario, args.point, channels, args.seed)])[0]
-    if args.format == "json":
-        print(json.dumps(cell.to_json_dict()))
-    else:
-        print(f"{cell.passes}/{cell.trials} trials passed, "
-              f"worst null residual {_fmt(cell.worst_null_residual)}")
-    return 0 if cell.passes == cell.trials else 1
+    report = cell.to_json_dict()
+    _emit(args, report, f"{report['passes']}/{report['trials']} trials passed, "
+                        f"worst null residual {_fmt(report['worst_null_residual'])}")
+    return 0 if report["passes"] == report["trials"] else 1
 
 
 def _cmd_simulate(args) -> int:
@@ -319,9 +303,7 @@ def _cmd_simulate(args) -> int:
     eta = dof_formula(config, scenario)
     target = d1 + d2
     if args.out:
-        csv_path = _resolve_out(args.out)
-        with open(csv_path, "w") as fh:
-            fh.write(sweep.to_csv())
+        _write(args.out, sweep.to_csv())
         sidecar = {
             "slope": sweep.slope,
             "intercept": sweep.intercept,
@@ -329,25 +311,22 @@ def _cmd_simulate(args) -> int:
             "scenario": list(scenario.bits),
             "point": [d1, d2],
         }
-        with open(csv_path + ".json", "w") as fh:
-            json.dump(sidecar, fh)
-            fh.write("\n")
+        _write(args.out + ".json", json.dumps(sidecar) + "\n")
     print(f"fitted slope: {_fmt(sweep.slope)}  (point target {target}, formula dof {eta})")
     relative_err = abs(sweep.slope - target) / target if target else abs(sweep.slope)
     return 0 if relative_err <= SLOPE_TOLERANCE else 1
 
 
 def _cmd_coop_bound(args) -> int:
-    report = cooperation_dof_gap_check(args.config, trials=args.trials, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(f"max per-antenna bound-term slope: {_fmt(report.max_term_slope)} "
-              f"(threshold {COOP_SLOPE_THRESHOLD})")
-        print(f"dof with cooperation: {report.dof} <= "
-              f"min{report.upper_bounds} = {min(report.upper_bounds)}")
-        print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    report = cooperation_dof_gap_check(args.config, trials=args.trials,
+                                       seed=args.seed).to_json_dict()
+    bounds = report["upper_bounds"]
+    _emit(args, report, f"max per-antenna bound-term slope: {_fmt(report['max_term_slope'])} "
+                        f"(threshold {COOP_SLOPE_THRESHOLD})\n"
+                        f"dof with cooperation: {report['dof_cooperation']} <= "
+                        f"min({', '.join(map(str, bounds))}) = {min(bounds)}\n"
+                        + ("PASS" if report["passed"] else "FAIL"))
+    return 0 if report["passed"] else 1
 
 
 _HANDLERS = {

@@ -16,6 +16,13 @@ over the singular values sigma_i of the projected effective channel.  The
 empirical DOF is the fitted slope of the sum rate against log2 of the
 transmit power, which must match the closed-form value.
 
+Rates are defined by the receiver half of the pass rule alone, and refused
+only when it fails.  The transmit rank and the null residual that
+``zf._verdicts`` adds check how the sweep builds a scheme, not whether its
+rates exist: with W2 := W1 and both receivers cognitive, the sweep fails the
+trial on the transmit rank, yet each receiver cancels the other message and
+r1 keeps every bit.
+
 Rates are arrays over (trial, rho, stream), evaluated on a (B, G, s)
 broadcast (``_rate_curves``); ``simulate_point`` averages the trial axis,
 and ``estimate_dof_slope`` and ``achievable_rates`` are batches of one.  The
@@ -132,7 +139,9 @@ def _streams_per_node(scenario: CognitionScenario, d1: int, d2: int) -> tuple[in
 
 def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per message, k (B,) and the squared projected singular values (B, s),
-    read from the batch's receiver stacks (``zf._receivers``)."""
+    read from the batch's receiver stacks (``zf._receivers``).  Only the
+    receiver ranks can refuse a trial; the transmit rank and the null
+    residual are sweep checks (module docstring)."""
     rx1, rx2, failed = _receivers(trials)
     if failed:
         i = min(failed)  # the first failing trial

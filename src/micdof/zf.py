@@ -323,19 +323,20 @@ def _null_residuals(trials: _Trials) -> np.ndarray:
     """Per trial, the worst relative leakage ||H w|| / ||H|| of its nulled
     streams at the opposite receiver (0 when none is nulled), with the nulled
     counts its blocks were built with: one ``_column_norms`` per message,
-    cross link, nulled count and channel stack."""
+    cross link, nulled count and config (a cross link's shape depends on the
+    config, not only on the family)."""
     dim, groups, start = trials.w1.shape[1], {}, 0
-    for _, scenario, nulled, channels in trials.cells:
+    for config, scenario, nulled, channels in trials.cells:
         for m, link, count in zip((0, 1), _cross_links(scenario), nulled):
-            for i, ch in enumerate(channels if count else (), start):
-                stack, index = ch._row
-                _, sel, rows = groups.setdefault((m, link, count, id(stack)), (stack, [], []))
-                sel.append(i)
-                rows.append(index)
+            if count:
+                sel, chs = groups.setdefault((m, link, count, config), ([], []))
+                sel.extend(range(start, start + len(channels)))
+                chs.extend(channels)
         start += len(channels)
     worst = np.zeros(start)
-    for (m, link, count, _), (stack, sel, rows) in groups.items():
-        h, norms = stack[link][rows], stack["norm", link][rows]
+    for (m, link, count, _), (sel, chs) in groups.items():
+        runs = _runs(chs)
+        h, norms = _gather(runs, link), _gather(runs, ("norm", link))
         cols = slice(dim - h.shape[2], dim) if m else slice(h.shape[2])
         leaks = _column_norms(h, (trials.w2 if m else trials.w1)[sel, cols, :count])
         worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / norms)

@@ -69,6 +69,20 @@ def test_dof_rejects_bad_config(capsys):
     assert "m1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes", [
+    ("--scenario", "1,1,0,0", "--cooperation"),
+    ("--scenario", "1,1,0,0", "--all-scenarios"),
+    ("--all-scenarios", "--cooperation"),
+])
+def test_dof_modes_are_exclusive(capsys, modes):
+    # A second mode is refused, not silently preferred over the first.
+    with pytest.raises(SystemExit) as exc:
+        main(["dof", "--config", "2,2,2,2", *modes])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
 # -------------------------------------------------------------------- region
 
 

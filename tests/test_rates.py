@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from micdof.rates import (
     simulate_point,
 )
 from micdof.regions import dof_formula, inner_points
-from micdof.zf import ZfScheme, _stacked, build_scheme, verify_scheme
+from micdof.zf import ZfScheme, _stacked, _verdicts, build_scheme, verify_scheme
 
 
 def scenario(*bits):
@@ -71,6 +73,21 @@ def test_rates_refuse_undecodable_scheme():
     )
     with pytest.raises(UndecodableSchemeError):
         achievable_rates(corrupted, ch, 100.0)
+
+
+def test_rates_read_only_the_receiver_half_of_the_pass_rule():
+    # Rates are defined by the receiver ranks (zf._receivers); the transmit
+    # rank and the null residual check how a sweep builds its schemes.  With
+    # W2 := W1 the sweep fails the trial on the transmit rank alone, yet both
+    # receivers are cognitive and cancel the other message, so r1 keeps
+    # every bit.
+    config = AntennaConfig(2, 2, 2, 2)
+    ch = sample_channel(config, seed=40)
+    good = build_scheme(config, scenario(1, 1, 1, 1), 1, 1, ch, seed=40)
+    duplicated = dataclasses.replace(good, w2=good.w1)
+    assert _verdicts(_stacked([duplicated], [ch])) == [(("transmit rank",), 0.0)]
+    r1, _ = achievable_rates(duplicated, ch, 1e4)
+    assert r1 == achievable_rates(good, ch, 1e4)[0] == 14.511392095736014
 
 
 def test_undecodable_trial_is_named_for_replay():
