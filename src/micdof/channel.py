@@ -7,7 +7,7 @@ node ``j``; the cooperation variant additionally carries the full 4x4 set of
 directed links (every node is full duplex, self-links included).
 
 Sampling is batched: ``sample_channels`` draws one realization per seed and
-checks each link of the batch for full rank with one batched SVD.  Each
+checks its links for full rank with one batched SVD per link shape.  Each
 seed's matrices depend on that seed alone, so ``sample_channel`` is the batch
 of one.  Every seeded draw, here and for the vectors in ``zf``, comes from
 numpy's Philox under the key (seed mod 2**64, domain tag) (``_generators``),
@@ -234,13 +234,17 @@ def _generators(entropy):
     one generator, reset for each row with its buffer emptied and yielded
     again, so a caller draws all it needs from one row's generator before it
     asks for the next."""
-    bits = np.random.Philox()
-    rng, state = np.random.Generator(bits), bits.state
+    bits = np.random.Philox(0)  # a fixed seed: no OS entropy for a key that is replaced
+    rng, key = np.random.Generator(bits), [0, 0]
+    # The state at counter 0 with an empty buffer, in plain ints, so a reset
+    # reads no numpy arrays.
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for seed, *tag in entropy:
         high, low = (0, *tag) if len(tag) == 1 else (tag[0] + 1, *tag[1:])
         if min(tag) < 0 or max(high, low) >= 2**32:
             raise ValueError(f"entropy row {(seed, *tag)} has no Philox key")
-        state["state"]["key"] = [seed, high << 32 | low]
+        key[:] = seed, high << 32 | low
         bits.state = state
         yield rng
 
@@ -259,9 +263,10 @@ def sample_channels(config: AntennaConfig, seeds,
     rule at tolerance is redrawn with a derived seed, up to 8 attempts before
     giving up.  Each seed's draw depends on that seed alone: attempt a draws
     its links in pair order from Philox under the key (seed mod 2**64, a)
-    (``_generators``).  Each link of a batch is checked with one SVD, whose
-    largest singular values are kept as the spectral norms of h31..h42, in
-    one ``_Stack`` per attempt with (C, n, m) views of its draw.
+    (``_generators``).  The links of an attempt that share a shape are
+    checked with one SVD and one ``_ranks`` call, and their largest singular
+    values are kept as the spectral norms of h31..h42, in one ``_Stack`` per
+    attempt with (C, n, m) views of its draw.
     """
     spans, size = _spans(config.counts, extended)
     seeds = list(seeds)
@@ -274,16 +279,20 @@ def sample_channels(config: AntennaConfig, seeds,
         # would; the links are read-only views, one per (seed, link), of it.
         entropy = [(seeds[k] & (2**64 - 1), attempt) for k in pending]
         draws = _freeze(np.array([rng.standard_normal(size) for rng in _generators(entropy)]))
-        full_rank = np.ones(len(pending), dtype=bool)
-        views, norms = {}, {}
-        for pair, (n, m), span in spans:
-            views[pair] = draws[:, span].reshape(-1, n, m)
-            singular = np.linalg.svd(views[pair], compute_uv=False)
-            full_rank &= _ranks(singular, singular[:, 0]) == min(n, m)
-            norms[pair] = singular[:, 0]
+        views, shapes, norms, full = {}, {}, {}, []
+        for pair, shape, span in spans:
+            views[pair] = draws[:, span].reshape(-1, *shape)
+            shapes.setdefault(shape, []).append(pair)
+        for (n, m), pairs in shapes.items():
+            # One SVD over the shape's (links, C, n, m) stack; LAPACK still
+            # factors each matrix on its own, so each link keeps its values.
+            singular = np.linalg.svd(np.stack([views[p] for p in pairs]), compute_uv=False)
+            norms.update(zip(pairs, singular[..., 0]))
+            flat = singular.reshape(-1, min(n, m))
+            full.append(_ranks(flat, flat[:, 0]) == min(n, m))
+        full_rank = np.concatenate(full).reshape(-1, len(pending)).all(axis=0).tolist()
         stack = _Stack({name: views[p] for p, name in zip(_LINK_PAIRS, _LINK_NAMES)})
         stack.update({("norm", name): norms[p] for p, name in zip(_LINK_PAIRS, _LINK_NAMES)})
-        full_rank = full_rank.tolist()
         for row, (k, ok) in enumerate(zip(pending, full_rank)):
             if ok:
                 accepted[k] = (stack, row, views)

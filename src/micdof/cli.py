@@ -4,9 +4,9 @@ achievability checks, and rate simulations, all reproducible by seed.
 Exit status is 0 only when every requested check met its threshold, 1 when
 a check failed, including a simulate trial whose scheme is not decodable,
 and 2 when the arguments were rejected, including a --point outside the
-achievable set and an --out path that cannot be written.  Past argparse's
-own checks, every rejected argument is a ValueError (or an OSError) that
-``main`` prints as ``error: <message>``.
+achievable set and an --out path that cannot be written.  Every rejected
+argument, argparse's own rejections included, is a ValueError (or an
+OSError) that ``main`` prints as one ``error: <message>`` line.
 
 Each of ``dof``, ``region``, ``achieve`` and ``coop-bound`` builds its result
 once, as the report dict that ``--format json`` prints, and its text view
@@ -99,8 +99,16 @@ def _emit(args, report: dict, text: str) -> None:
     print(json.dumps(report) if args.format == "json" else text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser (its subparsers too) whose rejections are
+    ValueErrors, so ``main`` prints them as ``error: <message>``."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="micdof",
         description=(
             "Degrees-of-freedom analyzer for the two-user MIMO interference "
@@ -340,8 +348,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,12 +29,15 @@ and ``estimate_dof_slope`` and ``achievable_rates`` are batches of one.  The
 arrays give the bits of a loop over trials and powers: each element goes
 through the same IEEE operations, and the sums add in order.
 
-The cooperation probe evaluates, as a (rho, j) array, the genie-bound terms
-log2(1 + ||h11_j||^2 rho / (1 + ||h41_j||^2 rho)) for j < m1: row j of the
-node-1 self link h11 (m1 x m1) is paired with row j of h41 (n2 x m1), which
-is why it needs n2 >= m1 (a converse derivation that fixes this pairing is
-still open).  The terms saturate in rho, which is exactly why full-duplex
-cooperation cannot buy additional DOF.
+The cooperation probe evaluates, as one (channel, rho, j) array for all its
+channels, the genie-bound terms
+
+    log2(1 + ||h11_j||^2 rho / (1 + ||h41_j||^2 rho))
+
+for j < m1: row j of the node-1 self link h11 (m1 x m1) is paired with row j
+of h41 (n2 x m1), which is why it needs n2 >= m1 (a converse derivation that
+fixes this pairing is still open).  The terms saturate in rho, which is
+exactly why full-duplex cooperation cannot buy additional DOF.
 """
 
 from __future__ import annotations
@@ -152,8 +155,9 @@ def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             f"{receiver} (interference rank {rx.interference[i]} of {rx.unnulled[i]}, "
             f"signal rank {rx.signal[i]} of {rx.streams}); rates are undefined"
         )
-    k1, k2 = np.array([_streams_per_node(sc, trials.d1, trials.d2)
-                       for _, sc, _, channels in trials.cells for _ in channels]).T
+    # The power split is per cell, repeated over the cell's trials.
+    splits = [_streams_per_node(sc, trials.d1, trials.d2) for _, sc, _, _ in trials.cells]
+    k1, k2 = np.repeat(splits, [len(channels) for *_, channels in trials.cells], axis=0).T
     return (k1, rx1.spectrum ** 2), (k2, rx2.spectrum ** 2)
 
 
@@ -251,37 +255,45 @@ def simulate_point(config: AntennaConfig, scenario: CognitionScenario, d1: int, 
     return _sweep(_schemes([(config, scenario, (d1, d2), channels, seed)])[d1, d2], grid)
 
 
-def _bound_terms(channel: ChannelRealization, grid: np.ndarray) -> np.ndarray:
-    """A channel's genie-bound terms (rho, j); row norms by BLAS dot, as np.dot."""
-    if channel.extended_links is None:
+def _bound_terms(channels: list[ChannelRealization], grid: np.ndarray) -> np.ndarray:
+    """The genie-bound terms of a batch of channels of one config (B, rho, j);
+    row norms by BLAS dot, as np.dot."""
+    if any(channel.extended_links is None for channel in channels):
         raise ValueError("cooperation bound terms need an extended channel realization")
     if not np.all(grid > 0):
         raise ValueError("rho must be positive")
-    h11 = channel.extended_links[(1, 1)]
-    h41 = channel.h41
-    m1 = h11.shape[1]
-    if h41.shape[0] < m1:
+    h11 = np.stack([channel.extended_links[(1, 1)] for channel in channels])
+    h41 = np.stack([channel.h41 for channel in channels])
+    m1 = h11.shape[2]
+    if h41.shape[1] < m1:
         raise ValueError(
-            f"cooperation bound requires n2 >= m1 (got n2={h41.shape[0]}, m1={m1})"
+            f"cooperation bound requires n2 >= m1 (got n2={h41.shape[1]}, m1={m1})"
         )
-    direct, quieting = ((h[:m1, None, :] @ h[:m1, :, None])[:, 0, 0] for h in (h11, h41))
+    direct, quieting = ((h[:, :m1, None, :] @ h[:, :m1, :, None])[:, None, :, 0, 0]
+                        for h in (h11, h41))
     rho = grid[:, None]
     return np.log2(1.0 + direct * rho / (1.0 + quieting * rho))
+
+
+def _term_slopes(channels: list[ChannelRealization], rho_grid) -> np.ndarray:
+    """Per channel and genie-bound term (B, j), its largest finite-difference
+    slope in log2(rho)."""
+    grid = np.array(rho_grid, dtype=float)
+    _check_grid(grid)
+    steps = np.diff(_bound_terms(channels, grid), axis=1) / np.diff(np.log2(grid))[:, None]
+    return np.abs(steps).max(axis=1, initial=0.0)
 
 
 def cooperation_bound_term(channel: ChannelRealization, rho: float) -> CooperationBoundProbe:
     """The genie-bound terms at one power: row j of h11 against row j of h41,
     j < m1.  Needs the extended link set (for h11) and n2 >= m1."""
-    terms = _bound_terms(channel, np.array([rho], dtype=float))
-    return CooperationBoundProbe(per_antenna_terms=tuple(terms[0].tolist()), rho=rho)
+    terms = _bound_terms([channel], np.array([rho], dtype=float))
+    return CooperationBoundProbe(per_antenna_terms=tuple(terms[0, 0].tolist()), rho=rho)
 
 
 def bound_term_slopes(channel: ChannelRealization, rho_grid=COOP_RHO_GRID) -> list[float]:
     """Per genie-bound term, its largest finite-difference slope in log2(rho)."""
-    grid = np.array(rho_grid, dtype=float)
-    _check_grid(grid)
-    steps = np.diff(_bound_terms(channel, grid), axis=0) / np.diff(np.log2(grid))[:, None]
-    return np.abs(steps).max(axis=0, initial=0.0).tolist()
+    return _term_slopes([channel], rho_grid)[0].tolist()
 
 
 def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,
@@ -300,9 +312,8 @@ def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    worst = 0.0
-    for channel in sample_channels(config, range(seed, seed + trials), extended=True):
-        worst = max(worst, max(bound_term_slopes(channel)))
+    channels = sample_channels(config, range(seed, seed + trials), extended=True)
+    worst = float(_term_slopes(channels, COOP_RHO_GRID).max())
     dof = dof_cooperation(config)
     bounds = dof_cooperation_upper_bounds(config)
     return CooperationGapReport(config=config, trials=trials, rho_grid=COOP_RHO_GRID,

@@ -63,10 +63,9 @@ def test_dof_accepts_json_config(capsys):
 
 
 def test_dof_rejects_bad_config(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["dof", "--config", "0,2,2,2"])
-    assert exc.value.code == 2
-    assert "m1" in capsys.readouterr().err
+    code, out, err = run(capsys, "dof", "--config", "0,2,2,2")
+    assert code == 2
+    assert out == "" and "m1" in err
 
 
 @pytest.mark.parametrize("modes", [
@@ -76,11 +75,9 @@ def test_dof_rejects_bad_config(capsys):
 ])
 def test_dof_modes_are_exclusive(capsys, modes):
     # A second mode is refused, not silently preferred over the first.
-    with pytest.raises(SystemExit) as exc:
-        main(["dof", "--config", "2,2,2,2", *modes])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == "" and "not allowed with argument" in captured.err
+    code, out, err = run(capsys, "dof", "--config", "2,2,2,2", *modes)
+    assert code == 2
+    assert out == "" and "not allowed with argument" in err
 
 
 # -------------------------------------------------------------------- region
@@ -611,8 +608,8 @@ def test_identical_command_lines_are_byte_identical(tmp_path, capsys):
 
 # Each command line's exit code, stdout, stderr and --out files, hashed as
 # one sha256 (``_digest``).  The README's ten commands, the JSON view of each
-# report, and one line per exit path: rejected arguments (2) and an
-# undecodable simulate trial (1).
+# report, and one line per exit path: arguments rejected by a command and
+# by argparse (2), and an undecodable simulate trial (1).
 _PINNED = [
     ("dof --config 1,3,3,1",
      "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de"),
@@ -657,6 +654,10 @@ _PINNED = [
      "d41bbb4e624455ccf1d4385e6c935e88b4ecca51d687cedc999a7899eef75aba"),
     ("simulate --config 2,2,2,2 --scenario 0,0,0,0 --point 1,1 --trials 1 --seed 242600675172",
      "123791109191e4ae80d99d96a65ff89c45da30ddbb5b784bd0412af74f9cd424"),
+    ("dof --config 0,2,2,2",
+     "e9015a3c8a2383b98f159247d65d03cb2b1f042477abcfa9be4a4890ad7dc1e4"),
+    ("dof --config 2,2,2,2 --scenario 1,1,0,0 --cooperation",
+     "a3e6e7828debaea2cdae0791b3f36d3e8c52fa1060a5188d3c7b0c8102a912d9"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -33,3 +34,17 @@ def test_exact_verify_replica_agrees_with_verify(monkeypatch):
     assert bench.traced(tracing.Tracer(), 0) == result
     controls = list(bench.controls(result))
     assert controls and all(verdict.problems for _, verdict in controls)
+
+
+def test_rate_mc_seeded_outputs_are_a_known_answer(monkeypatch):
+    # rate_mc's cases and cooperation configs are not exercised elsewhere with
+    # these seeds; the repr of a round pins every rate, slope and report.
+    workloads = _load(monkeypatch, "workloads")
+    expected = {
+        3: "0cdb0e32b7d424ce3cb467f071a9ad1f9ecf0d51a7f7b8b3fceba7aad50627e4",
+        21: "f389143e3a78cb8eb4f65a0749793e3d653e37a1693ca76d419643387dbc0bc4",
+        58: "85e1f2660ba7fcfb5765cb71441614e6f7e724567a2509adffe62b4a7dcf9140",
+    }
+    bench = workloads.RateMc()
+    for seed, digest in expected.items():
+        assert hashlib.sha256(repr(bench.run(seed)).encode()).hexdigest() == digest, seed

@@ -508,6 +508,18 @@ def test_bound_term_arrays_match_the_per_row_loop():
             assert np.array(got).tobytes() == np.array(_loop_slopes(ch, grid)).tobytes()
 
 
+def test_gap_check_slope_is_the_worst_per_channel_loop_slope():
+    # The check judges all its trials as one array; its worst slope is the
+    # largest of the per-channel reference loops, to the bit.
+    for counts in ((3, 1, 2, 4), (4, 4, 4, 4), (2, 2, 2, 2)):
+        config = AntennaConfig(*counts)
+        for seed in range(10):
+            report = cooperation_dof_gap_check(config, trials=10, seed=seed)
+            channels = sample_channels(config, range(seed, seed + 10), extended=True)
+            expected = max(max(_loop_slopes(ch, COOP_RHO_GRID)) for ch in channels)
+            assert np.float64(report.max_term_slope).tobytes() == np.float64(expected).tobytes()
+
+
 def test_bound_term_slope_log2_calls_do_not_grow_with_grid(monkeypatch):
     ch = sample_channel(AntennaConfig(3, 3, 3, 3), seed=1, extended=True)
     counts = _count_log2(monkeypatch)

@@ -442,8 +442,8 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
 
 
 def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
-    # Operation counts: sampling makes one SVD per sampled link and null bases
-    # one per cross link, whatever the number of trials.
+    # Operation counts: sampling makes one SVD per distinct link shape and
+    # null bases one per cross link, whatever the number of trials.
     from micdof import rates
 
     svd = np.linalg.svd
@@ -474,13 +474,14 @@ def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
         run(trials)
         return counts["svds"]
 
-    # (2,4,3,3): four links; W2 is nulled against h32.
+    # (2,4,3,3): four links of shapes (3,2) and (3,4); W2 is nulled against
+    # h32, one null basis.
     config, sc = AntennaConfig(2, 4, 3, 3), scenario(0, 1, 0, 1)
     point = lambda trials: rates.simulate_point(config, sc, 2, 2, trials=trials, seed=3)
-    assert svds(point, 2) == svds(point, 50) == 5
-    # Extended channels: sixteen links, no null basis.
+    assert svds(point, 2) == svds(point, 50) == 3
+    # Extended channels: sixteen links of one shape, no null basis.
     coop = lambda trials: rates.cooperation_dof_gap_check(AntennaConfig(4, 4, 4, 4), trials=trials)
-    assert svds(coop, 1) == svds(coop, 10) == 16
+    assert svds(coop, 1) == svds(coop, 10) == 1
     sweep = lambda trials: achievability_sweep(max_antennas=2, trials=trials, seed=0)
     assert 0 < svds(sweep, 1) == svds(sweep, 4)
 
