@@ -120,12 +120,13 @@ class ChannelRealization:
     node i, sixteen in total; otherwise it is None.
 
     ``row`` is (stack, index) in the ``_Stack`` of a sampled batch; one built
-    otherwise (or by ``dataclasses.replace``) is a stack of one.  Spectral
-    norms (``spectral_norms``, over ``h31``..``h42`` and the receiver links
-    ``rx1`` = [h31 h32] and ``rx2`` = [h41 h42]) are read from the stacks,
-    and null bases (``null_bases``, read-only) are computed for a batch on
-    first use and cached per channel, so every point, verdict and rate on the
-    channel shares them.  Realizations compare and hash by identity.
+    otherwise (or by ``dataclasses.replace``) is a stack of one, and its
+    ``extended_links``, if any, must cover the sixteen pairs with the shapes
+    of h31..h42's counts and agree with h31..h42.  Spectral norms
+    (``spectral_norms``, over ``h31``..``h42`` and the receiver links ``rx1``
+    = [h31 h32] and ``rx2`` = [h41 h42]) are read from the stacks.  A
+    realization holds what sampling draws and nothing that ``zf`` decides.
+    Realizations compare and hash by identity.
     """
 
     h31: np.ndarray
@@ -136,10 +137,16 @@ class ChannelRealization:
     extended_links: dict[tuple[int, int], np.ndarray] | None = field(default=None)
     row: InitVar[tuple | None] = None
     _row: tuple = field(init=False, repr=False)
-    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, row) -> None:
-        if row is None:  # built outside sampling: a stack of one
+        if row is None:  # built outside sampling: a stack of one, its links checked
+            links = self.extended_links
+            for pair, shape, _ in _spans(self.config.counts, True)[0] if links is not None else ():
+                name = "h%d%d" % pair
+                if np.shape(links.get(pair)) != shape:
+                    raise ValueError(f"extended link {pair} must be a {shape} matrix")
+                if pair in _LINK_PAIRS and not np.array_equal(links[pair], getattr(self, name)):
+                    raise ValueError(f"extended link {pair} differs from {name}")
             row = (_Stack({name: getattr(self, name)[None] for name in _LINK_NAMES}), 0)
         object.__setattr__(self, "_row", row)
 
@@ -152,17 +159,6 @@ class ChannelRealization:
     def spectral_norms(channels: list["ChannelRealization"], link: str) -> np.ndarray:
         """Largest singular value of a link of each channel (B,), from their stacks."""
         return _gather(_runs(channels), ("norm", link))
-
-    @staticmethod
-    def null_bases(channels: list["ChannelRealization"], link: str) -> list[np.ndarray]:
-        """Read-only null basis of a link of each channel, one basis vector per
-        row: (nullity, columns); the uncached ones come from one batched full
-        SVD (``_null_rows``)."""
-        missing = [ch for ch in channels if link not in ch._bases]
-        if missing:
-            for ch, basis in zip(missing, _null_rows(_links(missing, link))):
-                ch._bases[link] = _freeze(basis)
-        return [ch._bases[link] for ch in channels]
 
     def matches(self, config: AntennaConfig) -> bool:
         m1, m2, n1, n2 = config.counts
@@ -178,7 +174,9 @@ class _Stack(dict):
     """A batch's links h31..h42 (C, n, m) and norms (C,) at ("norm", link); a
     receiver's ``rx1``/``rx2`` (its two h-links, concatenated) and a missing
     norm (one batched SVD's first singular value, ``np.linalg.norm(x, 2)``)
-    are computed for the whole stack on first use.  It holds no channel."""
+    are computed for the whole stack on first use.  It holds no channel.  The
+    memo pays: in one zf_sweep round each entry it computes is read about 13
+    times, and the cooperation probe's stacks never compute theirs."""
 
     def __missing__(self, key):
         self[key] = (np.linalg.svd(self[key[1]], compute_uv=False)[:, 0] if isinstance(key, tuple)
@@ -219,11 +217,6 @@ def _null_rows(stack: np.ndarray) -> list[np.ndarray]:
     _, singular, vt = np.linalg.svd(stack, full_matrices=True)
     ranks = _ranks(singular, singular.max(axis=1, initial=0.0)).tolist()
     return [basis[rank:] for rank, basis in zip(ranks, vt)]
-
-
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
 
 
 def _generators(entropy):
@@ -278,7 +271,8 @@ def sample_channels(config: AntennaConfig, seeds,
         # One standard_normal call draws the numbers that one call per link
         # would; the links are read-only views, one per (seed, link), of it.
         entropy = [(seeds[k] & (2**64 - 1), attempt) for k in pending]
-        draws = _freeze(np.array([rng.standard_normal(size) for rng in _generators(entropy)]))
+        draws = np.array([rng.standard_normal(size) for rng in _generators(entropy)])
+        draws.setflags(write=False)
         views, shapes, norms, full = {}, {}, {}, []
         for pair, shape, span in spans:
             views[pair] = draws[:, span].reshape(-1, *shape)

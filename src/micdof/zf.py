@@ -46,6 +46,8 @@ from .channel import (
     CognitionScenario,
     _generators,
     _gather,
+    _links,
+    _null_rows,
     _ranks,
     _runs,
     sample_channels,
@@ -172,7 +174,9 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
     runs on channels[t] with vector seed seed + t.
 
     A message's first k streams (``_nulled``) are the first k rows of the null
-    basis of its cross link, read only when k > 0; it draws the rest on its
+    basis of its cross link, computed only when k > 0: one ``_null_rows`` SVD
+    per (config, cross link) over the channels that null against it, across
+    the cells, into a table local to this call.  It draws the rest on its
     active rows, W1's first, from Philox under the key (seed mod 2**64, tag
     of (d1, d2)) (``_generators``): one standard_normal call per trial that
     draws gives the numbers of one call per vector (``_isotropic`` redraws
@@ -194,8 +198,9 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
                 by_link.setdefault((config, link), {}).update(dict.fromkeys(channels))
         cell = (config, scenario, nulled, channels)
         plans.setdefault((d1, d2), []).append((cell, seed, messages))
+    kernels = {}  # (link, channel): its null basis, one batched SVD per (config, link)
     for (_, link), linked in by_link.items():
-        ChannelRealization.null_bases(list(linked), link)
+        kernels.update(zip([(link, ch) for ch in linked], _null_rows(_links(list(linked), link))))
     batches, groups, draws, entropy, end = {}, {}, [], [], 0
     for point, plan in plans.items():
         size = sum(len(cell[3]) for cell, _, _ in plan)
@@ -210,7 +215,7 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
                     items, bases, firsts = groups.setdefault((point, m, a, k), ([], [], []))
                     items.extend(range(item, item + n))
                     if k:
-                        bases.extend(b[:k] for b in ChannelRealization.null_bases(channels, link))
+                        bases.extend(kernels[link, ch][:k] for ch in channels)
                     if k < streams:
                         firsts.extend(range(offset, offset + n * stride, stride))
                         offset += (streams - k) * a

@@ -62,6 +62,13 @@ def test_dof_accepts_json_config(capsys):
     assert out.strip() == "1"
 
 
+def test_dof_accepts_a_json_scenario(capsys):
+    # The JSON list form of a scenario prints what its comma form prints.
+    json_form = run(capsys, "dof", "--config", "2,2,2,2", "--scenario", "[0,1,0,0]")
+    assert json_form == run(capsys, "dof", "--config", "2,2,2,2", "--scenario", "0,1,0,0")
+    assert json_form == (0, "2\n", "")
+
+
 def test_dof_rejects_bad_config(capsys):
     code, out, err = run(capsys, "dof", "--config", "0,2,2,2")
     assert code == 2
@@ -221,6 +228,20 @@ def test_verify_fails_on_float_vertices(capsys, monkeypatch):
     assert "FAIL: region mismatch" not in out and "FAIL: formula/LP mismatch" not in out
     assert "FAIL: non-integer vertex at (1,1,1,1) [0,0,0,0]" in out
     assert out.endswith("FAIL (256 of 256 checks)\n")
+
+
+def test_verify_fails_on_a_formula_that_breaks_the_ordering_chain(capsys, monkeypatch):
+    # One more at [0,1,0,1] breaks eta(0,1,0,0) = eta(0,1,0,1) in every
+    # config, while the outer caps keep their chain: the formula half fails.
+    bumped = CognitionScenario.from_bits((0, 1, 0, 1))
+    monkeypatch.setattr(micdof.cli, "dof_formula",
+                        lambda c, s: dof_formula(c, s) + (s == bumped))
+    code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "ordering")
+    fails = out.splitlines()[1:-1]
+    assert code == 1
+    assert len(fails) == 16
+    assert all(line.startswith("FAIL: cognition ordering fails at ") for line in fails)
+    assert out.endswith("FAIL (16 of 16 checks)\n")
 
 
 def test_verify_fails_on_wrong_cooperation_dof(capsys, monkeypatch):
@@ -609,7 +630,8 @@ def test_identical_command_lines_are_byte_identical(tmp_path, capsys):
 # Each command line's exit code, stdout, stderr and --out files, hashed as
 # one sha256 (``_digest``).  The README's ten commands, the JSON view of each
 # report, and one line per exit path: arguments rejected by a command and
-# by argparse (2), and an undecodable simulate trial (1).
+# by argparse (2), and an undecodable simulate trial (1); then a rejection of
+# each argument parser (config, scenario, point) and a JSON scenario.
 _PINNED = [
     ("dof --config 1,3,3,1",
      "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de"),
@@ -658,6 +680,16 @@ _PINNED = [
      "e9015a3c8a2383b98f159247d65d03cb2b1f042477abcfa9be4a4890ad7dc1e4"),
     ("dof --config 2,2,2,2 --scenario 1,1,0,0 --cooperation",
      "a3e6e7828debaea2cdae0791b3f36d3e8c52fa1060a5188d3c7b0c8102a912d9"),
+    ("dof --config 1,2,3",
+     "637aa6b515f527084f0923f61d0215e592fd5d4403b6996ac3cdb0b91a161fcc"),
+    ("region --config 2,2,2,2 --scenario 0,1,2,0",
+     "f20d07e4dc176cb762a2ff1ffa6fdb0420ba87e55b692fbf08c0cd462e0933c6"),
+    ("achieve --config 2,2,2,2 --scenario 0,0,0,0 --point 1",
+     "cdb9fac882c686f3ff0258a1de3b461fe0dad0b5c69b733a5ff5799d7731a5f2"),
+    ("achieve --config 2,2,2,2 --scenario 0,0,0,0 --point a,b",
+     "fbee58650d86175f6ca29eb0efecd5e9a5a6b62ef7127b1670a027b50fb8425a"),
+    ("dof --config 2,2,2,2 --scenario [0,1,0,0]",
+     "7576410f3b85c88eb70620628abb7b0d187a6f57a13cec414efcf7aa52c859ba"),
 ]
 
 

@@ -48,3 +48,22 @@ def test_rate_mc_seeded_outputs_are_a_known_answer(monkeypatch):
     bench = workloads.RateMc()
     for seed, digest in expected.items():
         assert hashlib.sha256(repr(bench.run(seed)).encode()).hexdigest() == digest, seed
+
+
+def test_zf_sweep_replica_agrees_with_its_run(monkeypatch):
+    # The traced replica builds and judges one scheme at a time, where run
+    # judges batches; a round of each must give the same report.  Counts
+    # 1..2 keep it short.
+    workloads, tracing = _load(monkeypatch, "workloads"), _load(monkeypatch, "tracing")
+    bench = workloads.ZfSweep()
+    bench.MAX_ANTENNAS = 2
+    report = bench.run(5)
+    assert report.total_trials == 1290
+    assert bench.traced(tracing.Tracer(), 5) == report
+
+
+def test_rate_mc_replica_agrees_with_its_run(monkeypatch):
+    # The traced replica evaluates rates one (trial, rho) at a time.
+    workloads, tracing = _load(monkeypatch, "workloads"), _load(monkeypatch, "tracing")
+    bench = workloads.RateMc()
+    assert bench.traced(tracing.Tracer(), 5) == bench.run(5)

@@ -433,11 +433,12 @@ def test_bound_term_pairs_rows_of_h11_and_h41():
     # Squared norms: h11 rows 2, 4 (columns 5, 1); h41 rows 1, 9 (columns 26, 34).
     h11 = np.array([[1.0, 1.0], [2.0, 0.0]])
     h41 = np.array([[1.0, 0.0], [0.0, 3.0], [5.0, 5.0]])
-    ident = np.eye(2)
-    links = {(i, j): ident for i in range(1, 5) for j in range(1, 5)}
+    counts = (2, 2, 2, 3)  # m1, m2, n1, n2: each link (i, j) is counts_i x counts_j
+    links = {(i, j): np.eye(counts[i - 1], counts[j - 1])
+             for i in range(1, 5) for j in range(1, 5)}
     links[(1, 1)] = h11
     links[(4, 1)] = h41
-    ch = ChannelRealization(h31=ident, h32=ident, h41=h41, h42=np.ones((3, 2)),
+    ch = ChannelRealization(h31=links[(3, 1)], h32=links[(3, 2)], h41=h41, h42=links[(4, 2)],
                             seed=0, extended_links=links)
     rho = 10.0
 
@@ -561,9 +562,40 @@ def test_bound_term_decreases_with_quieting_gain():
     assert all(b < a for a, b in zip(terms, terms[1:]))
 
 
+def test_a_hand_built_extended_channel_must_agree_with_its_fields():
+    # Outside sampling, every node pair needs a link of the counts' shape, and
+    # the four interference links must equal h31..h42, so the probe cannot
+    # read h11 from one channel and h41 from another.
+    sampled = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0, extended=True)
+    fields = {name: getattr(sampled, name) for name in ("h31", "h32", "h41", "h42")}
+    links = sampled.extended_links
+    for bad, match in (({**links, (4, 1): np.zeros((2, 2))}, "differs from h41"),
+                       ({**links, (4, 4): np.zeros((3, 3))}, r"\(2, 2\) matrix"),
+                       ({p: m for p, m in links.items() if p != (2, 3)}, r"\(2, 2\) matrix")):
+        with pytest.raises(ValueError, match=match):
+            ChannelRealization(**fields, seed=0, extended_links=bad)
+    # The other four hand-built fixtures' channels are accepted.
+    silent = {**links, (4, 1): np.zeros((2, 2))}
+    ChannelRealization(**{**fields, "h41": silent[(4, 1)]}, seed=0, extended_links=silent)
+    rows = np.array([[3.0, 4.0], [3.0, 4.0]])
+    for h11, h41 in ((np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[1.0, 1.0], [1.0, -1.0]])),
+                     (rows, rows), (np.array([[2.0]]), np.array([[0.5]]))):
+        ident = np.eye(len(h11))
+        links = {(i, j): ident for i in range(1, 5) for j in range(1, 5)}
+        links[(1, 1)], links[(4, 1)] = h11, h41
+        ChannelRealization(h31=ident, h32=ident, h41=h41, h42=ident, seed=0, extended_links=links)
+
+
 def test_bound_term_requires_extended_links():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0)
     with pytest.raises(ValueError, match="extended"):
+        cooperation_bound_term(ch, 1e6)
+
+
+def test_bound_term_requires_n2_at_least_m1():
+    # m1 = 3 > n2 = 2: h41 has too few rows to pair with each row of h11.
+    ch = sample_channel(AntennaConfig(3, 1, 1, 2), seed=0, extended=True)
+    with pytest.raises(ValueError, match="n2 >= m1"):
         cooperation_bound_term(ch, 1e6)
 
 

@@ -13,6 +13,7 @@ from micdof.regions import (
     _achievable,
     _cap_region,
     _inner_caps,
+    _ordering_holds,
     _outer_caps,
     dof_cooperation,
     dof_cooperation_upper_bounds,
@@ -463,6 +464,11 @@ def test_lemma5_rejects_small_box():
         lemma5_holds(5, 4, box=8)
 
 
+def test_lemma5_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        lemma5_holds(-1, 0, 5)
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 6))
 def test_lemma5_property(c, d, extra):
@@ -488,6 +494,15 @@ def test_scenario_ordering_chain_values(counts, chain):
         got.append(eta)
     assert got == chain
     assert scenario_ordering_holds(config)
+
+
+def test_ordering_fails_on_a_formula_chain_that_breaks():
+    # The caps chain holds (all equal), so only the formula half can fail:
+    # eta(0,1,0,0) = eta(0,1,0,1) is broken, then eta(0,1,0,1) <= eta(0,1,1,0).
+    caps = [(1, 1, 2)] * 5
+    assert _ordering_holds(caps, [2, 2, 2, 4, 4])
+    assert not _ordering_holds(caps, [2, 2, 3, 4, 4])
+    assert not _ordering_holds(caps, [2, 3, 3, 2, 4])
 
 
 @settings(max_examples=60)

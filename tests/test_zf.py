@@ -350,6 +350,11 @@ def test_sweep_rejects_bad_arguments():
         achievability_sweep(max_antennas=0, trials=1)
 
 
+def test_sweep_rejects_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials"):
+        achievability_sweep(2, -1)
+
+
 def test_sweep_report_json_schema():
     report = achievability_sweep(max_antennas=1, trials=2, seed=3)
     data = report.to_json_list()
@@ -401,7 +406,7 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
     # Channels are the seeds passed to sample_channels; every spectral norm
     # past sampling's is one row of a batched SVD over a channel stack,
     # computed on first use (channel._Stack.__missing__), and every null basis
-    # one row of a batched SVD in ChannelRealization.null_bases.
+    # one row of a batched SVD in _null_rows, which zf._schemes calls.
     counts = {"channels": 0, "spectral_norms": 0, "null_bases": 0, "other_full_svds": 0}
     sample, svd = zf.sample_channels, np.linalg.svd
     inside = [None]
@@ -430,8 +435,7 @@ def test_sweep_derives_each_channel_geometry_once(monkeypatch):
     monkeypatch.setattr(zf, "sample_channels", counted_sample)
     monkeypatch.setattr(channel._Stack, "__missing__",
                         within("spectral_norms", channel._Stack.__missing__))
-    monkeypatch.setattr(ChannelRealization, "null_bases",
-                        staticmethod(within("null_bases", ChannelRealization.null_bases)))
+    monkeypatch.setattr(zf, "_null_rows", within("null_bases", zf._null_rows))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     report = achievability_sweep(max_antennas=2, trials=1, seed=0)
     assert report.total_trials == 1290
@@ -466,8 +470,7 @@ def test_sampling_and_null_basis_svds_do_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for module in (zf, rates):
         monkeypatch.setattr(module, "sample_channels", within(module.sample_channels))
-    monkeypatch.setattr(ChannelRealization, "null_bases",
-                        staticmethod(within(ChannelRealization.null_bases)))
+    monkeypatch.setattr(zf, "_null_rows", within(zf._null_rows))
 
     def svds(run, trials):
         counts["svds"] = 0
@@ -797,6 +800,11 @@ def _vector_rng(seed, d1, d2):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _null_basis(ch, link):
+    # The null basis of one channel's link, as a batch of one.
+    return channel._null_rows(channel._links([ch], link))[0]
+
+
 def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
     # Reference: the generator is built before any stream is placed.  The
     # first min(streams, r) streams are rows of the cross link's null basis,
@@ -810,7 +818,7 @@ def _eager_vectors(config, sc, d1, d2, ch, seed, rng=None):
     def message(streams, active_dim, link, link_rows, opposite_cognitive, at_end):
         vectors, nulled = [], min(streams, max(active_dim - link_rows, 0))
         if nulled and not opposite_cognitive:
-            vectors.extend(ChannelRealization.null_bases([ch], link)[0][:nulled])
+            vectors.extend(_null_basis(ch, link)[:nulled])
         while len(vectors) < streams:
             vec = rng.standard_normal(active_dim)
             while np.linalg.norm(vec) == 0.0:
@@ -897,14 +905,14 @@ def test_the_sweep_computes_no_basis_it_does_not_read(monkeypatch):
     # zf reads a cross link's null basis only when it nulls streams against
     # it, and it nulls none where the antenna counts leave the kernel empty
     # (r = 0), so every basis _null_rows computes over the sweep has rows.
-    null_rows, bases = channel._null_rows, []
+    null_rows, bases = zf._null_rows, []
 
     def counted(stack):
         computed = null_rows(stack)
         bases.extend(computed)
         return computed
 
-    monkeypatch.setattr(channel, "_null_rows", counted)
+    monkeypatch.setattr(zf, "_null_rows", counted)
     achievability_sweep(max_antennas=3, trials=1, seed=21)
     assert len(bases) == 768
     assert all(len(basis) for basis in bases)
@@ -1025,7 +1033,8 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
                                    np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[3.0], [6.0]]),
                                    seed=0)
     channels = [sample_channel(config, seed=1), deficient, sample_channel(config, seed=2)]
-    assert [len(basis) for basis in ChannelRealization.null_bases(channels, "rx2")] == [1, 2, 1]
+    bases = channel._null_rows(channel._links(channels, "rx2"))
+    assert [len(basis) for basis in bases] == [1, 2, 1]
     assert zf._nulled(config, sc, 2, 0) == (1, 0)
     trials = zf._schemes([(config, sc, (2, 0), channels, 4)])[2, 0]
     residuals = zf._null_residuals(trials).tolist()
@@ -1033,7 +1042,7 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
         scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
         assert trials.w1[t].tobytes() == scheme.w1.tobytes()
         assert trials.w2[t].tobytes() == scheme.w2.tobytes()
-        basis = ChannelRealization.null_bases([ch], "rx2")[0]
+        basis = _null_basis(ch, "rx2")
         vec = _vector_rng(4 + t, 2, 0).standard_normal(3)
         assert scheme.w1[:, 0].tobytes() == basis[0].tobytes()
         assert scheme.w1[:, 1].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
