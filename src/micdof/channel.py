@@ -120,9 +120,9 @@ class ChannelRealization:
     node i, sixteen in total; otherwise it is None.
 
     ``row`` is (stack, index) in the ``_Stack`` of a sampled batch; one built
-    otherwise (or by ``dataclasses.replace``) is a stack of one, and its
-    ``extended_links``, if any, must cover the sixteen pairs with the shapes
-    of h31..h42's counts and agree with h31..h42.  Spectral norms
+    otherwise (or by ``dataclasses.replace``) is a stack of one, h31..h42 must
+    agree on one config, and its ``extended_links``, if any, must cover the
+    sixteen pairs with its shapes and agree with h31..h42.  Spectral norms
     (``spectral_norms``, over ``h31``..``h42`` and the receiver links ``rx1``
     = [h31 h32] and ``rx2`` = [h41 h42]) are read from the stacks.  A
     realization holds what sampling draws and nothing that ``zf`` decides.
@@ -140,7 +140,10 @@ class ChannelRealization:
 
     def __post_init__(self, row) -> None:
         if row is None:  # built outside sampling: a stack of one, its links checked
-            links = self.extended_links
+            links, (m1, m2, n1, n2) = self.extended_links, self.config.counts
+            if not self.matches(self.config):  # the counts of h31, h32 and h41
+                raise ValueError(f"h31..h42 disagree: h32, h41 and h42 must be {(n1, m2)}, "
+                                 f"{(n2, m1)} and {(n2, m2)} matrices for {self.config}")
             for pair, shape, _ in _spans(self.config.counts, True)[0] if links is not None else ():
                 name = "h%d%d" % pair
                 if np.shape(links.get(pair)) != shape:

@@ -5,10 +5,10 @@ Rates are read from the same receiver model as the pass rule
 config and point): each receiver projects its observation off the residual
 interference subspace (a cognitive receiver first subtracts the message it
 knows, exactly) and decodes its own streams, with unit noise, in what is
-left.  Every transmitting node splits its power budget equally across its
-active streams, so all streams of a message get the same power rho / k (k:
-the stream count of the busiest node carrying the message), and the
-message's Gaussian log-det rate in bits per channel use is
+left.  All streams of a message get the same power rho / k, k being the
+power split of the message's plan (``zf._plan``: the stream count of the
+busiest node carrying it), and the message's Gaussian log-det rate in bits
+per channel use is
 
     sum_i log2(1 + (rho / k) * sigma_i^2)
 
@@ -126,38 +126,24 @@ class CooperationGapReport:
         }
 
 
-def _streams_per_node(scenario: CognitionScenario, d1: int, d2: int) -> tuple[int, int]:
-    """Per message, the stream count of the busiest node that carries it.
-
-    Each node splits its power budget equally across the streams it
-    carries.  A stacked stream draws from both transmitters, so it gets the
-    smaller of the two per-node shares and every node stays within its
-    budget: each stream of message i gets rho / k_i.
-    """
-    t1, t2 = scenario.t1, scenario.t2
-    node1 = d1 + (d2 if t1 else 0)
-    node2 = (d1 if t2 else 0) + d2
-    return max(node1, node2 if t2 else 0, 1), max(node2, node1 if t1 else 0, 1)
-
-
 def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per message, k (B,) and the squared projected singular values (B, s),
-    read from the batch's receiver stacks (``zf._receivers``).  Only the
-    receiver ranks can refuse a trial; the transmit rank and the null
-    residual are sweep checks (module docstring)."""
+    """Per message, k (B,), its plan's power split, and the squared projected
+    singular values (B, s), read from the batch's receiver stacks
+    (``zf._receivers``).  Only the receiver ranks can refuse a trial; the
+    transmit rank and the null residual are sweep checks (module docstring)."""
     rx1, rx2, failed = _receivers(trials)
     if failed:
         i = min(failed)  # the first failing trial
         receiver, rx = (1, rx1) if not rx1.passes[i] else (2, rx2)
-        seed = [ch.seed for *_, channels in trials.cells for ch in channels][i]
+        seed = [ch.seed for _, channels in trials.cells for ch in channels][i]
         raise UndecodableSchemeError(
             f"scheme fails the rank rule on the channel of seed {seed} at receiver "
             f"{receiver} (interference rank {rx.interference[i]} of {rx.unnulled[i]}, "
             f"signal rank {rx.signal[i]} of {rx.streams}); rates are undefined"
         )
     # The power split is per cell, repeated over the cell's trials.
-    splits = [_streams_per_node(sc, trials.d1, trials.d2) for _, sc, _, _ in trials.cells]
-    k1, k2 = np.repeat(splits, [len(channels) for *_, channels in trials.cells], axis=0).T
+    splits = [(x1.power, x2.power) for (x1, x2), _ in trials.cells]
+    k1, k2 = np.repeat(splits, [len(channels) for _, channels in trials.cells], axis=0).T
     return (k1, rx1.spectrum ** 2), (k2, rx2.spectrum ** 2)
 
 

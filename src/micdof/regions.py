@@ -103,7 +103,7 @@ def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, 
     2, and of W2 in that to receiver 1: the link's input dimension (the
     message's own transmitter, plus the other one when it is cognitive) less
     the receiver's antennas.  These are the streams a message can null at
-    the other receiver; ``zf._nulled`` nulls up to this many."""
+    the other receiver; ``zf._plan`` nulls up to this many."""
     m1, m2, n1, n2 = config.counts
     return _pos(m1 + scenario.t2 * m2 - n2), _pos(scenario.t1 * m1 + m2 - n1)
 

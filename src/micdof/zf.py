@@ -7,15 +7,17 @@ being as many as fit in the kernel of the cross channel to receiver 2
 interference there; remaining streams are isotropic on the unit sphere of the
 active transmit space.  W2 is built symmetrically against receiver 1.  A
 cognitive receiver subtracts every stream of the message it knows, so no
-nulling is aimed at it.  ``_nulled`` is the one place the nulled counts are
-decided: the schemes null exactly the streams that the null residual checks.
+nulling is aimed at it, and the other message leaves u = d - (its nulled
+count) there, or 0 at a cognitive receiver.  ``_plan`` is the one place this
+integer plan is decided: the schemes, the pass rule, the null residual and
+the rates read it.
 
 A trial passes when every rank reaches its generic value (``_receivers``):
-at receiver i, interference rank u_i (the other message's un-nulled streams,
-0 at a cognitive receiver) and projected signal rank d_i; transmit rank
-d1 + d2; and a null residual within RANK_RTOL.  As sigma_k(P S) <= sigma_k(S),
-projected rank d_i implies signal rank d_i; with interference rank u_i it is
-joint rank d_i + u_i, which ``regions._inner_caps`` keeps <= n_i.
+interference rank u_i and projected signal rank d_i at receiver i, transmit
+rank d1 + d2, and a null residual within RANK_RTOL.  As sigma_k(P S) <=
+sigma_k(S), projected rank d_i implies signal rank d_i; with interference
+rank u_i it is joint rank d_i + u_i, which ``regions._inner_caps`` keeps
+<= n_i.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
 zero on the rows of a transmitter that does not carry it.  Trials are built
@@ -65,9 +67,8 @@ class ZfScheme:
 
     ``w1`` (m1+m2, d1) and ``w2`` (m1+m2, d2) hold each message's unit
     transmit vectors as columns of the full transmit space, transmitter 1's
-    rows over transmitter 2's.  W1's active rows (transmitter 1, then
-    transmitter 2 when cognitive) are a prefix, W2's a suffix, and every other
-    entry is 0.  Schemes compare and hash by identity.
+    rows over transmitter 2's, and are 0 off the message's active rows
+    (``_plan``).  Schemes compare and hash by identity.
     """
 
     config: AntennaConfig
@@ -79,10 +80,10 @@ class ZfScheme:
 
 
 class _Trials(NamedTuple):
-    """Trials that share (m1+m2, n1, n2, d1, d2): ``cells`` are (config,
-    scenario, nulled, channels) runs, one trial per channel, in trial order,
-    with the counts (``_nulled``) their blocks null, and ``w1`` (B, m1+m2, d1)
-    and ``w2`` (B, m1+m2, d2) the blocks, laid out as in ZfScheme."""
+    """Trials that share (m1+m2, n1, n2, d1, d2): ``cells`` are (plan,
+    channels) runs, one trial per channel, in trial order, with the plan
+    (``_plan``) their blocks were built by, and ``w1`` (B, m1+m2, d1) and
+    ``w2`` (B, m1+m2, d2) the blocks, laid out as in ZfScheme."""
 
     d1: int
     d2: int
@@ -96,8 +97,7 @@ def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Tr
     batch; each channel must match its scheme's configuration."""
     if not all(ch.matches(x.config) for x, ch in zip(schemes, channels)):
         raise ValueError("channel does not match the scheme's configuration")
-    cells = [(x.config, x.scenario, _nulled(x.config, x.scenario, x.d1, x.d2), [ch])
-             for x, ch in zip(schemes, channels)]
+    cells = [(_plan(x.config, x.scenario, x.d1, x.d2), [ch]) for x, ch in zip(schemes, channels)]
     return _Trials(schemes[0].d1, schemes[0].d2, cells,
                    np.array([x.w1 for x in schemes]), np.array([x.w2 for x in schemes]))
 
@@ -107,9 +107,8 @@ class SchemeDiagnostics:
     """The ranks of the pass rule at both receivers (``_receivers``):
     ``signal_dim_rx*`` is the rank of the signal projected off the residual
     interference (generic value d_i), ``interference_dim_rx*`` that of the
-    residual interference (generic value u_i, 0 at a cognitive receiver),
-    and message i is decodable when both ranks reach their generic values.
-    """
+    residual interference (generic value u_i), and message i is decodable
+    when both ranks reach their generic values."""
 
     signal_dim_rx1: int
     interference_dim_rx1: int
@@ -123,17 +122,35 @@ class SchemeDiagnostics:
         return self.decodable_w1 and self.decodable_w2
 
 
-def _cross_links(scenario: CognitionScenario) -> tuple[str, str]:
-    """The links from W1's active transmit space to receiver 2, and W2's to 1."""
-    return ("rx2" if scenario.t2 else "h41"), ("rx1" if scenario.t1 else "h32")
+class _Message(NamedTuple):
+    """One message's part of a cell's plan (``_plan``)."""
+
+    streams: int  # d
+    rows: int  # its active rows: W1's a prefix, W2's a suffix of the m1+m2
+    link: str  # its cross link, from the active rows to the other receiver
+    nulled: int  # k: its first k streams lie in the cross link's kernel
+    residual: int  # u: the rank it leaves at the other receiver
+    power: int  # each of its streams gets rho / power
+    cancelled: bool  # the other receiver knows it and subtracts it
 
 
-def _nulled(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int):
-    """How many W1 (W2) streams are nulled: none when the opposite receiver is
-    cognitive, else as many as fit in the cross channel's kernel, r1 (r2),
-    read from ``regions._nullable``."""
-    r1, r2 = _nullable(config, scenario)
-    return (0 if scenario.r2 else min(d1, r1)), (0 if scenario.r1 else min(d2, r2))
+def _plan(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2: int):
+    """A cell's integer plan (module docstring), W1's ``_Message`` and W2's.
+
+    W1 is active on the first m1 rows against ``h41``, or on all m1 + m2
+    against ``rx2`` when transmitter 2 is cognitive; W2 on the last m2 against
+    ``h32``, or on all against ``rx1``.  A node splits its power budget
+    equally over the streams it carries, and a stream carried by both takes
+    the smaller share, so no node exceeds its budget."""
+    m1, m2, _, _ = config.counts
+    t1, t2, r1, r2 = scenario.t1, scenario.t2, scenario.r1, scenario.r2
+    fit1, fit2 = _nullable(config, scenario)
+    k1, k2 = (0 if r2 else min(d1, fit1)), (0 if r1 else min(d2, fit2))
+    node1, node2 = d1 + t1 * d2, t2 * d1 + d2
+    return (_Message(d1, m1 + t2 * m2, "rx2" if t2 else "h41", k1, 0 if r2 else d1 - k1,
+                     max(node1, t2 * node2, 1), r2),
+            _Message(d2, t1 * m1 + m2, "rx1" if t1 else "h32", k2, 0 if r1 else d2 - k2,
+                     max(node2, t1 * node1, 1), r1))
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -173,7 +190,7 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
     configs share (m1+m2, n1, n2), one batch per point: trial t of a cell
     runs on channels[t] with vector seed seed + t.
 
-    A message's first k streams (``_nulled``) are the first k rows of the null
+    A message's first k streams (``_plan``) are the first k rows of the null
     basis of its cross link, computed only when k > 0: one ``_null_rows`` SVD
     per (config, cross link) over the channels that null against it, across
     the cells, into a table local to this call.  It draws the rest on its
@@ -181,36 +198,32 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
     of (d1, d2)) (``_generators``): one standard_normal call per trial that
     draws gives the numbers of one call per vector (``_isotropic`` redraws
     when a vector, hence each of its squares, is 0).  Each trial is placed
-    once per message, in the group of its (point, message, active length, k),
+    once per message, in the group of its (point, message, active rows, k),
     and a group is written with two fancy assignments: its stacked basis rows,
     and its drawn vectors, read from their flat offsets and normalised with
     one ``_norms`` call.
     """
     (dim, _, _), = {(c.m1 + c.m2, c.n1, c.n2) for c, *_ in cells}  # one family, or this fails
     plans, by_link = {}, {}
-    for config, scenario, (d1, d2), channels, seed in cells:
-        active = (dim if scenario.t2 else config.m1, dim if scenario.t1 else config.m2)
-        nulled = _nulled(config, scenario, d1, d2)
-        # (streams, active length, cross link, nulled count) per message
-        messages = tuple(zip((d1, d2), active, _cross_links(scenario), nulled))
-        for _, _, link, k in messages:
-            if k:
-                by_link.setdefault((config, link), {}).update(dict.fromkeys(channels))
-        cell = (config, scenario, nulled, channels)
-        plans.setdefault((d1, d2), []).append((cell, seed, messages))
+    for config, scenario, point, channels, seed in cells:
+        plan = _plan(config, scenario, *point)
+        for x in plan:
+            if x.nulled:
+                by_link.setdefault((config, x.link), {}).update(dict.fromkeys(channels))
+        plans.setdefault(point, []).append((plan, channels, seed))
     kernels = {}  # (link, channel): its null basis, one batched SVD per (config, link)
     for (_, link), linked in by_link.items():
         kernels.update(zip([(link, ch) for ch in linked], _null_rows(_links(list(linked), link))))
     batches, groups, draws, entropy, end = {}, {}, [], [], 0
-    for point, plan in plans.items():
-        size = sum(len(cell[3]) for cell, _, _ in plan)
-        batches[point] = _Trials(*point, [cell for cell, _, _ in plan],
+    for point, runs in plans.items():
+        size = sum(len(channels) for _, channels, _ in runs)
+        batches[point] = _Trials(*point, [(plan, channels) for plan, channels, _ in runs],
                                  np.zeros((size, dim, point[0])), np.zeros((size, dim, point[1])))
         item = 0
-        for (_, _, _, channels), seed, messages in plan:
-            n, sizes = len(channels), [a for s, a, _, k in messages for _ in range(s - k)]
+        for plan, channels, seed in runs:
+            n, sizes = len(channels), [x.rows for x in plan for _ in range(x.streams - x.nulled)]
             offset, stride = end, sum(sizes)  # a trial's draws: W1's, then W2's
-            for m, (streams, a, link, k) in enumerate(messages):
+            for m, (streams, a, link, k, *_) in enumerate(plan):
                 if streams:
                     items, bases, firsts = groups.setdefault((point, m, a, k), ([], [], []))
                     items.extend(range(item, item + n))
@@ -276,19 +289,17 @@ class _Receiver(NamedTuple):
 def _receivers(trials: _Trials):
     """The pass rule at both receivers of a batch, each trial on its channel
     (receiver 1 decodes W1 against W2, receiver 2 W2 against W1): the
-    residual interference H W_other has rank u_i = d_other - (its nulled
-    count), 0 at a cognitive receiver, and H W_i projected off the first u_i
-    left singular vectors of H W_other has rank d_i, relative to the channel
-    norm (why this suffices: module docstring).  Returns both ``_Receiver``s
-    and, for each failing trial only, the criteria it fails."""
-    runs, receivers, failed = _runs([ch for *_, chs in trials.cells for ch in chs]), [], {}
-    for link, flag, signal, interference, other in (
-        ("rx1", "r1", trials.w1, trials.w2, 1), ("rx2", "r2", trials.w2, trials.w1, 0)
-    ):
+    residual interference H W_other has the rank u_i its plan leaves there
+    (``_plan``), and H W_i projected off the first u_i left singular vectors
+    of H W_other has rank d_i, relative to the channel norm (why this
+    suffices: module docstring).  Returns both ``_Receiver``s and, for each
+    failing trial only, the criteria it fails."""
+    runs, receivers, failed = _runs([ch for _, chs in trials.cells for ch in chs]), [], {}
+    for link, signal, interference, other in (("rx1", trials.w1, trials.w2, 1),
+                                              ("rx2", trials.w2, trials.w1, 0)):
         rx, scale = _gather(runs, link), _gather(runs, ("norm", link))
-        cognitive = [getattr(sc, flag) for _, sc, _, chs in trials.cells for _ in chs]
-        unnulled = [0 if getattr(sc, flag) else interference.shape[2] - nulled[other]
-                    for _, sc, nulled, chs in trials.cells for _ in chs]
+        cognitive = [plan[other].cancelled for plan, chs in trials.cells for _ in chs]
+        unnulled = [plan[other].residual for plan, chs in trials.cells for _ in chs]
         received = rx @ signal
         interference_rank, kept = [0] * len(rx), received
         if interference.shape[2] and not all(cognitive):
@@ -326,23 +337,22 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
 
 def _null_residuals(trials: _Trials) -> np.ndarray:
     """Per trial, the worst relative leakage ||H w|| / ||H|| of its nulled
-    streams at the opposite receiver (0 when none is nulled), with the nulled
-    counts its blocks were built with: one ``_column_norms`` per message,
-    cross link, nulled count and config (a cross link's shape depends on the
-    config, not only on the family)."""
+    streams at the opposite receiver (0 when none is nulled), as its plan
+    nulls them: one ``_column_norms`` per message, cross link, active rows and
+    nulled count."""
     dim, groups, start = trials.w1.shape[1], {}, 0
-    for config, scenario, nulled, channels in trials.cells:
-        for m, link, count in zip((0, 1), _cross_links(scenario), nulled):
+    for plan, channels in trials.cells:
+        for m, (_, rows, link, count, *_) in enumerate(plan):
             if count:
-                sel, chs = groups.setdefault((m, link, count, config), ([], []))
+                sel, chs = groups.setdefault((m, rows, link, count), ([], []))
                 sel.extend(range(start, start + len(channels)))
                 chs.extend(channels)
         start += len(channels)
     worst = np.zeros(start)
-    for (m, link, count, _), (sel, chs) in groups.items():
+    for (m, rows, link, count), (sel, chs) in groups.items():
         runs = _runs(chs)
         h, norms = _gather(runs, link), _gather(runs, ("norm", link))
-        cols = slice(dim - h.shape[2], dim) if m else slice(h.shape[2])
+        cols = slice(dim - rows, dim) if m else slice(rows)
         leaks = _column_norms(h, (trials.w2 if m else trials.w1)[sel, cols, :count])
         worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / norms)
     return worst

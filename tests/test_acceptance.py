@@ -125,14 +125,16 @@ def test_criterion_5_cooperation_ceiling():
 
 def test_criterion_6_achievability_sweep():
     report = achievability_sweep(max_antennas=3, trials=50, seed=2024)
+    digest = hashlib.sha256(json.dumps(report.to_json_list()).encode()).hexdigest()
     detail = (
         f"{report.total_passes}/{report.total_trials} scheme verifications "
         f"passed over {len(report.cells)} (config, scenario, point) cells, "
-        f"worst null residual {report.worst_null_residual:.2e}"
+        f"worst null residual {report.worst_null_residual:.2e}, JSON sha256 {digest[:8]}"
     )
     _report(
         6,
-        report.all_passed and report.worst_null_residual <= 1e-9,
+        report.all_passed and report.worst_null_residual <= 1e-9
+        and digest == "d845fb782123cef48660a3181c4eb84238608c91ba9542da900fcf11c5cfb99f",
         detail,
     )
 
@@ -245,17 +247,34 @@ SEEDED_SHA256 = {
         "ae05694d9c6f3f3ce6629d5a673abdd2104e6423a99ff1f2458d9d21f49d8ab0",
     "simulate_point((2,2,2,2), 0000, (1,1), trials=3, seed=11) CSV":
         "5eb29634f9bc709f8368869e54bffcb5b032ed4dda3970d07b4d987cf50e7b34",
+    "build_scheme w1 + w2 bytes, counts 1..2, seed 7":
+        "80c33e52ff4767744c13521dcf128cb9d5548a5c5a2a85c39972ba521fadc51a",
 }
+
+
+def _scheme_vector_bytes() -> bytes:
+    # The drawn vectors, which the sweep's JSON does not read: every scheme at
+    # counts 1..2 (1,290), each config's channel and vectors drawn with seed 7.
+    parts = []
+    for counts in itertools.product((1, 2), repeat=4):
+        config = AntennaConfig(*counts)
+        channel = sample_channel(config, seed=7)
+        for scenario in ALL_SCENARIOS:
+            for point in sorted(inner_points(config, scenario).points):
+                scheme = build_scheme(config, scenario, *point, channel, seed=7)
+                parts.append(scheme.w1.tobytes() + scheme.w2.tobytes())
+    return b"".join(parts)
 
 
 def test_criterion_9b_seeded_outputs_keep_their_recorded_sha256():
     outputs = {
         "achievability_sweep(3, 1, seed=21) JSON":
-            json.dumps(achievability_sweep(3, 1, seed=21).to_json_list()),
+            json.dumps(achievability_sweep(3, 1, seed=21).to_json_list()).encode(),
         "simulate_point((2,2,2,2), 0000, (1,1), trials=3, seed=11) CSV":
             simulate_point(AntennaConfig(2, 2, 2, 2), CognitionScenario(), 1, 1,
-                           trials=3, seed=11).to_csv(),
+                           trials=3, seed=11).to_csv().encode(),
+        "build_scheme w1 + w2 bytes, counts 1..2, seed 7": _scheme_vector_bytes(),
     }
-    changed = [name for name, text in outputs.items()
-               if hashlib.sha256(text.encode()).hexdigest() != SEEDED_SHA256[name]]
+    changed = [name for name, data in outputs.items()
+               if hashlib.sha256(data).hexdigest() != SEEDED_SHA256[name]]
     _report(9, not changed, f"seeded outputs keep their recorded sha256; changed: {changed}")

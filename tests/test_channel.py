@@ -136,6 +136,22 @@ def test_realizations_compare_and_hash_by_identity():
     assert len({a, b, a}) == 2
 
 
+def test_a_hand_built_channel_must_agree_on_one_config():
+    # h31, h32 and h41 give the counts (config); h32's rows, h41's columns and
+    # h42 must fit them, or the channel is refused where it is built.
+    eye, ones = np.eye(2), np.ones
+    expected = r"h32, h41 and h42 must be \(2, 2\), \(2, 2\) and \(2, 2\) matrices for \(2,2,2,2\)"
+    for links in ((eye, eye, eye, ones((3, 3))), (eye, ones((3, 2)), eye, eye),
+                  (eye, eye, ones((2, 3)), eye), (eye, eye, eye, ones((2, 1)))):
+        with pytest.raises(ValueError, match=expected):
+            ChannelRealization(*links, seed=0)
+    sampled = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0)
+    with pytest.raises(ValueError, match=expected):
+        dataclasses.replace(sampled, h42=ones((3, 3)))
+    odd = ChannelRealization(ones((3, 2)), ones((3, 1)), ones((1, 2)), ones((1, 1)), seed=0)
+    assert odd.config == AntennaConfig(2, 1, 3, 1) and odd.matches(odd.config)
+
+
 def test_derived_geometry_is_cached_and_read_only():
     ch = sample_channel(AntennaConfig(3, 2, 2, 2), seed=1)
     norm = ChannelRealization.spectral_norms([ch], "rx2")[0]

@@ -505,6 +505,28 @@ def test_ordering_fails_on_a_formula_chain_that_breaks():
     assert not _ordering_holds(caps, [2, 3, 3, 2, 4])
 
 
+def test_cognition_strictly_gains_where_the_abstract_says_it_can():
+    # The abstract's existence claims, counted over counts 1..4: some
+    # cognition scenario raises the DOF above no cognition, and a cognitive
+    # transmitter 2 can beat a cognitive receiver 2, never the reverse.
+    plain, tx2, rx2 = CognitionScenario(), CognitionScenario(t2=True), CognitionScenario(r2=True)
+    gains, tx_wins, rx_wins = [], [], []
+    for counts in itertools.product(range(1, 5), repeat=4):
+        config = AntennaConfig(*counts)
+        base = dof_formula(config, plain)
+        best = max(dof_formula(config, sc) for sc in CognitionScenario.all_scenarios())
+        if best > base:
+            gains.append((counts, base, best))
+        tx, rx = dof_formula(config, tx2), dof_formula(config, rx2)
+        if tx > rx:
+            tx_wins.append((counts, rx, tx))
+        if rx > tx:
+            rx_wins.append(counts)
+    assert (len(gains), gains[0]) == (216, ((1, 1, 1, 1), 1, 2))
+    assert (len(tx_wins), tx_wins[0]) == (16, ((1, 2, 3, 1), 2, 3))
+    assert rx_wins == []
+
+
 @settings(max_examples=60)
 @given(configs)
 def test_scenario_ordering_property(config):
