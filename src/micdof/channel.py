@@ -13,16 +13,16 @@ of one.  Every seeded draw, here and for the vectors in ``zf``, comes from
 numpy's Philox under the key (seed mod 2**64, domain tag) (``_generators``),
 so seeded outputs depend on numpy's Philox and its normal sampler.  A sampled
 batch keeps its links as views of its draw, with their spectral norms
-(``_Stack``), and each realization its stack and row, so the links and norms
-of many realizations are one fancy index per stack (``_gather``).  Every rank
-in micdof is counted by one rule, ``_ranks``.
+(``_Stack``); a realization is one row of its stack, each link stored once,
+so the links and norms of many realizations are one fancy index per stack
+(``_gather``).  Every rank in micdof is counted by one rule, ``_ranks``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,71 +110,59 @@ class CognitionScenario:
         return "[%d,%d,%d,%d]" % self.bits
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ChannelRealization:
-    """One sampled set of real channel matrices for a given configuration.
+    """One set of real channel matrices: one row of a ``_Stack``.
 
-    ``h31``..``h42`` are the four interference-channel links.  When the
-    realization was sampled with ``extended=True``, ``extended_links`` maps
-    every ordered node pair (i, j) to the matrix of the link from node j to
-    node i, sixteen in total; otherwise it is None.
-
-    ``row`` is (stack, index) in the ``_Stack`` of a sampled batch; one built
-    otherwise (or by ``dataclasses.replace``) is a stack of one, h31..h42 must
-    agree on one config, and its ``extended_links``, if any, must cover the
-    sixteen pairs with its shapes and agree with h31..h42.  Spectral norms
-    (``spectral_norms``, over ``h31``..``h42`` and the receiver links ``rx1``
-    = [h31 h32] and ``rx2`` = [h41 h42]) are read from the stacks.  A
-    realization holds what sampling draws and nothing that ``zf`` decides.
-    Realizations compare and hash by identity.
+    The realization holds its seed, its config and ``_row`` = (stack, row);
+    ``h31``..``h42`` are read from the stack and are read-only.  When it was
+    sampled or built with ``extended_links``, ``extended_links`` maps every
+    ordered node pair (i, j) to the link from node j to node i, sixteen in
+    total, whose (3,1)..(4,2) entries are h31..h42 themselves; otherwise it
+    is None.  A sampled batch shares one stack per attempt and its config.
+    Built by hand, the channel copies its links into a stack of one: h31..h42
+    must agree on one config, and ``extended_links``, if given, must cover
+    the sixteen pairs with its shapes and equal h31..h42.  A realization
+    holds what sampling draws and nothing that ``zf`` decides.  Realizations
+    compare and hash by identity.
     """
 
-    h31: np.ndarray
-    h32: np.ndarray
-    h41: np.ndarray
-    h42: np.ndarray
     seed: int
-    extended_links: dict[tuple[int, int], np.ndarray] | None = field(default=None)
-    row: InitVar[tuple | None] = None
-    _row: tuple = field(init=False, repr=False)
+    config: AntennaConfig
+    _row: tuple = field(repr=False)
 
-    def __post_init__(self, row) -> None:
-        if row is None:  # built outside sampling: a stack of one, its links checked
-            links, (m1, m2, n1, n2) = self.extended_links, self.config.counts
-            if not self.matches(self.config):  # the counts of h31, h32 and h41
-                raise ValueError(f"h31..h42 disagree: h32, h41 and h42 must be {(n1, m2)}, "
-                                 f"{(n2, m1)} and {(n2, m2)} matrices for {self.config}")
-            for pair, shape, _ in _spans(self.config.counts, True)[0] if links is not None else ():
-                name = "h%d%d" % pair
-                if np.shape(links.get(pair)) != shape:
-                    raise ValueError(f"extended link {pair} must be a {shape} matrix")
-                if pair in _LINK_PAIRS and not np.array_equal(links[pair], getattr(self, name)):
-                    raise ValueError(f"extended link {pair} differs from {name}")
-            row = (_Stack({name: getattr(self, name)[None] for name in _LINK_NAMES}), 0)
-        object.__setattr__(self, "_row", row)
+    def __init__(self, h31, h32, h41, h42, seed: int, extended_links=None) -> None:
+        (n1, m1), m2, n2 = np.shape(h31), np.shape(h32)[1], np.shape(h41)[0]
+        config, links = AntennaConfig(m1=m1, m2=m2, n1=n1, n2=n2), (h31, h32, h41, h42)
+        if [np.shape(h) for h in links] != [(n1, m1), (n1, m2), (n2, m1), (n2, m2)]:
+            raise ValueError(f"h31..h42 disagree: h32, h41 and h42 must be {(n1, m2)}, "
+                             f"{(n2, m1)} and {(n2, m2)} matrices for {config}")
+        links, stack = dict(zip(_LINK_PAIRS, links)), _Stack()
+        for pair, shape, _ in _spans(config.counts, extended_links is not None)[0]:
+            name = "h%d%d" % pair
+            link = links[pair] if extended_links is None else extended_links.get(pair)
+            if np.shape(link) != shape:
+                raise ValueError(f"extended link {pair} must be a {shape} matrix")
+            if pair in links and not np.array_equal(link, links[pair]):
+                raise ValueError(f"extended link {pair} differs from {name}")
+            stack[name] = np.array([link])
+            stack[name].setflags(write=False)
+        self.__dict__.update(seed=seed, config=config, _row=(stack, 0))
+
+    h31, h32, h41, h42 = (property(lambda self, name=name: self._row[0][name][self._row[1]])
+                          for name in ("h31", "h32", "h41", "h42"))
 
     @property
-    def config(self) -> AntennaConfig:
-        (n1, m1), m2, n2 = self.h31.shape, self.h32.shape[1], self.h41.shape[0]
-        return AntennaConfig(m1=m1, m2=m2, n1=n1, n2=n2)
-
-    @staticmethod
-    def spectral_norms(channels: list["ChannelRealization"], link: str) -> np.ndarray:
-        """Largest singular value of a link of each channel (B,), from their stacks."""
-        return _gather(_runs(channels), ("norm", link))
-
-    def matches(self, config: AntennaConfig) -> bool:
-        m1, m2, n1, n2 = config.counts
-        shapes = (self.h31.shape, self.h32.shape, self.h41.shape, self.h42.shape)
-        return shapes == ((n1, m1), (n1, m2), (n2, m1), (n2, m2))
+    def extended_links(self) -> dict[tuple[int, int], np.ndarray] | None:
+        stack, row = self._row
+        return {p: stack["h%d%d" % p][row] for p in _ALL_PAIRS} if "h11" in stack else None
 
 
 _RX_PARTS = {"rx1": ("h31", "h32"), "rx2": ("h41", "h42")}
-_LINK_NAMES = tuple(f"h{i}{j}" for i, j in _LINK_PAIRS)
 
 
 class _Stack(dict):
-    """A batch's links h31..h42 (C, n, m) and norms (C,) at ("norm", link); a
+    """A batch's links "hij" (C, n, m) and norms (C,) at ("norm", link); a
     receiver's ``rx1``/``rx2`` (its two h-links, concatenated) and a missing
     norm (one batched SVD's first singular value, ``np.linalg.norm(x, 2)``)
     are computed for the whole stack on first use.  It holds no channel.  The
@@ -261,8 +249,8 @@ def sample_channels(config: AntennaConfig, seeds,
     its links in pair order from Philox under the key (seed mod 2**64, a)
     (``_generators``).  The links of an attempt that share a shape are
     checked with one SVD and one ``_ranks`` call, and their largest singular
-    values are kept as the spectral norms of h31..h42, in one ``_Stack`` per
-    attempt with (C, n, m) views of its draw.
+    values are kept as their spectral norms, in one ``_Stack`` per attempt
+    with (C, n, m) views of its draw.  The batch's channels share its config.
     """
     spans, size = _spans(config.counts, extended)
     seeds = list(seeds)
@@ -276,29 +264,27 @@ def sample_channels(config: AntennaConfig, seeds,
         entropy = [(seeds[k] & (2**64 - 1), attempt) for k in pending]
         draws = np.array([rng.standard_normal(size) for rng in _generators(entropy)])
         draws.setflags(write=False)
-        views, shapes, norms, full = {}, {}, {}, []
+        stack, shapes, full = _Stack(), {}, []
         for pair, shape, span in spans:
-            views[pair] = draws[:, span].reshape(-1, *shape)
-            shapes.setdefault(shape, []).append(pair)
-        for (n, m), pairs in shapes.items():
+            stack["h%d%d" % pair] = draws[:, span].reshape(-1, *shape)
+            shapes.setdefault(shape, []).append("h%d%d" % pair)
+        for (n, m), names in shapes.items():
             # One SVD over the shape's (links, C, n, m) stack; LAPACK still
             # factors each matrix on its own, so each link keeps its values.
-            singular = np.linalg.svd(np.stack([views[p] for p in pairs]), compute_uv=False)
-            norms.update(zip(pairs, singular[..., 0]))
+            singular = np.linalg.svd(np.stack([stack[name] for name in names]), compute_uv=False)
+            stack.update(zip([("norm", name) for name in names], singular[..., 0]))
             flat = singular.reshape(-1, min(n, m))
             full.append(_ranks(flat, flat[:, 0]) == min(n, m))
         full_rank = np.concatenate(full).reshape(-1, len(pending)).all(axis=0).tolist()
-        stack = _Stack({name: views[p] for p, name in zip(_LINK_PAIRS, _LINK_NAMES)})
-        stack.update({("norm", name): norms[p] for p, name in zip(_LINK_PAIRS, _LINK_NAMES)})
         for row, (k, ok) in enumerate(zip(pending, full_rank)):
             if ok:
-                accepted[k] = (stack, row, views)
+                accepted[k] = (stack, row)
         pending = [k for k, ok in zip(pending, full_rank) if not ok]
-        if not pending:
-            return [ChannelRealization(
-                *(stack[name][row] for name in _LINK_NAMES), seed=seed, row=(stack, row),
-                extended_links={p: links[row] for p, links in views.items()} if extended else None,
-            ) for seed, (stack, row, views) in zip(seeds, accepted)]
+        if not pending:  # each channel is its row, filled in with no copy and no check
+            channels = [object.__new__(ChannelRealization) for _ in seeds]
+            for ch, seed, row in zip(channels, seeds, accepted):
+                ch.__dict__.update(seed=seed, config=config, _row=row)
+            return channels
     raise DegenerateChannelError(
         f"could not sample full-rank channels for {config} after "
         f"{_RESAMPLE_ATTEMPTS} attempts; the generator looks degenerate"

@@ -46,7 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AntennaConfig, ChannelRealization, CognitionScenario, sample_channels
+from .channel import (
+    AntennaConfig,
+    ChannelRealization,
+    CognitionScenario,
+    _gather,
+    _runs,
+    sample_channels,
+)
 from .regions import dof_cooperation, dof_cooperation_upper_bounds
 from .zf import ZfScheme, _receivers, _require_achievable, _schemes, _stacked, _Trials
 
@@ -244,12 +251,12 @@ def simulate_point(config: AntennaConfig, scenario: CognitionScenario, d1: int, 
 def _bound_terms(channels: list[ChannelRealization], grid: np.ndarray) -> np.ndarray:
     """The genie-bound terms of a batch of channels of one config (B, rho, j);
     row norms by BLAS dot, as np.dot."""
-    if any(channel.extended_links is None for channel in channels):
+    runs = _runs(channels)
+    if any("h11" not in stack for stack, _ in runs):
         raise ValueError("cooperation bound terms need an extended channel realization")
     if not np.all(grid > 0):
         raise ValueError("rho must be positive")
-    h11 = np.stack([channel.extended_links[(1, 1)] for channel in channels])
-    h41 = np.stack([channel.h41 for channel in channels])
+    h11, h41 = _gather(runs, "h11"), _gather(runs, "h41")
     m1 = h11.shape[2]
     if h41.shape[1] < m1:
         raise ValueError(

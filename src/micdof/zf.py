@@ -95,7 +95,7 @@ class _Trials(NamedTuple):
 def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Trials:
     """Schemes that share (m1+m2, n1, n2, d1, d2), each on its channel, as one
     batch; each channel must match its scheme's configuration."""
-    if not all(ch.matches(x.config) for x, ch in zip(schemes, channels)):
+    if any(ch.config != x.config for x, ch in zip(schemes, channels)):
         raise ValueError("channel does not match the scheme's configuration")
     cells = [(_plan(x.config, x.scenario, x.d1, x.d2), [ch]) for x, ch in zip(schemes, channels)]
     return _Trials(schemes[0].d1, schemes[0].d2, cells,
@@ -266,7 +266,7 @@ def build_scheme(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2
     """The zero-forcing scheme for an achievable point, deterministic given all
     arguments: ``_schemes`` for one trial.  Rejects points outside the
     achievable integer set and channels that do not match the configuration."""
-    if not channel.matches(config):
+    if channel.config != config:
         raise ValueError(
             f"channel realization has shapes for {channel.config}, expected {config}"
         )

@@ -14,10 +14,12 @@ from micdof.channel import (
     ChannelRealization,
     CognitionScenario,
     DegenerateChannelError,
+    _gather,
     _generators,
     _links,
     _null_rows,
     _ranks,
+    _runs,
     sample_channel,
     sample_channels,
 )
@@ -126,6 +128,39 @@ def test_realizations_are_read_only():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=1)
     with pytest.raises(ValueError):
         ch.h31[0, 0] = 0.0
+    # A hand-built channel copies its links into its stack, read-only, so its
+    # memoised norm stays the norm of what it reads.
+    a = np.eye(2)
+    hand = ChannelRealization(a, np.eye(2), np.eye(2), np.eye(2), seed=0)
+    assert _gather(_runs([hand]), ("norm", "h31")).tolist() == [1.0]
+    with pytest.raises(ValueError):
+        hand.h31[:] = 10 * np.eye(2)
+    a[:] = 10 * np.eye(2)
+    assert hand.h31.tolist() == np.eye(2).tolist()
+    assert _gather(_runs([hand]), ("norm", "h31")).tolist() == [np.linalg.norm(hand.h31, 2)]
+    extended = sample_channel(AntennaConfig(2, 1, 1, 2), seed=1, extended=True).extended_links
+    hand = ChannelRealization(*(extended[p] for p in _PAIR_NAMES), seed=1, extended_links=extended)
+    for link in hand.extended_links.values():
+        with pytest.raises(ValueError):
+            link[0, 0] = 0.0
+
+
+def test_each_link_is_stored_once():
+    # A channel is one row of its stack: h31..h42 are the (3,1)..(4,2) entries
+    # of its extended links, and the stack holds one entry per link.
+    config = AntennaConfig(2, 3, 1, 2)
+    sampled = sample_channel(config, seed=5, extended=True)
+    links = sampled.extended_links
+    hand = ChannelRealization(*(links[p] for p in _PAIR_NAMES), seed=5, extended_links=links)
+    plain = sample_channel(config, seed=5)
+    for ch, count in ((sampled, 16), (hand, 16), (plain, 4),
+                      (ChannelRealization(plain.h31, plain.h32, plain.h41, plain.h42, 5), 4)):
+        assert (ch.extended_links is None) == (count == 4)
+        for pair, name in _PAIR_NAMES.items() if count == 16 else ():
+            assert np.shares_memory(getattr(ch, name), ch.extended_links[pair])
+        _links([ch], "rx1")  # a receiver link, computed on first use, is no link entry
+        stack = ch._row[0]
+        assert len([key for key in stack if isinstance(key, str) and key[0] == "h"]) == count
 
 
 def test_realizations_compare_and_hash_by_identity():
@@ -146,15 +181,15 @@ def test_a_hand_built_channel_must_agree_on_one_config():
         with pytest.raises(ValueError, match=expected):
             ChannelRealization(*links, seed=0)
     sampled = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0)
-    with pytest.raises(ValueError, match=expected):
+    with pytest.raises(TypeError):  # a channel is its stack's row: no route around the check
         dataclasses.replace(sampled, h42=ones((3, 3)))
     odd = ChannelRealization(ones((3, 2)), ones((3, 1)), ones((1, 2)), ones((1, 1)), seed=0)
-    assert odd.config == AntennaConfig(2, 1, 3, 1) and odd.matches(odd.config)
+    assert odd.config == AntennaConfig(2, 1, 3, 1) and odd.h42.shape == (1, 1)
 
 
 def test_derived_geometry_is_cached_and_read_only():
     ch = sample_channel(AntennaConfig(3, 2, 2, 2), seed=1)
-    norm = ChannelRealization.spectral_norms([ch], "rx2")[0]
+    norm = _gather(_runs([ch]), ("norm", "rx2"))[0]
     assert norm == float(np.linalg.norm(_links([ch], "rx2")[0], 2))
     assert ch._row[0][("norm", "rx2")][ch._row[1]] == norm  # kept in the channel's stack
     with pytest.raises(ValueError):
@@ -379,8 +414,8 @@ def test_sampling_caches_the_link_spectral_norms(monkeypatch):
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     links = ("h31", "h32", "h41", "h42")
-    norms = {link: ChannelRealization.spectral_norms(channels, link).tolist() for link in links}
-    assert ChannelRealization.spectral_norms([], "rx1").shape == (0,)
+    norms = {link: _gather(_runs(channels), ("norm", link)).tolist() for link in links}
+    assert _gather(_runs([]), ("norm", "rx1")).shape == (0,)
     monkeypatch.undo()
     assert calls == []
     for link in links:

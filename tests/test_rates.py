@@ -7,7 +7,9 @@ from micdof.channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    _gather,
     _links,
+    _runs,
     sample_channel,
     sample_channels,
 )
@@ -169,7 +171,7 @@ def _slogdet_rates(scheme, ch, rho):
         ("rx1", w1, None if sc.r1 else w2, share1),
         ("rx2", w2, None if sc.r2 else w1, share2),
     ):
-        full, norm = _links([ch], link)[0], ChannelRealization.spectral_norms([ch], link)[0]
+        full, norm = _links([ch], link)[0], _gather(_runs([ch]), ("norm", link))[0]
         effective = full @ signal
         if intf is not None and intf.shape[1] > 0:
             u, sv, _ = np.linalg.svd(full @ intf, full_matrices=True)

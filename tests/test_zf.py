@@ -13,6 +13,8 @@ from micdof.channel import (
     AntennaConfig,
     ChannelRealization,
     CognitionScenario,
+    _gather,
+    _runs,
     sample_channel,
 )
 from micdof.regions import inner_points
@@ -210,7 +212,7 @@ def test_scheme_blocks_are_unit_columns_on_the_active_rows():
                         assert np.all(block[off] == 0.0)
                         h = channel._links([ch], link)[0]
                         leaks = np.linalg.norm(h @ block[rows], axis=0)
-                        scale = ChannelRealization.spectral_norms([ch], link)[0]
+                        scale = _gather(_runs([ch]), ("norm", link))[0]
                         in_kernel = leaks <= RANK_RTOL * scale
                         assert int(in_kernel.sum()) == nulled and in_kernel[:nulled].all()
                     checked += 1
@@ -227,7 +229,7 @@ def test_null_residual_matches_a_per_vector_reference_to_the_bit():
         scheme = build_scheme(config, scenario(1, 0, 0, 0), 0, 2, ch, seed=seed)
         assert _nulled(config, scheme.scenario, 0, 2)[1] == 2
         rx1 = channel._links([ch], "rx1")[0]
-        norm = ChannelRealization.spectral_norms([ch], "rx1")[0]
+        norm = _gather(_runs([ch]), ("norm", "rx1"))[0]
         expected = max(
             float(np.linalg.norm(rx1 @ np.array(scheme.w2[:, j]))) / norm for j in range(2)
         )
@@ -386,6 +388,24 @@ def test_a_draw_within_the_rank_tolerance_fails_its_one_cell():
     ch = sample_channel(config, seed)
     scheme = build_scheme(config, sc, 0, 1, ch, seed)
     assert zf._verdicts(zf._stacked([scheme], [ch])) == [(("rx2 signal rank",), 0.0)]
+
+
+def test_the_rank_rules_margins_have_a_linear_tail():
+    # The rank rule fails a generic draw by design when a projected signal
+    # singular value falls under RANK_RTOL times the channel norm.
+    # Its margin (that value over RANK_RTOL * norm, the smaller of the two
+    # receivers) has a linear tail: each decade divides the count by about
+    # 10.  So 75 / 20,000 * 1e-6, about 3.8e-9 per trial, falls under 1 and
+    # fails; rate_mc's 50-trial (2,2,2,2) case fails about 1.9e-7 per round.
+    config, sc = AntennaConfig(2, 2, 2, 2), scenario(0, 0, 0, 0)
+    channels = channel.sample_channels(config, range(20000))
+    rx1, rx2, failed = zf._receivers(zf._schemes([(config, sc, (1, 1), channels, 0)])[1, 1])
+    runs = _runs(channels)
+    margin = np.minimum(*(rx.spectrum[:, -1] / (RANK_RTOL * _gather(runs, ("norm", link)))
+                          for rx, link in ((rx1, "rx1"), (rx2, "rx2"))))
+    counts = [int((margin < 10.0**k).sum()) for k in (6, 5, 4, 3)]
+    assert counts == [75, 9, 2, 0] and failed == {}
+    assert all(3 <= a / b <= 30 for a, b in zip(counts, counts[1:]) if b)
 
 
 def test_sweep_two_antennas():
@@ -568,7 +588,7 @@ def _union_rank_diagnostics(scheme, ch):
     r1, r2 = _nullable(scheme.config, sc)
     u1, u2 = (0 if sc.r1 else max(scheme.d2 - r2, 0)), (0 if sc.r2 else max(scheme.d1 - r1, 0))
     rx1, rx2 = channel._links([ch], "rx1")[0], channel._links([ch], "rx2")[0]
-    norm1, norm2 = (ChannelRealization.spectral_norms([ch], link)[0] for link in ("rx1", "rx2"))
+    norm1, norm2 = (_gather(_runs([ch]), ("norm", link))[0] for link in ("rx1", "rx2"))
     s1, i1, dec1 = receiver(rx1, norm1, w1, None if sc.r1 else w2, scheme.d1, u1)
     s2, i2, dec2 = receiver(rx2, norm2, w2, None if sc.r2 else w1, scheme.d2, u2)
     return zf.SchemeDiagnostics(s1, i1, s2, i2, dec1, dec2)
@@ -903,9 +923,9 @@ def test_batched_spectral_norms_equal_the_scalar_ones():
     channels = [sample_channel(AntennaConfig(3, 2, 2, 3), seed=s) for s in range(20)]
     for link in ("rx1", "rx2", "h41"):
         expected = [float(np.linalg.norm(channel._links([ch], link)[0], 2)) for ch in channels]
-        ChannelRealization.spectral_norms(channels[::3], link)  # a cached subset
-        assert ChannelRealization.spectral_norms(channels, link).tolist() == expected
-        assert [ChannelRealization.spectral_norms([ch], link)[0] for ch in channels] == expected
+        _gather(_runs(channels[::3]), ("norm", link))  # a cached subset
+        assert _gather(_runs(channels), ("norm", link)).tolist() == expected
+        assert [_gather(_runs([ch]), ("norm", link))[0] for ch in channels] == expected
 
 
 # ---------------------------------------------------- stacked trial kernels
@@ -1079,7 +1099,7 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
         assert scheme.w1[:, 0].tobytes() == basis[0].tobytes()
         assert scheme.w1[:, 1].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
         rx2 = channel._links([ch], "rx2")[0]
-        norm = ChannelRealization.spectral_norms([ch], "rx2")[0]
+        norm = _gather(_runs([ch]), ("norm", "rx2"))[0]
         expected = zf._norm(rx2 @ scheme.w1[:, 0].copy()) / norm
         assert residuals[t] == expected == null_residual(scheme, ch)
         assert zf._norm(rx2 @ scheme.w1[:, 1].copy()) / norm > RANK_RTOL  # not nulled
