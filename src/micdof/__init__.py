@@ -16,9 +16,8 @@ from .channel import (
 )
 from .regions import (
     AchievableSet,
+    Caps,
     DofPoint,
-    Halfspace,
-    Region2D,
     dof_cooperation,
     dof_cooperation_upper_bounds,
     dof_formula,
@@ -62,9 +61,8 @@ __all__ = [
     "sample_channel",
     "sample_channels",
     "AchievableSet",
+    "Caps",
     "DofPoint",
-    "Halfspace",
-    "Region2D",
     "dof_cooperation",
     "dof_cooperation_upper_bounds",
     "dof_formula",

@@ -1,24 +1,21 @@
 """Exact DOF-region computation for the two-user interference channel.
 
-Everything here is integer arithmetic.  Each region is the set of points
-d >= 0 under three integer caps, d1 <= A, d2 <= B and d1 + d2 <= C, kept
-normalised so that A, B <= C <= A + B: every cap is then attained, and equal
-triples mean equal regions.  The zero-forcing achievability rule is written
-once, as the inner caps of ``_inner_caps``; ``_achievable`` and
+Everything here is integer arithmetic.  The paper's DOF bounds are minima of
+antenna sums, so each region is the set of points d >= 0 under three integer
+caps, d1 <= A, d2 <= B and d1 + d2 <= C: a ``Caps(a, b, c)``, kept
+normalised so that A, B <= C <= A + B.  Every cap is then attained, and
+equal triples mean equal regions.  The zero-forcing achievability rule is
+written once, as the inner caps of ``_inner_caps``; ``_achievable`` and
 ``inner_points`` read them, and ``zf`` reads the streams each message can
 null from ``_nullable``.  Every converse bound limits d1, d2 or d1 + d2, so
 the outer region is the caps of ``_outer_caps``.  The caps' constraint
 matrix is totally unimodular, so the region under integer caps has integer
-corners and is the convex hull of its integer points; ``_cap_region`` turns
-either triple into a ``Region2D`` of nonnegativity, the three caps and the
-at most five corners, and no hull is taken.  The two regions coincide
-exactly when the two triples are equal, and the sum DOF is then C.  The
-verification sweeps compare the triples and the ``dof_formula`` values, as
-lists in ``CognitionScenario.all_scenarios()`` order, and read the ordering
-chain's caps and formula values by position (``_ORDERING_POSITIONS``); they
-build no ``DofPoint`` or ``Region2D``.  The clipped-sum identity
-(``lemma5_holds``) is checked by brute force over a whole box, as two exact
-integer/boolean arrays compared element by element.
+corners and is the convex hull of its integer points; ``Caps.vertices``
+writes its at most five corners from the triple, and no hull is taken.  The
+two regions coincide exactly when the two triples are equal, and the sum
+DOF is then C.  The clipped-sum identity (``lemma5_holds``) is checked by
+brute force over a whole box, as two exact integer/boolean arrays compared
+element by element.
 """
 
 from __future__ import annotations
@@ -31,17 +28,6 @@ import numpy as np
 from .channel import AntennaConfig, CognitionScenario
 
 
-class Halfspace(NamedTuple):
-    """The halfplane a1*d1 + a2*d2 <= b with integer coefficients."""
-
-    a1: int
-    a2: int
-    b: int
-
-    def holds(self, point: "DofPoint") -> bool:
-        return self.a1 * point.d1 + self.a2 * point.d2 <= self.b
-
-
 class DofPoint(NamedTuple):
     """A degrees-of-freedom pair of integers."""
 
@@ -49,7 +35,6 @@ class DofPoint(NamedTuple):
     d2: int
 
 
-NONNEGATIVITY = (Halfspace(-1, 0, 0), Halfspace(0, -1, 0))
 _NO_COGNITION = CognitionScenario()
 
 
@@ -57,36 +42,33 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-@dataclass(frozen=True)
-class Region2D:
-    """A bounded convex 2-D region: integer halfspaces plus integer vertices.
+class Caps(NamedTuple):
+    """The region {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c} of integer caps
+    with a, b <= c <= a + b."""
 
-    Vertices are counterclockwise, deduplicated, and start at the
-    lexicographically smallest one; degenerate regions keep only segment
-    endpoints.  The nonnegativity halfspaces are always part of the list.
-    """
+    a: int
+    b: int
+    c: int
 
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[DofPoint, ...]
+    @property
+    def vertices(self) -> tuple[DofPoint, ...]:
+        """The corners counterclockwise from (0, 0), coincident ones merged;
+        a point or a segment keeps only its endpoints."""
+        a, b, c = self
+        corners = (0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)
+        return tuple(dict.fromkeys(DofPoint(*p) for p in corners))
 
-    def to_json_dict(
-        self,
-        config: AntennaConfig | None = None,
-        scenario: CognitionScenario | None = None,
-    ) -> dict:
-        data: dict = {}
-        if config is not None:
-            data["config"] = config.to_json_dict()
-        if scenario is not None:
-            data["scenario"] = list(scenario.bits)
-        data["halfspaces"] = [{"a1": h.a1, "a2": h.a2, "b": h.b} for h in self.halfspaces]
-        data["vertices"] = [[_frac_str(v.d1), _frac_str(v.d2)] for v in self.vertices]
-        data["sum_dof"] = _frac_str(sum_dof_lp(self))
-        return data
-
-
-def _frac_str(value: int) -> str:
-    return f"{value}/1"
+    def to_json_dict(self, config: AntennaConfig, scenario: CognitionScenario) -> dict:
+        """Nonnegativity and the three caps as a1*d1 + a2*d2 <= b rows, the
+        corners and the sum DOF, the last two as "k/1" strings."""
+        rows = (-1, 0, 0), (0, -1, 0), (1, 0, self.a), (0, 1, self.b), (1, 1, self.c)
+        return {
+            "config": config.to_json_dict(),
+            "scenario": list(scenario.bits),
+            "halfspaces": [{"a1": a1, "a2": a2, "b": b} for a1, a2, b in rows],
+            "vertices": [[f"{v.d1}/1", f"{v.d2}/1"] for v in self.vertices],
+            "sum_dof": f"{sum_dof_lp(self)}/1",
+        }
 
 
 @dataclass(frozen=True)
@@ -94,8 +76,6 @@ class AchievableSet:
     """The achievable integer DOF pairs for one configuration and scenario."""
 
     points: frozenset[tuple[int, int]]
-    config: AntennaConfig
-    scenario: CognitionScenario
 
 
 def _nullable(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int]:
@@ -154,24 +134,13 @@ def inner_points(config: AntennaConfig, scenario: CognitionScenario) -> Achievab
     to min(B', C' - d1)."""
     a, b, c = _inner_caps(config, scenario)
     points = frozenset((d1, d2) for d1 in range(a + 1) for d2 in range(min(b, c - d1) + 1))
-    return AchievableSet(points=points, config=config, scenario=scenario)
+    return AchievableSet(points=points)
 
 
-def _cap_region(a: int, b: int, c: int) -> Region2D:
-    """The region {d >= 0, d1 <= a, d2 <= b, d1 + d2 <= c} for integer caps
-    with a, b <= c: the nonnegativity halfspaces, the three caps and the
-    corners counterclockwise from (0, 0), coincident ones merged.  The
-    corners are integer points, so the region is the convex hull of its
-    integer points; no hull is taken."""
-    halfspaces = (*NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
-    corners = (0, 0), (a, 0), (a, min(b, c - a)), (min(a, c - b), b), (0, b)
-    return Region2D(halfspaces=halfspaces, vertices=tuple(dict.fromkeys(DofPoint(*p) for p in corners)))
-
-
-def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
+def inner_region(config: AntennaConfig, scenario: CognitionScenario) -> Caps:
     """The achievable region: the caps of ``_inner_caps``, which already
     bound the convex hull of the achievable integer points."""
-    return _cap_region(*_inner_caps(config, scenario))
+    return Caps(*_inner_caps(config, scenario))
 
 
 def _outer_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int, int, int]:
@@ -193,20 +162,18 @@ def _outer_caps(config: AntennaConfig, scenario: CognitionScenario) -> tuple[int
     return min(a, c), min(b, c), c
 
 
-def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Region2D:
+def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Caps:
     """The converse region: the caps of ``_outer_caps``."""
-    return _cap_region(*_outer_caps(config, scenario))
+    return Caps(*_outer_caps(config, scenario))
 
 
-def regions_equal(a: Region2D, b: Region2D) -> bool:
+def regions_equal(a: Caps, b: Caps) -> bool:
     """Exact equality of canonicalized regions, as vertex sets."""
     return set(a.vertices) == set(b.vertices)
 
 
-def sum_dof_lp(region: Region2D) -> int:
+def sum_dof_lp(region: Caps) -> int:
     """Maximize d1 + d2 over the region by checking every vertex."""
-    if not region.vertices:
-        raise ValueError("region has no vertices; empty regions have no maximum")
     return max(v.d1 + v.d2 for v in region.vertices)
 
 

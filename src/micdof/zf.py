@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -254,7 +255,10 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
 
 
 def _require_achievable(config: AntennaConfig, scenario: CognitionScenario, d1, d2) -> None:
-    if (d1, d2) != (int(d1), int(d2)) or not _achievable(config, scenario, d1, d2):
+    """Reject a point unless both coordinates are integers, not bools, and
+    the pair is achievable."""
+    integral = all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (d1, d2))
+    if not integral or not _achievable(config, scenario, d1, d2):
         raise AchievabilityError(
             f"point ({d1},{d2}) is not in the achievable integer set for "
             f"config {config}, scenario {scenario}"

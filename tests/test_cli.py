@@ -9,6 +9,7 @@ import micdof.regions
 from micdof.channel import CognitionScenario
 from micdof.cli import main
 from micdof.regions import (
+    Caps,
     DofPoint,
     _inner_caps,
     _outer_caps,
@@ -117,6 +118,21 @@ def test_region_sum_dof(capsys):
                        "--scenario", "0,1,0,0")
     assert code == 0
     assert "sum dof: 3" in out
+
+
+def test_region_fails_when_the_inner_caps_are_lowered(capsys, monkeypatch):
+    # The mismatch branch: with A' one lower the inner region loses the
+    # corner (2, 0), so both views report the regions unequal and exit 1.
+    def lowered(config, scenario):
+        a, b, c = _inner_caps(config, scenario)
+        return a - 1, b, c
+
+    monkeypatch.setattr(micdof.regions, "_inner_caps", lowered)
+    argv = "region", "--config", "2,2,2,2", "--scenario", "0,0,0,0"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1 and json.loads(out)["equal"] is False
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.endswith("inner equals outer: NO\n")
 
 
 def test_region_json_is_pinned(capsys):
@@ -274,7 +290,7 @@ def test_verify_builds_each_outer_region_once(capsys, monkeypatch, which, builds
 @pytest.mark.parametrize("which,walks", [
     ("all", 256), ("regions", 256), ("ordering", 256), ("lemma5", 0),
 ])
-def test_verify_walks_each_staircase_once(capsys, monkeypatch, which, walks):
+def test_verify_computes_each_inner_cap_triple_once(capsys, monkeypatch, which, walks):
     # Each config's 16 inner cap triples are computed once, whichever sweeps
     # are asked for, and the cooperation check reads the no-cognition one
     # among them.
@@ -348,16 +364,16 @@ def test_verify_fails_on_a_lowered_inner_cap(capsys, monkeypatch, lowered):
     assert out.endswith("FAIL (256 of 256 checks)\n")
 
 
-def test_verify_derives_no_inner_halfspaces(capsys, monkeypatch):
+def test_verify_builds_no_region(capsys, monkeypatch):
     # The region sweep compares the two cap triples only: it builds no inner
-    # or outer Region2D.
+    # or outer Caps.
     def refuse(*args):
         raise AssertionError("verify built a region")
 
     for module in (micdof.regions, micdof.cli):
         monkeypatch.setattr(module, "inner_region", refuse)
         monkeypatch.setattr(module, "outer_region", refuse)
-    monkeypatch.setattr(micdof.regions, "_cap_region", refuse)
+    monkeypatch.setattr(Caps, "__new__", refuse)
     code, out, _ = run(capsys, "verify", "--max-antennas", "2", "--which", "all")
     assert code == 0
     assert out.endswith("PASS (353 checks)\n")

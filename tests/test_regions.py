@@ -1,17 +1,15 @@
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from micdof.channel import AntennaConfig, CognitionScenario
 from micdof.regions import (
-    NONNEGATIVITY,
+    Caps,
     DofPoint,
-    Halfspace,
-    Region2D,
     _achievable,
-    _cap_region,
     _inner_caps,
     _ordering_holds,
     _outer_caps,
@@ -34,6 +32,26 @@ scenarios = st.sampled_from(CognitionScenario.all_scenarios())
 
 def pt(x, y):
     return DofPoint(Fraction(x), Fraction(y))
+
+
+class Halfspace(NamedTuple):
+    """The halfplane a1*d1 + a2*d2 <= b, for the reference checks."""
+
+    a1: int
+    a2: int
+    b: int
+
+    def holds(self, point):
+        return self.a1 * point[0] + self.a2 * point[1] <= self.b
+
+
+NONNEGATIVITY = (Halfspace(-1, 0, 0), Halfspace(0, -1, 0))
+
+
+def cap_halfspaces(caps):
+    """Nonnegativity and the three caps of a region, as Halfspaces."""
+    a, b, c = caps
+    return (*NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
 
 
 def recession_direction(halfspaces):
@@ -164,7 +182,7 @@ def test_inner_region_smallest_channel():
     assert set(region.vertices) == {pt(0, 0), pt(1, 0), pt(0, 1)}
 
 
-def test_inner_region_max_sum_via_hull():
+def test_inner_region_max_sum_over_its_corners():
     region = inner_region(
         AntennaConfig(2, 2, 2, 2), CognitionScenario.from_bits([0, 1, 0, 1])
     )
@@ -191,14 +209,17 @@ def test_outer_region_fully_cognitive_square():
 
 
 def test_nonnegativity_always_present():
-    region = outer_region(AntennaConfig(3, 1, 2, 2), CognitionScenario())
-    assert Halfspace(-1, 0, 0) in region.halfspaces
-    assert Halfspace(0, -1, 0) in region.halfspaces
+    # The report lists d1 >= 0 and d2 >= 0 first, and (0, 0) is a corner.
+    config, scenario = AntennaConfig(3, 1, 2, 2), CognitionScenario()
+    region = outer_region(config, scenario)
+    rows = region.to_json_dict(config, scenario)["halfspaces"]
+    assert rows[:2] == [{"a1": -1, "a2": 0, "b": 0}, {"a1": 0, "a2": -1, "b": 0}]
+    assert region.vertices[0] == (0, 0)
 
 
 def test_regions_equal_is_reflexive_and_scale_sensitive():
-    tri = _cap_region(1, 1, 1)
-    tri2 = _cap_region(2, 2, 2)
+    tri = Caps(1, 1, 1)
+    tri2 = Caps(2, 2, 2)
     assert regions_equal(tri, tri)
     assert not regions_equal(tri, tri2)
 
@@ -213,11 +234,12 @@ def test_inner_outer_equality_small_sweep():
         config = AntennaConfig(m1, m2, n1, n2)
         for scenario in CognitionScenario.all_scenarios():
             outer = outer_region(config, scenario)
+            halfspaces = cap_halfspaces(outer)
             box = m1 + m2
             for d1 in range(box + 1):
                 for d2 in range(box + 1):
                     inside = all(
-                        h.a1 * d1 + h.a2 * d2 <= h.b for h in outer.halfspaces
+                        h.a1 * d1 + h.a2 * d2 <= h.b for h in halfspaces
                     )
                     assert inside == definition_membership(config, scenario, d1, d2)
             for v in outer.vertices:
@@ -230,8 +252,8 @@ def test_inner_outer_equality_small_sweep():
 
 def test_outer_caps_are_the_tightest_paper_bounds():
     # A, B and C are the smallest bounds on d1, d2 and d1 + d2, the first two
-    # capped at C; the region lists exactly nonnegativity and the three caps,
-    # and its corners are those of the paper's whole bound list.
+    # capped at C; the region is exactly those caps, and its corners are
+    # those of the paper's whole bound list.
     for counts in itertools.product(range(1, 5), repeat=4):
         config = AntennaConfig(*counts)
         for scenario in CognitionScenario.all_scenarios():
@@ -242,8 +264,7 @@ def test_outer_caps_are_the_tightest_paper_bounds():
             assert _outer_caps(config, scenario) == (a, b, c)
             assert c <= a + b  # so every cap is attained
             outer = outer_region(config, scenario)
-            assert outer.halfspaces == (
-                *NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
+            assert type(outer) is Caps and outer == (a, b, c)
             assert set(outer.vertices) == reference_vertices([*NONNEGATIVITY, *bounds])
 
 
@@ -253,8 +274,8 @@ def test_outer_region_matches_pairwise_intersection_reference():
         config = AntennaConfig(*counts)
         for scenario in CognitionScenario.all_scenarios():
             outer = outer_region(config, scenario)
-            assert recession_direction(outer.halfspaces) is None
-            assert set(outer.vertices) == reference_vertices(outer.halfspaces)
+            assert recession_direction(cap_halfspaces(outer)) is None
+            assert set(outer.vertices) == reference_vertices(cap_halfspaces(outer))
 
 
 def test_region_vertices_are_python_ints():
@@ -265,42 +286,39 @@ def test_region_vertices_are_python_ints():
                 assert all(type(c) is int for v in region.vertices for c in v)
 
 
-def test_inner_region_off_the_staircase_is_the_hull_of_every_point():
-    # inner_region is read off the three inner caps alone.  Its corners are
-    # the vertices of its halfspaces, in order, and every corner is
-    # achievable, while every achievable point satisfies the caps: so the
-    # region is the hull of every achievable point, down to the element
-    # types, without taking a hull.
+def test_inner_region_is_its_caps_and_the_hull_of_every_point():
+    # inner_region is the three inner caps.  Its corners are the vertices of
+    # its halfspaces, in order, and every corner is achievable, while every
+    # achievable point satisfies the caps: so the region is the hull of every
+    # achievable point, down to the element types, without taking a hull.
     for counts in itertools.product(range(1, 5), repeat=4):
         config = AntennaConfig(*counts)
         for scenario in CognitionScenario.all_scenarios():
             got = inner_region(config, scenario)
-            a, b, c = _inner_caps(config, scenario)
-            assert got.halfspaces == (
-                *NONNEGATIVITY, Halfspace(1, 0, a), Halfspace(0, 1, b), Halfspace(1, 1, c))
-            assert set(got.vertices) == reference_vertices(got.halfspaces)
+            assert type(got) is Caps and got == _inner_caps(config, scenario)
+            halfspaces = cap_halfspaces(got)
+            assert set(got.vertices) == reference_vertices(halfspaces)
             assert counterclockwise_from_origin(got.vertices)
             assert all(definition_membership(config, scenario, *v) for v in got.vertices)
             points = inner_points(config, scenario).points
-            assert all(h.holds(DofPoint(*p)) for p in points for h in got.halfspaces)
-            assert all(type(h) is Halfspace for h in got.halfspaces)
+            assert all(h.holds(p) for p in points for h in halfspaces)
             assert all(type(v) is DofPoint for v in got.vertices)
-            assert all(type(c) is int for h in got.halfspaces for c in h)
+            assert all(type(c) is int for c in got)
             assert all(type(c) is int for v in got.vertices for c in v)
 
 
-def test_corners_are_the_hull_of_the_five_corners():
-    # _cap_region writes its corners from a, b and c; they must be the
-    # vertices of its own halfspaces, distinct and in order, and integer
+def test_caps_corners_are_the_vertices_of_their_halfspaces():
+    # Caps.vertices writes its corners from a, b and c; they must be the
+    # vertices of the caps' halfspaces, distinct and in order, and integer
     # points under the caps, so the region is the hull of its integer points.
     for a, b in itertools.product(range(13), repeat=2):
         for c in range(max(a, b), a + b + 3):
-            region = _cap_region(a, b, c)
-            corners = region.vertices
-            assert set(corners) == reference_vertices(region.halfspaces)
+            corners = Caps(a, b, c).vertices
+            halfspaces = cap_halfspaces((a, b, c))
+            assert set(corners) == reference_vertices(halfspaces)
             assert len(set(corners)) == len(corners)
             assert counterclockwise_from_origin(corners)
-            assert all(h.holds(v) for v in corners for h in region.halfspaces)
+            assert all(h.holds(v) for v in corners for h in halfspaces)
             assert all(type(v) is DofPoint for v in corners)
             assert all(type(x) is int for v in corners for x in v)
 
@@ -323,8 +341,8 @@ def test_every_region_vertex_is_integer_and_feasible(config, scenario):
     for region in (outer_region(config, scenario), inner_region(config, scenario)):
         for v in region.vertices:
             assert v.d1.denominator == 1 and v.d2.denominator == 1
-            assert all(h.holds(v) for h in region.halfspaces)
-        assert all(h.holds(pt(0, 0)) for h in region.halfspaces)
+            assert all(h.holds(v) for h in cap_halfspaces(region))
+        assert all(h.holds(pt(0, 0)) for h in cap_halfspaces(region))
 
 
 @settings(max_examples=40)
@@ -334,7 +352,7 @@ def test_more_cognition_never_shrinks_region(config, a, b):
         tuple(max(x, y) for x, y in zip(a.bits, b.bits))
     )
     # Every vertex of the smaller region meets every bound of the larger.
-    larger = outer_region(config, joined).halfspaces
+    larger = cap_halfspaces(outer_region(config, joined))
     assert all(h.holds(v) for v in outer_region(config, a).vertices for h in larger)
 
 
@@ -342,19 +360,16 @@ def test_more_cognition_never_shrinks_region(config, a, b):
 
 
 def test_sum_dof_lp_examples():
-    tri = _cap_region(2, 2, 2)
+    tri = Caps(2, 2, 2)
     assert sum_dof_lp(tri) == 2
-    single = _cap_region(0, 0, 0)
+    single = Caps(0, 0, 0)
     assert sum_dof_lp(single) == 0
 
 
 def test_sum_dof_lp_guards_hand_built_regions():
     # Outer regions are bounded by construction; the reference recession
     # check still flags a hand-built unbounded one.
-    assert recession_direction((Halfspace(-1, 0, 0), Halfspace(0, -1, 0))) is not None
-    empty = Region2D(halfspaces=(), vertices=())
-    with pytest.raises(ValueError, match="no vertices"):
-        sum_dof_lp(empty)
+    assert recession_direction(NONNEGATIVITY) is not None
 
 
 # ------------------------------------------------------------ closed forms

@@ -112,6 +112,24 @@ def test_build_scheme_rejects_unachievable_point():
             build_scheme(config, scenario(0, 0, 0, 0), d1, d2, ch, seed=0)
 
 
+def test_a_point_that_only_looks_integral_is_refused():
+    # 1.0 and True compare equal to ints, yet only ints index the plan: each
+    # is refused by name, as 1.5 is, while numpy integers are accepted.
+    from micdof.rates import simulate_point
+
+    config, sc = AntennaConfig(2, 2, 2, 2), scenario(0, 0, 0, 0)
+    ch = sample_channel(config, seed=1)
+    for d1, d2 in ((1.0, 1), (True, 0), (0, True), (np.bool_(True), 1)):
+        named = rf"point \({d1},{d2}\) is not in the achievable"
+        with pytest.raises(AchievabilityError, match=named):
+            build_scheme(config, sc, d1, d2, ch, seed=0)
+        with pytest.raises(AchievabilityError, match=named):
+            simulate_point(config, sc, d1, d2, trials=2)
+    scheme = build_scheme(config, sc, np.int64(1), np.int64(1), ch, seed=0)
+    plain = build_scheme(config, sc, 1, 1, ch, seed=0)
+    assert np.array_equal(scheme.w1, plain.w1) and np.array_equal(scheme.w2, plain.w2)
+
+
 def test_build_scheme_rejects_mismatched_channel():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=1)
     with pytest.raises(ValueError, match="channel"):
