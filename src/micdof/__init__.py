@@ -25,9 +25,9 @@ from .regions import (
     inner_region,
     lemma5_holds,
     outer_region,
-    regions_equal,
+    regions_equal,  # read by perfbench only; not in __all__
     scenario_ordering_holds,
-    sum_dof_lp,
+    sum_dof_lp,  # read by perfbench only; not in __all__
 )
 from .zf import (
     AchievabilityError,
@@ -70,9 +70,7 @@ __all__ = [
     "inner_region",
     "lemma5_holds",
     "outer_region",
-    "regions_equal",
     "scenario_ordering_holds",
-    "sum_dof_lp",
     "AchievabilityError",
     "SchemeDiagnostics",
     "SweepReport",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,19 @@ class DegenerateChannelError(RuntimeError):
     """Raised when repeated sampling cannot produce full-rank matrices."""
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule: a ``numbers.Integral`` (numpy's integers too)
+    that is not a bool.  A plain int is checked first."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int, or ValueError naming ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AntennaConfig:
     """Antenna counts (m1, m2, n1, n2); every count must be at least 1."""
@@ -60,8 +74,9 @@ class AntennaConfig:
     def __post_init__(self) -> None:
         for name in ("m1", "m2", "n1", "n2"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"antenna count {name} must be an integer, got {value!r}")
+            if type(value) is not int:
+                value = _integer(f"antenna count {name}", value)
+                object.__setattr__(self, name, value)
             if value < 1:
                 raise ValueError(f"antenna count {name} must be >= 1, got {value}")
         object.__setattr__(self, "counts", (self.m1, self.m2, self.n1, self.n2))

@@ -37,7 +37,6 @@ from .regions import (
     inner_region,
     lemma5_holds,
     outer_region,
-    regions_equal,
 )
 from .zf import _require_achievable, _sweep_cells
 from .rates import (
@@ -196,7 +195,7 @@ def _cmd_region(args) -> int:
     report = {
         "inner": inner.to_json_dict(config, scenario),
         "outer": outer.to_json_dict(config, scenario),
-        "equal": regions_equal(inner, outer),
+        "equal": inner == outer,
     }
     if args.out:
         _write(args.out, json.dumps(report, indent=2) + "\n")

@@ -51,6 +51,7 @@ from .channel import (
     ChannelRealization,
     CognitionScenario,
     _gather,
+    _integer,
     _runs,
     sample_channels,
 )
@@ -240,6 +241,7 @@ def simulate_point(config: AntennaConfig, scenario: CognitionScenario, d1: int, 
     slope is fitted on the mean sum rate; that mean slope is the Monte Carlo
     DOF estimate for the point (d1, d2).
     """
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
@@ -303,6 +305,7 @@ def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,
             f"cooperation bound requires n2 >= m1 (got n2={config.n2}, m1={config.m1}); "
             "for n2 < m1 swap roles so the larger receiver faces transmitter 1"
         )
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     channels = sample_channels(config, range(seed, seed + trials), extended=True)

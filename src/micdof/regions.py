@@ -67,7 +67,7 @@ class Caps(NamedTuple):
             "scenario": list(scenario.bits),
             "halfspaces": [{"a1": a1, "a2": a2, "b": b} for a1, a2, b in rows],
             "vertices": [[f"{v.d1}/1", f"{v.d2}/1"] for v in self.vertices],
-            "sum_dof": f"{sum_dof_lp(self)}/1",
+            "sum_dof": f"{self.c}/1",
         }
 
 
@@ -168,12 +168,13 @@ def outer_region(config: AntennaConfig, scenario: CognitionScenario) -> Caps:
 
 
 def regions_equal(a: Caps, b: Caps) -> bool:
-    """Exact equality of canonicalized regions, as vertex sets."""
+    """Equality as corner sets.  Only perfbench's exact_verify replica reads
+    this, and ``sum_dof_lp``; both go with ``AchievableSet`` (ROADMAP item 3)."""
     return set(a.vertices) == set(b.vertices)
 
 
 def sum_dof_lp(region: Caps) -> int:
-    """Maximize d1 + d2 over the region by checking every vertex."""
+    """The largest corner sum, c for a normalised triple; see ``regions_equal``."""
     return max(v.d1 + v.d2 for v in region.vertices)
 
 

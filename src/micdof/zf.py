@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +48,8 @@ from .channel import (
     CognitionScenario,
     _generators,
     _gather,
+    _integer,
+    _is_integer,
     _links,
     _null_rows,
     _ranks,
@@ -255,10 +256,9 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
 
 
 def _require_achievable(config: AntennaConfig, scenario: CognitionScenario, d1, d2) -> None:
-    """Reject a point unless both coordinates are integers, not bools, and
-    the pair is achievable."""
-    integral = all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (d1, d2))
-    if not integral or not _achievable(config, scenario, d1, d2):
+    """Reject a point unless both coordinates are integers, by
+    ``channel._is_integer``, and the pair is achievable."""
+    if not (_is_integer(d1) and _is_integer(d2) and _achievable(config, scenario, d1, d2)):
         raise AchievabilityError(
             f"point ({d1},{d2}) is not in the achievable integer set for "
             f"config {config}, scenario {scenario}"
@@ -468,6 +468,7 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
     scales with a family, not with the sweep.  Failures are recorded in the
     report, not raised.
     """
+    max_antennas, trials = _integer("max_antennas", max_antennas), _integer("trials", trials)
     if max_antennas < 1:
         raise ValueError("max_antennas must be >= 1")
     if trials < 0:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import pickle
 
 import numpy as np
@@ -56,10 +57,24 @@ def test_validate_config_names_offending_field(bad, field):
         AntennaConfig.from_json_dict(dict(zip(("m1", "m2", "n1", "n2"), bad)))
 
 
-@pytest.mark.parametrize("count", [1.5, True])
+@pytest.mark.parametrize("count", [1.5, True, 2.0, np.float64(2.0), np.bool_(True), "2"])
 def test_a_count_that_is_not_an_int_is_rejected(count):
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError) as refused:
         AntennaConfig(count, 1, 1, 1)
+    assert str(refused.value) == f"antenna count m1 must be an integer, got {count!r}"
+
+
+def test_numpy_integer_counts_are_stored_as_plain_ints():
+    # numpy's integers pass the integer rule, as they do for a point's
+    # coordinates, and the config keeps plain ints, so its JSON is the same.
+    config = AntennaConfig(*np.array([2, 3, 1, 4]))
+    assert all(type(count) is int for count in (config.m1, config.m2, config.n1, config.n2))
+    assert all(type(count) is int for count in config.counts)
+    assert config == AntennaConfig(2, 3, 1, 4) and hash(config) == hash(AntennaConfig(2, 3, 1, 4))
+    assert json.dumps(config.to_json_dict()) == '{"m1": 2, "m2": 3, "n1": 1, "n2": 4}'
+    with pytest.raises(ValueError) as refused:
+        AntennaConfig(np.int64(0), 1, 1, 1)
+    assert str(refused.value) == "antenna count m1 must be >= 1, got 0"
 
 
 def test_sixteen_distinct_scenarios_roundtrip():

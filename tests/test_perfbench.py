@@ -23,9 +23,10 @@ def test_benchmark_workloads_load_against_the_library(monkeypatch):
 
 
 def test_exact_verify_replica_agrees_with_verify(monkeypatch):
-    # The traced replica reaches the verdicts through inner_region,
-    # outer_region and Region2D, while verify compares the inner and outer
-    # cap triples; the two must give the same result, and each control must
+    # The traced replica reaches the verdicts through the Caps that
+    # inner_region and outer_region return, compared by regions_equal and
+    # summed by sum_dof_lp, while verify compares the inner and outer cap
+    # triples; the two must give the same result, and each control must
     # report a problem.
     workloads, tracing = _load(monkeypatch, "workloads"), _load(monkeypatch, "tracing")
     bench = workloads.ExactVerify()

@@ -618,3 +618,23 @@ def test_gap_check_single_stream_channel():
 def test_gap_check_rejects_wide_transmitter():
     with pytest.raises(ValueError, match="n2 >= m1"):
         cooperation_dof_gap_check(AntennaConfig(3, 1, 1, 2), trials=1)
+
+
+@pytest.mark.parametrize("trials", [2.0, np.float64(2.0), True], ids=["float", "numpy float", "bool"])
+def test_trial_counts_follow_the_integer_rule(trials):
+    config, refused = AntennaConfig(2, 2, 2, 2), f"trials must be an integer, got {trials!r}"
+    with pytest.raises(ValueError) as error:
+        simulate_point(config, CognitionScenario(), 1, 1, trials=trials)
+    assert str(error.value) == refused
+    with pytest.raises(ValueError) as error:
+        cooperation_dof_gap_check(config, trials=trials)
+    assert str(error.value) == refused
+
+
+def test_numpy_integer_trial_counts_run_as_ints():
+    config, sc = AntennaConfig(2, 2, 2, 2), CognitionScenario()
+    sweep = simulate_point(config, sc, 1, 1, trials=np.int64(2), seed=4)
+    assert sweep == simulate_point(config, sc, 1, 1, trials=2, seed=4)
+    report = cooperation_dof_gap_check(config, trials=np.int64(2), seed=4)
+    assert type(report.trials) is int
+    assert report == cooperation_dof_gap_check(config, trials=2, seed=4)

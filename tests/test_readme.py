@@ -1,10 +1,12 @@
 """The README's examples run as written and give the values they state."""
 
 import ast
+import re
 import shlex
 from pathlib import Path
 
 from micdof import cli
+from test_cli import _PINNED
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -40,3 +42,9 @@ def test_readme_library_example_gives_its_stated_values():
     channel, batch = namespace["channel"], namespace["channels"][7]
     for link in ("h31", "h32", "h41", "h42"):
         assert getattr(batch, link).tobytes() == getattr(channel, link).tobytes()
+
+
+def test_readme_counts_the_pinned_command_lines():
+    # The README states how many command lines the CLI pins hash.
+    stated = re.search(r"each of (\d+) command lines", README)
+    assert stated and int(stated.group(1)) == len(_PINNED)

@@ -381,6 +381,23 @@ def test_sweep_rejects_a_negative_trial_count():
         achievability_sweep(2, -1)
 
 
+@pytest.mark.parametrize("max_antennas, trials, refused", [
+    (2.0, 1, "max_antennas must be an integer, got 2.0"),
+    (True, 1, "max_antennas must be an integer, got True"),
+    (1, 1.0, "trials must be an integer, got 1.0"),
+    (1, True, "trials must be an integer, got True"),
+])
+def test_sweep_counts_follow_the_integer_rule(max_antennas, trials, refused):
+    with pytest.raises(ValueError) as error:
+        achievability_sweep(max_antennas, trials)
+    assert str(error.value) == refused
+
+
+def test_sweep_takes_numpy_integer_counts_as_ints():
+    report = achievability_sweep(np.int64(1), np.int64(2), seed=5)
+    assert report.to_json_list() == achievability_sweep(1, 2, seed=5).to_json_list()
+
+
 def test_sweep_report_json_schema():
     report = achievability_sweep(max_antennas=1, trials=2, seed=3)
     data = report.to_json_list()
