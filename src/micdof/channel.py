@@ -268,7 +268,7 @@ def sample_channels(config: AntennaConfig, seeds,
     with (C, n, m) views of its draw.  The batch's channels share its config.
     """
     spans, size = _spans(config.counts, extended)
-    seeds = list(seeds)
+    seeds = [seed if type(seed) is int else _integer("seed", seed) for seed in seeds]
     if not seeds:
         return []
     accepted: list = [None] * len(seeds)

@@ -143,15 +143,13 @@ def _rate_models(trials: _Trials) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     if failed:
         i = min(failed)  # the first failing trial
         receiver, rx = (1, rx1) if not rx1.passes[i] else (2, rx2)
-        seed = [ch.seed for _, channels in trials.cells for ch in channels][i]
+        seed = trials.channels[i].seed
         raise UndecodableSchemeError(
             f"scheme fails the rank rule on the channel of seed {seed} at receiver "
             f"{receiver} (interference rank {rx.interference[i]} of {rx.unnulled[i]}, "
             f"signal rank {rx.signal[i]} of {rx.streams}); rates are undefined"
         )
-    # The power split is per cell, repeated over the cell's trials.
-    splits = [(x1.power, x2.power) for (x1, x2), _ in trials.cells]
-    k1, k2 = np.repeat(splits, [len(channels) for _, channels in trials.cells], axis=0).T
+    k1, k2 = np.array([(x1.power, x2.power) for x1, x2 in trials.plans]).T
     return (k1, rx1.spectrum ** 2), (k2, rx2.spectrum ** 2)
 
 
@@ -226,6 +224,7 @@ def estimate_dof_slope(scheme: ZfScheme, channel: ChannelRealization, rho_grid) 
 def default_rho_grid(rho_min: float = SLOPE_GRID_MIN, rho_max: float = SLOPE_GRID_MAX,
                      points: int = 7) -> tuple[float, ...]:
     """Logarithmically spaced power grid."""
+    points = _integer("points", points)
     if points < 3:
         raise ValueError("grid needs at least 3 points")
     if not all(0 < rho < np.inf for rho in (rho_min, rho_max)):
@@ -241,7 +240,7 @@ def simulate_point(config: AntennaConfig, scenario: CognitionScenario, d1: int, 
     slope is fitted on the mean sum rate; that mean slope is the Monte Carlo
     DOF estimate for the point (d1, d2).
     """
-    trials = _integer("trials", trials)
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = _validate_grid(rho_grid if rho_grid is not None else default_rho_grid())
@@ -305,7 +304,7 @@ def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,
             f"cooperation bound requires n2 >= m1 (got n2={config.n2}, m1={config.m1}); "
             "for n2 < m1 swap roles so the larger receiver faces transmitter 1"
         )
-    trials = _integer("trials", trials)
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     channels = sample_channels(config, range(seed, seed + trials), extended=True)

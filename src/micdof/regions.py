@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import AntennaConfig, CognitionScenario
+from .channel import AntennaConfig, CognitionScenario, _integer
 
 
 class DofPoint(NamedTuple):
@@ -217,6 +217,7 @@ def lemma5_holds(c: int, d: int, box: int) -> bool:
     ``_pos``; each set is then one boolean array over (b, a) in [0, box]^2,
     and the two arrays are compared exactly.
     """
+    c, d, box = _integer("c", c), _integer("d", d), _integer("box", box)
     if min(c, d) < 0:
         raise ValueError("c and d must be nonnegative")
     if box < c + d:

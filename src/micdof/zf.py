@@ -14,10 +14,11 @@ the rates read it.
 
 A trial passes when every rank reaches its generic value (``_receivers``):
 interference rank u_i and projected signal rank d_i at receiver i, transmit
-rank d1 + d2, and a null residual within RANK_RTOL.  As sigma_k(P S) <=
-sigma_k(S), projected rank d_i implies signal rank d_i; with interference
-rank u_i it is joint rank d_i + u_i, which ``regions._inner_caps`` keeps
-<= n_i.
+rank d1 + d2, and a null residual within RANK_RTOL, read from the
+interference H W_other each receiver forms (``_null_residuals``).  As
+sigma_k(P S) <= sigma_k(S), projected rank d_i implies signal rank d_i; with
+interference rank u_i it is joint rank d_i + u_i, which
+``regions._inner_caps`` keeps <= n_i.
 
 A message's precoder is one (m1+m2, d) block over the full transmit space,
 zero on the rows of a transmitter that does not carry it.  Trials are built
@@ -25,11 +26,11 @@ and judged in batches of one stack shape (m1+m2, n1, n2, d1, d2), whatever
 configs they mix (``_Trials``), so each rank costs one batched SVD per
 batch.  numpy picks its BLAS call by shapes and strides, so the bits of a
 scheme alone are kept: projections run in groups of equal u_i on views
-with one scheme's shapes, and norms as stacked matmuls, one BLAS ddot per
-row and one gemv per column (``_norms``, ``_column_norms``), where
-``einsum``, a batched ``np.linalg.norm`` or a strided column sum would add
-in another order.  ``ZfScheme`` is the public record of one scheme;
-``build_scheme`` and the scalar checks are batches of one.
+with one scheme's shapes, and norms as a stacked matmul, one BLAS ddot per
+contiguous row (``_norms``), where ``einsum``, a batched ``np.linalg.norm``
+or a strided column sum would add in another order.  ``ZfScheme`` is the
+public record of one scheme; ``build_scheme`` and the scalar checks are
+batches of one.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ class ZfScheme:
 
 
 class _Trials(NamedTuple):
-    """Trials that share (m1+m2, n1, n2, d1, d2): ``cells`` are (plan,
-    channels) runs, one trial per channel, in trial order, with the plan
-    (``_plan``) their blocks were built by, and ``w1`` (B, m1+m2, d1) and
-    ``w2`` (B, m1+m2, d2) the blocks, laid out as in ZfScheme."""
+    """Trials that share (m1+m2, n1, n2, d1, d2), in trial order: trial t runs
+    on ``channels[t]`` the blocks ``w1[t]`` (m1+m2, d1) and ``w2[t]`` (m1+m2,
+    d2), laid out as in ZfScheme and built by the plan ``plans[t]``
+    (``_plan``)."""
 
     d1: int
     d2: int
-    cells: list
+    plans: list
+    channels: list
     w1: np.ndarray
     w2: np.ndarray
 
@@ -99,8 +101,8 @@ def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Tr
     batch; each channel must match its scheme's configuration."""
     if any(ch.config != x.config for x, ch in zip(schemes, channels)):
         raise ValueError("channel does not match the scheme's configuration")
-    cells = [(_plan(x.config, x.scenario, x.d1, x.d2), [ch]) for x, ch in zip(schemes, channels)]
-    return _Trials(schemes[0].d1, schemes[0].d2, cells,
+    return _Trials(schemes[0].d1, schemes[0].d2,
+                   [_plan(x.config, x.scenario, x.d1, x.d2) for x in schemes], channels,
                    np.array([x.w1 for x in schemes]), np.array([x.w2 for x in schemes]))
 
 
@@ -167,14 +169,6 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def _column_norms(h: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The (G, k) norms of h[i] @ block[i][:, j] for stacks h (G, n, m) and
-    block (G, m, k), to the bit of ``_norm(h[i] @ block[i][:, j].copy())``:
-    the stacked matmul runs one BLAS gemv per contiguous column."""
-    received = h[:, None] @ np.ascontiguousarray(np.swapaxes(block, 1, 2))[..., None]
-    return _norms(received.reshape(-1, h.shape[1])).reshape(len(h), -1)
-
-
 def _isotropic(rng: np.random.Generator, sizes: list[int]) -> np.ndarray:
     """Unnormalised isotropic vectors of ``sizes`` drawn one at a time, end to end;
     one of norm 0 (probability zero, but keep the loop total) is drawn again."""
@@ -219,7 +213,8 @@ def _schemes(cells) -> dict[tuple[int, int], _Trials]:
     batches, groups, draws, entropy, end = {}, {}, [], [], 0
     for point, runs in plans.items():
         size = sum(len(channels) for _, channels, _ in runs)
-        batches[point] = _Trials(*point, [(plan, channels) for plan, channels, _ in runs],
+        batches[point] = _Trials(*point, [plan for plan, channels, _ in runs for _ in channels],
+                                 [ch for _, channels, _ in runs for ch in channels],
                                  np.zeros((size, dim, point[0])), np.zeros((size, dim, point[1])))
         item = 0
         for plan, channels, seed in runs:
@@ -275,6 +270,7 @@ def build_scheme(config: AntennaConfig, scenario: CognitionScenario, d1: int, d2
             f"channel realization has shapes for {channel.config}, expected {config}"
         )
     _require_achievable(config, scenario, d1, d2)
+    seed = _integer("seed", seed)
     trials = _schemes([(config, scenario, (d1, d2), [channel], seed)])[d1, d2]
     return ZfScheme(config, scenario, d1, d2, trials.w1[0], trials.w2[0])
 
@@ -288,6 +284,7 @@ class _Receiver(NamedTuple):
     streams: int  # its generic value d_i
     passes: list  # per trial, whether both ranks reach their generic values
     spectrum: np.ndarray  # (B, min(n, d_i)) the projected singular values
+    crossing: np.ndarray | None  # (B, n, d_other) H W_other, or None where no trial needs it
 
 
 def _receivers(trials: _Trials):
@@ -298,16 +295,17 @@ def _receivers(trials: _Trials):
     of H W_other has rank d_i, relative to the channel norm (why this
     suffices: module docstring).  Returns both ``_Receiver``s and, for each
     failing trial only, the criteria it fails."""
-    runs, receivers, failed = _runs([ch for _, chs in trials.cells for ch in chs]), [], {}
+    runs, receivers, failed = _runs(trials.channels), [], {}
     for link, signal, interference, other in (("rx1", trials.w1, trials.w2, 1),
                                               ("rx2", trials.w2, trials.w1, 0)):
         rx, scale = _gather(runs, link), _gather(runs, ("norm", link))
-        cognitive = [plan[other].cancelled for plan, chs in trials.cells for _ in chs]
-        unnulled = [plan[other].residual for plan, chs in trials.cells for _ in chs]
+        cognitive = [plan[other].cancelled for plan in trials.plans]
+        unnulled = [plan[other].residual for plan in trials.plans]
         received = rx @ signal
-        interference_rank, kept = [0] * len(rx), received
+        interference_rank, kept, crossing = [0] * len(rx), received, None
         if interference.shape[2] and not all(cognitive):
-            u, singular, _ = np.linalg.svd(rx @ interference, full_matrices=False)
+            crossing = rx @ interference
+            u, singular, _ = np.linalg.svd(crossing, full_matrices=False)
             ranks = _ranks(singular, scale).tolist()
             interference_rank = [0 if c else r for c, r in zip(cognitive, ranks)]
             if signal.shape[2] and any(unnulled):
@@ -323,7 +321,7 @@ def _receivers(trials: _Trials):
         passes = [i == k and s == streams
                   for i, k, s in zip(interference_rank, unnulled, signal_rank)]
         receivers.append(_Receiver(interference_rank, unnulled, signal_rank, streams, passes,
-                                   spectrum))
+                                   spectrum, crossing))
         for t in [t for t, ok in enumerate(passes) if not ok]:
             shortfalls = ((f"{link} interference rank", interference_rank[t] != unnulled[t]),
                           (f"{link} signal rank", signal_rank[t] != streams))
@@ -339,32 +337,31 @@ def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagno
                              rx2.interference[0], rx1.passes[0], rx2.passes[0])
 
 
-def _null_residuals(trials: _Trials) -> np.ndarray:
+def _null_residuals(trials: _Trials, rx1: _Receiver, rx2: _Receiver) -> np.ndarray:
     """Per trial, the worst relative leakage ||H w|| / ||H|| of its nulled
-    streams at the opposite receiver (0 when none is nulled), as its plan
-    nulls them: one ``_column_norms`` per message, cross link, active rows and
-    nulled count."""
-    dim, groups, start = trials.w1.shape[1], {}, 0
-    for plan, channels in trials.cells:
-        for m, (_, rows, link, count, *_) in enumerate(plan):
-            if count:
-                sel, chs = groups.setdefault((m, rows, link, count), ([], []))
-                sel.extend(range(start, start + len(channels)))
-                chs.extend(channels)
-        start += len(channels)
-    worst = np.zeros(start)
-    for (m, rows, link, count), (sel, chs) in groups.items():
-        runs = _runs(chs)
-        h, norms = _gather(runs, link), _gather(runs, ("norm", link))
-        cols = slice(dim - rows, dim) if m else slice(rows)
-        leaks = _column_norms(h, (trials.w2 if m else trials.w1)[sel, cols, :count])
-        worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / norms)
+    streams at the other receiver (0 when none is nulled): the largest norm of
+    a message's first k columns of H W_other there (``_Receiver.crossing``),
+    each one contiguous ddot, over the norm of its plan's cross link.  W is 0
+    off its active rows, so rx2 w = h41 w[:m1]."""
+    worst = np.zeros(len(trials.plans))
+    for m, rx in ((0, rx2), (1, rx1)):  # W1 arrives at receiver 2, W2 at receiver 1
+        sel = [t for t, plan in enumerate(trials.plans) if plan[m].nulled]
+        if sel:
+            plans = [trials.plans[t][m] for t in sel]
+            columns = np.ascontiguousarray(np.swapaxes(rx.crossing[sel], 1, 2))
+            leaks = _norms(columns.reshape(-1, columns.shape[2])).reshape(len(sel), -1)
+            leaks[np.arange(leaks.shape[1]) >= np.array([x.nulled for x in plans])[:, None]] = 0
+            runs, links = _runs([trials.channels[t] for t in sel]), {x.link for x in plans}
+            norms = {link: _gather(runs, ("norm", link)).tolist() for link in links}
+            scale = [norms[x.link][i] for i, x in enumerate(plans)]
+            worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / scale)
     return worst
 
 
 def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
     """Worst relative leakage ||H w|| / ||H|| of the nulled streams at the opposite receiver."""
-    return float(_null_residuals(_stacked([scheme], [channel]))[0])
+    trials = _stacked([scheme], [channel])
+    return float(_null_residuals(trials, *_receivers(trials)[:2])[0])
 
 
 def _transmit_ranks(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -382,9 +379,9 @@ def _verdicts(trials: _Trials) -> list[tuple[tuple[str, ...], float]]:
     """Per trial of a batch, the criteria of the pass rule it fails (empty when
     it passes): those of ``_receivers``, then "null residual" (above
     RANK_RTOL) and "transmit rank" (below d1 + d2); and its null residual."""
-    *_, failed = _receivers(trials)
+    rx1, rx2, failed = _receivers(trials)
     streams, verdicts = trials.d1 + trials.d2, []
-    for t, (residual, rank) in enumerate(zip(_null_residuals(trials).tolist(),
+    for t, (residual, rank) in enumerate(zip(_null_residuals(trials, rx1, rx2).tolist(),
                                              _transmit_ranks(trials.w1, trials.w2).tolist())):
         verdicts.append((failed.get(t, ()) + ("null residual",) * (not residual <= RANK_RTOL)
                          + ("transmit rank",) * (rank != streams), residual))
@@ -469,6 +466,7 @@ def achievability_sweep(max_antennas: int, trials: int, seed: int = 0) -> SweepR
     report, not raised.
     """
     max_antennas, trials = _integer("max_antennas", max_antennas), _integer("trials", trials)
+    seed = _integer("seed", seed)
     if max_antennas < 1:
         raise ValueError("max_antennas must be >= 1")
     if trials < 0:

@@ -129,7 +129,7 @@ def test_criterion_6_achievability_sweep():
     _report(
         6,
         report.all_passed and report.worst_null_residual <= 1e-9
-        and digest == "d845fb782123cef48660a3181c4eb84238608c91ba9542da900fcf11c5cfb99f",
+        and digest == "14ea554cd949fb37dedc2ee617237c857d8525c4e0d52ed104db3eac89cd84c4",
         detail,
     )
 
@@ -239,7 +239,7 @@ def test_criterion_9b_seeded_outputs_are_byte_identical(capsys, tmp_path):
 # output records its new hash here and in CHANGES.md.
 SEEDED_SHA256 = {
     "achievability_sweep(3, 1, seed=21) JSON":
-        "ae05694d9c6f3f3ce6629d5a673abdd2104e6423a99ff1f2458d9d21f49d8ab0",
+        "7d2411829608e9bd5a4e81a76eed93db6a8de3e87c19ae8c4ed20bff43f73896",
     "simulate_point((2,2,2,2), 0000, (1,1), trials=3, seed=11) CSV":
         "5eb29634f9bc709f8368869e54bffcb5b032ed4dda3970d07b4d987cf50e7b34",
     "build_scheme w1 + w2 bytes, counts 1..2, seed 7":

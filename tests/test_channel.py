@@ -77,6 +77,27 @@ def test_numpy_integer_counts_are_stored_as_plain_ints():
     assert str(refused.value) == "antenna count m1 must be >= 1, got 0"
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(2.0)],
+                         ids=["fraction", "float", "bool", "numpy float"])
+def test_a_seed_that_is_not_an_int_is_rejected(seed):
+    config, refused = AntennaConfig(2, 2, 2, 2), f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError) as error:
+        sample_channel(config, seed=seed)
+    assert str(error.value) == refused
+    with pytest.raises(ValueError) as error:
+        sample_channels(config, [0, seed])
+    assert str(error.value) == refused
+
+
+def test_a_numpy_integer_seed_draws_the_plain_int_channel():
+    config = AntennaConfig(2, 3, 2, 2)
+    for seed in (np.int64(3), np.int64(-5), np.uint64(2**64 - 1)):
+        ch, plain = sample_channel(config, seed=seed), sample_channel(config, seed=int(seed))
+        assert type(ch.seed) is int and ch.seed == plain.seed
+        assert all(getattr(ch, link).tobytes() == getattr(plain, link).tobytes()
+                   for link in ("h31", "h32", "h41", "h42"))
+
+
 def test_sixteen_distinct_scenarios_roundtrip():
     all_s = CognitionScenario.all_scenarios()
     assert len(set(all_s)) == 16

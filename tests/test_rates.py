@@ -631,6 +631,40 @@ def test_trial_counts_follow_the_integer_rule(trials):
     assert str(error.value) == refused
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True], ids=["fraction", "float", "bool"])
+def test_rate_seeds_follow_the_integer_rule(seed):
+    config, refused = AntennaConfig(2, 2, 2, 2), f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError) as error:
+        simulate_point(config, CognitionScenario(), 1, 1, trials=2, seed=seed)
+    assert str(error.value) == refused
+    with pytest.raises(ValueError) as error:
+        cooperation_dof_gap_check(config, trials=2, seed=seed)
+    assert str(error.value) == refused
+
+
+def test_numpy_integer_seeds_run_as_ints():
+    config, sc = AntennaConfig(2, 2, 2, 2), CognitionScenario()
+    sweep = simulate_point(config, sc, 1, 1, trials=2, seed=np.int64(4))
+    assert sweep.to_csv() == simulate_point(config, sc, 1, 1, trials=2, seed=4).to_csv()
+    report = cooperation_dof_gap_check(config, trials=2, seed=np.int64(4))
+    assert report == cooperation_dof_gap_check(config, trials=2, seed=4)
+
+
+@pytest.mark.parametrize("points", [7.0, True, np.float64(7.0)],
+                         ids=["float", "bool", "numpy float"])
+def test_grid_points_follow_the_integer_rule(points):
+    with pytest.raises(ValueError) as error:
+        default_rho_grid(1e4, 1e10, points)
+    assert str(error.value) == f"points must be an integer, got {points!r}"
+
+
+def test_a_numpy_integer_point_count_gives_the_plain_grid():
+    assert default_rho_grid(1e4, 1e10, np.int64(7)) == default_rho_grid(1e4, 1e10, 7)
+    with pytest.raises(ValueError) as error:
+        default_rho_grid(points=np.int64(2))
+    assert str(error.value) == "grid needs at least 3 points"
+
+
 def test_numpy_integer_trial_counts_run_as_ints():
     config, sc = AntennaConfig(2, 2, 2, 2), CognitionScenario()
     sweep = simulate_point(config, sc, 1, 1, trials=np.int64(2), seed=4)

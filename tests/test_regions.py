@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -482,6 +483,25 @@ def test_lemma5_rejects_small_box():
 def test_lemma5_rejects_a_negative_count():
     with pytest.raises(ValueError, match="nonnegative"):
         lemma5_holds(-1, 0, 5)
+
+
+@pytest.mark.parametrize("args, name, value", [
+    ((1.5, 2, 20), "c", 1.5),
+    ((True, 2, 20), "c", True),
+    ((1, 2.0, 20), "d", 2.0),
+    ((1, 2, 20.0), "box", 20.0),
+])
+def test_lemma5_counts_follow_the_integer_rule(args, name, value):
+    # An identity checked at a non-integer point checks nothing.
+    with pytest.raises(ValueError) as error:
+        lemma5_holds(*args)
+    assert str(error.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_lemma5_takes_numpy_integers_as_ints():
+    assert lemma5_holds(np.int64(3), np.int64(2), np.int64(9)) is True
+    with pytest.raises(ValueError, match="nonnegative"):
+        lemma5_holds(np.int64(-1), 0, 5)
 
 
 @settings(max_examples=60)

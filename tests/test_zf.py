@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -239,8 +240,9 @@ def test_scheme_blocks_are_unit_columns_on_the_active_rows():
 
 def test_null_residual_matches_a_per_vector_reference_to_the_bit():
     # A 1-row cross link: transmitter 1 is cognitive, so both W2 streams are
-    # nulled against rx1 (1 x 4).  The reference multiplies a fresh 1-D copy
-    # of each column; a product with a strided column view changes last bits.
+    # nulled against rx1 (1 x 4).  The reference is the norm of a fresh 1-D
+    # copy of each column of the product rx1 W2 that receiver 1 forms; the
+    # norm of a strided column view changes last bits.
     config = AntennaConfig(1, 3, 1, 2)
     for seed in range(10):
         ch = sample_channel(config, seed=seed)
@@ -248,10 +250,57 @@ def test_null_residual_matches_a_per_vector_reference_to_the_bit():
         assert _nulled(config, scheme.scenario, 0, 2)[1] == 2
         rx1 = channel._links([ch], "rx1")[0]
         norm = _gather(_runs([ch]), ("norm", "rx1"))[0]
+        product = rx1 @ scheme.w2
         expected = max(
-            float(np.linalg.norm(rx1 @ np.array(scheme.w2[:, j]))) / norm for j in range(2)
+            float(np.linalg.norm(np.array(product[:, j]))) / norm for j in range(2)
         )
         assert null_residual(scheme, ch) == expected
+
+
+def test_the_verdicts_gather_no_cross_link_matrix(monkeypatch):
+    # Structural: the null residual is read from the interference each
+    # receiver forms, so judging a batch whose W1 is nulled against h41
+    # (t2 = 0) gathers the receiver stacks rx1 and rx2, and of h41 its norm
+    # alone.
+    config, sc, point = AntennaConfig(3, 1, 2, 2), scenario(0, 0, 0, 0), (1, 1)
+    channels = channel.sample_channels(config, range(5))
+    trials = zf._schemes([(config, sc, point, channels, 0)])[point]
+    assert all(plan[0].link == "h41" and plan[0].nulled for plan in trials.plans)
+    gather, keys = zf._gather, []
+
+    def recorded(runs, key):
+        keys.append(key)
+        return gather(runs, key)
+
+    monkeypatch.setattr(zf, "_gather", recorded)
+    assert [failed for failed, _ in zf._verdicts(trials)] == [()] * 5
+    assert {key for key in keys if isinstance(key, str)} == {"rx1", "rx2"}
+    assert ("norm", "h41") in keys
+
+
+def test_the_null_residual_is_the_column_norm_of_the_receiver_product():
+    # One batch of (2, 0) mixes W1 nulled against h41 (t2 = 0, one column)
+    # and against rx2 (t2 = 1, two columns).  Each residual is, to the bit,
+    # the largest norm of a nulled column of rx2 W1, the product receiver 2
+    # forms, over the cross link's norm; and it is within 1e-15 of the
+    # per-vector product with the cross link on the active rows.
+    config, point = AntennaConfig(3, 1, 2, 2), (2, 0)
+    channels = channel.sample_channels(config, range(12))
+    cells = [(config, scenario(0, t2, 0, 0), point, channels[6 * t2:6 * t2 + 6], 10 * t2)
+             for t2 in (0, 1)]
+    trials = zf._schemes(cells)[point]
+    assert [(x.link, x.nulled) for x, _ in trials.plans] == [("h41", 1)] * 6 + [("rx2", 2)] * 6
+    assert not any(plan[1].nulled for plan in trials.plans)
+    for t, ((failed, residual), (plan, ch)) in enumerate(
+            zip(zf._verdicts(trials), zip(trials.plans, trials.channels))):
+        x, w1 = plan[0], trials.w1[t]
+        product = channel._links([ch], "rx2")[0] @ w1
+        norm = _gather(_runs([ch]), ("norm", x.link))[0]
+        assert failed == ()
+        assert residual == max(zf._norm(product[:, j].copy()) for j in range(x.nulled)) / norm
+        h = channel._links([ch], x.link)[0]
+        reference = max(zf._norm(h @ w1[:x.rows, j].copy()) for j in range(x.nulled)) / norm
+        assert abs(residual - reference) <= 1e-15
 
 
 def test_norm_matches_numpy_to_the_bit():
@@ -396,6 +445,30 @@ def test_sweep_counts_follow_the_integer_rule(max_antennas, trials, refused):
 def test_sweep_takes_numpy_integer_counts_as_ints():
     report = achievability_sweep(np.int64(1), np.int64(2), seed=5)
     assert report.to_json_list() == achievability_sweep(1, 2, seed=5).to_json_list()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(2.0)],
+                         ids=["fraction", "float", "bool", "numpy float"])
+def test_sweep_and_scheme_seeds_follow_the_integer_rule(seed):
+    config, refused = AntennaConfig(2, 2, 2, 2), f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError) as error:
+        achievability_sweep(1, 1, seed=seed)
+    assert str(error.value) == refused
+    with pytest.raises(ValueError) as error:
+        build_scheme(config, scenario(0, 0, 0, 0), 1, 1, sample_channel(config, seed=1),
+                     seed=seed)
+    assert str(error.value) == refused
+
+
+def test_a_numpy_integer_seed_gives_the_bytes_of_the_plain_int():
+    assert (json.dumps(achievability_sweep(1, 1, seed=np.int64(5)).to_json_list())
+            == json.dumps(achievability_sweep(1, 1, seed=5).to_json_list()))
+    config, sc = AntennaConfig(2, 3, 2, 2), scenario(0, 1, 0, 0)
+    ch = sample_channel(config, seed=np.int64(4))
+    assert type(ch.seed) is int
+    plain = build_scheme(config, sc, 2, 1, sample_channel(config, seed=4), seed=9)
+    scheme = build_scheme(config, sc, 2, 1, ch, seed=np.uint64(9))
+    assert scheme.w1.tobytes() + scheme.w2.tobytes() == plain.w1.tobytes() + plain.w2.tobytes()
 
 
 def test_sweep_report_json_schema():
@@ -775,7 +848,7 @@ def test_a_shape_batch_of_mixed_configs_and_stacks_matches_its_batches_of_one():
                              for t, ch in enumerate(chs)]
     trials = zf._schemes(cells)[point]
     assert len({id(ch._row[0]) for _, ch in expected}) > 2 and len(expected) == len(trials.w1)
-    assert any(x.nulled for plan, _ in trials.cells for x in plan)
+    assert any(x.nulled for plan in trials.plans for x in plan)
     verdicts, (*batch, _) = zf._verdicts(trials), zf._receivers(trials)
     for i, (scheme, ch) in enumerate(expected):
         assert trials.w1[i].tobytes() == scheme.w1.tobytes()
@@ -967,11 +1040,9 @@ def test_batched_spectral_norms_equal_the_scalar_ones():
 
 
 def test_stacked_ddot_and_gemv_keep_the_per_vector_bits():
-    # zf._norms runs one BLAS ddot per row, as vec.dot(vec) does, and
-    # zf._column_norms one gemv per contiguous column, as h @ v.copy() does;
-    # einsum and (x * x).sum(1) add in another order.  Rows and columns of
-    # lengths 1..8 over wide scales, in batches of 1, 3 and 50; the columns
-    # are strided views, as the active rows of a block are.
+    # zf._norms runs one BLAS ddot per row, as vec.dot(vec) does; einsum and
+    # (x * x).sum(1) add in another order.  Rows of lengths 1..8 over wide
+    # scales, in batches of 1, 3 and 50.
     rng = np.random.default_rng(13)
     for batch in (1, 3, 50):
         for n in range(1, 9):
@@ -980,12 +1051,6 @@ def test_stacked_ddot_and_gemv_keep_the_per_vector_bits():
                 expected = [math.sqrt(float(r.dot(r))) for r in rows]
                 assert zf._norms(rows).tolist() == expected
                 assert expected == [zf._norm(r.copy()) for r in rows]
-                for m in (1, 3, 8):
-                    h = rng.standard_normal((batch, m, n))
-                    block = (scale * rng.standard_normal((batch, n + 2, 5)))[:, 1:n + 1, :3]
-                    expected = [[zf._norm(h[i] @ block[i][:, j].copy()) for j in range(3)]
-                                for i in range(batch)]
-                    assert zf._column_norms(h, block).tolist() == expected
 
 
 def test_the_sweep_computes_no_basis_it_does_not_read(monkeypatch):
@@ -1124,7 +1189,7 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
     assert [len(basis) for basis in bases] == [1, 2, 1]
     assert _nulled(config, sc, 2, 0) == (1, 0)
     trials = zf._schemes([(config, sc, (2, 0), channels, 4)])[2, 0]
-    residuals = zf._null_residuals(trials).tolist()
+    residuals = zf._null_residuals(trials, *zf._receivers(trials)[:2]).tolist()
     for t, ch in enumerate(channels):
         scheme = build_scheme(config, sc, 2, 0, ch, seed=4 + t)
         assert trials.w1[t].tobytes() == scheme.w1.tobytes()
@@ -1135,7 +1200,7 @@ def test_a_rank_deficient_cross_link_nulls_r_columns_and_checks_them():
         assert scheme.w1[:, 1].tobytes() == (vec / np.linalg.norm(vec)).tobytes()
         rx2 = channel._links([ch], "rx2")[0]
         norm = _gather(_runs([ch]), ("norm", "rx2"))[0]
-        expected = zf._norm(rx2 @ scheme.w1[:, 0].copy()) / norm
+        expected = zf._norm((rx2 @ scheme.w1)[:, 0].copy()) / norm  # receiver 2's product
         assert residuals[t] == expected == null_residual(scheme, ch)
         assert zf._norm(rx2 @ scheme.w1[:, 1].copy()) / norm > RANK_RTOL  # not nulled
 
