@@ -31,22 +31,21 @@ from .regions import (
 )
 from .zf import (
     AchievabilityError,
-    SchemeDiagnostics,
     SweepReport,
+    TrialVerdict,
     ZfScheme,
     achievability_sweep,
     build_scheme,
     verify_scheme,
 )
 from .rates import (
-    CooperationBoundProbe,
+    CooperationBoundProbe,  # read by perfbench only; not in __all__
     CooperationGapReport,
     RateSweep,
     UndecodableSchemeError,
-    achievable_rates,
-    cooperation_bound_term,
+    achievable_rates,  # read by perfbench only; not in __all__
+    cooperation_bound_term,  # read by perfbench only; not in __all__
     cooperation_dof_gap_check,
-    estimate_dof_slope,
     simulate_point,
 )
 
@@ -72,19 +71,15 @@ __all__ = [
     "outer_region",
     "scenario_ordering_holds",
     "AchievabilityError",
-    "SchemeDiagnostics",
     "SweepReport",
+    "TrialVerdict",
     "ZfScheme",
     "achievability_sweep",
     "build_scheme",
     "verify_scheme",
-    "CooperationBoundProbe",
     "CooperationGapReport",
     "RateSweep",
     "UndecodableSchemeError",
-    "achievable_rates",
-    "cooperation_bound_term",
     "cooperation_dof_gap_check",
-    "estimate_dof_slope",
     "simulate_point",
 ]

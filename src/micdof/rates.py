@@ -17,17 +17,18 @@ empirical DOF is the fitted slope of the sum rate against log2 of the
 transmit power, which must match the closed-form value.
 
 Rates are defined by the receiver half of the pass rule alone, and refused
-only when it fails.  The transmit rank and the null residual that
-``zf._verdicts`` adds check how the sweep builds a scheme, not whether its
-rates exist: with W2 := W1 and both receivers cognitive, the sweep fails the
-trial on the transmit rank, yet each receiver cancels the other message and
-r1 keeps every bit.
+only when it fails.  The transmit rank and the null residual that the one
+trial verdict adds (``zf._verdicts``, public as ``zf.verify_scheme``) check
+how the sweep builds a scheme, not whether its rates exist: with W2 := W1
+and both receivers cognitive, that verdict fails the trial on the transmit
+rank, yet each receiver cancels the other message and r1 keeps every bit.
 
 Rates are arrays over (trial, rho, stream), evaluated on a (B, G, s)
-broadcast (``_rate_curves``); ``simulate_point`` averages the trial axis,
-and ``estimate_dof_slope`` and ``achievable_rates`` are batches of one.  The
-arrays give the bits of a loop over trials and powers: each element goes
-through the same IEEE operations, and the sums add in order.
+broadcast (``_rate_curves``); ``simulate_point`` averages the trial axis.
+``achievable_rates`` is a batch of one at one power, kept for the
+benchmark's traced replica.  The arrays give the bits of a loop over trials
+and powers: each element goes through the same IEEE operations, and the sums
+add in order.
 
 The cooperation probe evaluates, as one (channel, rho, j) array for all its
 channels, the genie-bound terms
@@ -216,11 +217,6 @@ def _sweep(trials: _Trials, grid: tuple[float, ...]) -> RateSweep:
                      r2_rates=tuple(r2_mean.tolist()), slope=slope, intercept=intercept)
 
 
-def estimate_dof_slope(scheme: ZfScheme, channel: ChannelRealization, rho_grid) -> RateSweep:
-    """Evaluate rates over the grid and fit the empirical DOF slope."""
-    return _sweep(_stacked([scheme], [channel]), _validate_grid(rho_grid))
-
-
 def default_rho_grid(rho_min: float = SLOPE_GRID_MIN, rho_max: float = SLOPE_GRID_MAX,
                      points: int = 7) -> tuple[float, ...]:
     """Logarithmically spaced power grid."""
@@ -283,11 +279,6 @@ def cooperation_bound_term(channel: ChannelRealization, rho: float) -> Cooperati
     j < m1.  Needs the extended link set (for h11) and n2 >= m1."""
     terms = _bound_terms([channel], np.array([rho], dtype=float))
     return CooperationBoundProbe(per_antenna_terms=tuple(terms[0, 0].tolist()), rho=rho)
-
-
-def bound_term_slopes(channel: ChannelRealization, rho_grid=COOP_RHO_GRID) -> list[float]:
-    """Per genie-bound term, its largest finite-difference slope in log2(rho)."""
-    return _term_slopes([channel], rho_grid)[0].tolist()
 
 
 def cooperation_dof_gap_check(config: AntennaConfig, trials: int, seed: int = 0,

@@ -29,8 +29,9 @@ scheme alone are kept: projections run in groups of equal u_i on views
 with one scheme's shapes, and norms as a stacked matmul, one BLAS ddot per
 contiguous row (``_norms``), where ``einsum``, a batched ``np.linalg.norm``
 or a strided column sum would add in another order.  ``ZfScheme`` is the
-public record of one scheme; ``build_scheme`` and the scalar checks are
-batches of one.
+public record of one scheme and ``TrialVerdict`` the one public verdict of a
+trial: ``verify_scheme`` is ``_verdicts`` for one trial, the sweep's own
+verdict, and ``build_scheme`` and the scalar checks are batches of one.
 """
 
 from __future__ import annotations
@@ -104,26 +105,6 @@ def _stacked(schemes: list[ZfScheme], channels: list[ChannelRealization]) -> _Tr
     return _Trials(schemes[0].d1, schemes[0].d2,
                    [_plan(x.config, x.scenario, x.d1, x.d2) for x in schemes], channels,
                    np.array([x.w1 for x in schemes]), np.array([x.w2 for x in schemes]))
-
-
-@dataclass(frozen=True)
-class SchemeDiagnostics:
-    """The ranks of the pass rule at both receivers (``_receivers``):
-    ``signal_dim_rx*`` is the rank of the signal projected off the residual
-    interference (generic value d_i), ``interference_dim_rx*`` that of the
-    residual interference (generic value u_i), and message i is decodable
-    when both ranks reach their generic values."""
-
-    signal_dim_rx1: int
-    interference_dim_rx1: int
-    signal_dim_rx2: int
-    interference_dim_rx2: int
-    decodable_w1: bool
-    decodable_w2: bool
-
-    @property
-    def all_decodable(self) -> bool:
-        return self.decodable_w1 and self.decodable_w2
 
 
 class _Message(NamedTuple):
@@ -329,14 +310,6 @@ def _receivers(trials: _Trials):
     return (*receivers, failed)
 
 
-def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> SchemeDiagnostics:
-    """The pass rule's ranks of a scheme on a concrete channel, at each
-    receiver (``SchemeDiagnostics``)."""
-    rx1, rx2, _ = _receivers(_stacked([scheme], [channel]))
-    return SchemeDiagnostics(rx1.signal[0], rx1.interference[0], rx2.signal[0],
-                             rx2.interference[0], rx1.passes[0], rx2.passes[0])
-
-
 def _null_residuals(trials: _Trials, rx1: _Receiver, rx2: _Receiver) -> np.ndarray:
     """Per trial, the worst relative leakage ||H w|| / ||H|| of its nulled
     streams at the other receiver (0 when none is nulled): the largest norm of
@@ -356,12 +329,6 @@ def _null_residuals(trials: _Trials, rx1: _Receiver, rx2: _Receiver) -> np.ndarr
             scale = [norms[x.link][i] for i, x in enumerate(plans)]
             worst[sel] = np.maximum(worst[sel], leaks.max(axis=1) / scale)
     return worst
-
-
-def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
-    """Worst relative leakage ||H w|| / ||H|| of the nulled streams at the opposite receiver."""
-    trials = _stacked([scheme], [channel])
-    return float(_null_residuals(trials, *_receivers(trials)[:2])[0])
 
 
 def _transmit_ranks(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -386,6 +353,31 @@ def _verdicts(trials: _Trials) -> list[tuple[tuple[str, ...], float]]:
         verdicts.append((failed.get(t, ()) + ("null residual",) * (not residual <= RANK_RTOL)
                          + ("transmit rank",) * (rank != streams), residual))
     return verdicts
+
+
+class TrialVerdict(NamedTuple):
+    """One trial's verdict under the pass rule (``_verdicts``): the criteria
+    it fails, in ``_verdicts``' order (empty when it passes), and its null
+    residual."""
+
+    failed: tuple[str, ...]
+    null_residual: float
+
+    @property
+    def all_decodable(self) -> bool:
+        """Whether the trial passes.  The benchmark's traced replica reads
+        this name; it may be renamed once that replica is gone."""
+        return not self.failed
+
+
+def verify_scheme(scheme: ZfScheme, channel: ChannelRealization) -> TrialVerdict:
+    """The pass rule on a scheme and its channel: ``_verdicts`` for one trial."""
+    return TrialVerdict(*_verdicts(_stacked([scheme], [channel]))[0])
+
+
+def null_residual(scheme: ZfScheme, channel: ChannelRealization) -> float:
+    """Worst relative leakage ||H w|| / ||H|| of the nulled streams at the opposite receiver."""
+    return verify_scheme(scheme, channel).null_residual
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,33 @@ from micdof.rates import (
     UndecodableSchemeError,
     _rate_models,
     _sweep,
+    _term_slopes,
+    _validate_grid,
     achievable_rates,
-    bound_term_slopes,
     cooperation_bound_term,
     cooperation_dof_gap_check,
     default_rho_grid,
-    estimate_dof_slope,
     fit_loglinear_slope,
     simulate_point,
 )
 from micdof.regions import dof_formula, inner_points
-from micdof.zf import ZfScheme, _stacked, _verdicts, build_scheme, verify_scheme
+from micdof.zf import ZfScheme, _receivers, _stacked, _verdicts, build_scheme, verify_scheme
 
 
 def scenario(*bits):
     return CognitionScenario.from_bits(bits)
+
+
+def _one_sweep(scheme, ch, rho_grid):
+    # The rate sweep of one scheme on its channel: rates._sweep over a batch
+    # of one, on a grid checked as simulate_point checks it.
+    return _sweep(_stacked([scheme], [ch]), _validate_grid(rho_grid))
+
+
+def _bound_term_slopes(ch, rho_grid=COOP_RHO_GRID):
+    # Per genie-bound term of one channel, its largest finite-difference
+    # slope in log2(rho) (rates._term_slopes over a batch of one).
+    return _term_slopes([ch], rho_grid)[0].tolist()
 
 
 # -------------------------------------------------------------------- rates
@@ -104,9 +116,10 @@ def test_undecodable_trial_is_named_for_replay():
         "(interference rank 1 of 1, signal rank 0 of 1); rates are undefined"
     )
     ch = sample_channel(config, seed=seed)
-    diag = verify_scheme(build_scheme(config, CognitionScenario(), 1, 1, ch, seed=seed), ch)
-    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (0, 1)
-    assert not diag.decodable_w1
+    rx1, _, _ = _receivers(_stacked([build_scheme(config, CognitionScenario(), 1, 1, ch,
+                                                  seed=seed)], [ch]))
+    assert (rx1.signal[0], rx1.interference[0]) == (0, 1)
+    assert not rx1.passes[0]
 
 
 def _high_snr_gap_holds(totals, models, rho, streams, k_shift=0):
@@ -149,7 +162,7 @@ def test_rates_monotone_in_power():
     config = AntennaConfig(2, 3, 3, 2)
     ch = sample_channel(config, seed=8)
     scheme = build_scheme(config, scenario(0, 1, 0, 0), 2, 1, ch, seed=0)
-    sweep = estimate_dof_slope(scheme, ch, default_rho_grid(1e4, 1e10, 7))
+    sweep = _one_sweep(scheme, ch, default_rho_grid(1e4, 1e10, 7))
     sums = sweep.sum_rates
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
@@ -191,7 +204,7 @@ def test_rates_match_slogdet_reference(counts):
         for seed in (0, 1, 2):
             ch = sample_channel(config, seed=seed)
             scheme = build_scheme(config, sc, *point, ch, seed=seed)
-            sweep = estimate_dof_slope(scheme, ch, grid)
+            sweep = _one_sweep(scheme, ch, grid)
             for k, rho in enumerate(grid):
                 got = achievable_rates(scheme, ch, rho)
                 assert got == (sweep.r1_rates[k], sweep.r2_rates[k])
@@ -222,7 +235,7 @@ def test_slope_reads_one_receiver_model(monkeypatch):
     achievable_rates(scheme, ch, 1e4)
     one_point = dict(counts)
     counts.update(svd=0, slogdet=0)
-    estimate_dof_slope(scheme, ch, default_rho_grid(points=7))
+    _one_sweep(scheme, ch, default_rho_grid(points=7))
     assert one_point["svd"] > 0
     assert counts == {"svd": one_point["svd"], "slogdet": 0}
 
@@ -269,7 +282,7 @@ def test_rate_arrays_match_the_per_rho_loop():
         assert np.array(sweep.r2_rates).tobytes() == r2.tobytes()
         assert (sweep.slope, sweep.intercept) == fit_loglinear_slope(np.array(grid), r1 + r2)
         for scheme, ch in zip(schemes[:3], channels):
-            alone = estimate_dof_slope(scheme, ch, grid)
+            alone = _one_sweep(scheme, ch, grid)
             one_r1, one_r2 = _loop_mean_rates(_rate_models(_stacked([scheme], [ch])), grid, 1)
             assert np.array(alone.r1_rates).tobytes() == one_r1.tobytes()
             assert np.array(alone.r2_rates).tobytes() == one_r2.tobytes()
@@ -354,7 +367,7 @@ def test_invalid_powers_are_rejected():
     with pytest.raises(ValueError, match="rho"):
         cooperation_bound_term(ch, float("nan"))
     with pytest.raises(ValueError, match="increasing"):
-        bound_term_slopes(ch, (1e6, 1e6, 1e8))
+        _bound_term_slopes(ch, (1e6, 1e6, 1e8))
     with pytest.raises(ValueError, match="rho"):
         simulate_point(config, sc, 1, 1, trials=1, rho_grid=(1e5, float("nan"), 1e9))
     with pytest.raises(ValueError, match="rho"):
@@ -370,7 +383,7 @@ def test_estimate_grid_bounds():
     ch = sample_channel(config, seed=4)
     scheme = build_scheme(config, scenario(0, 0, 0, 0), 1, 0, ch, seed=0)
     with pytest.raises(ValueError, match="within"):
-        estimate_dof_slope(scheme, ch, [1.0, 10.0, 100.0])
+        _one_sweep(scheme, ch, [1.0, 10.0, 100.0])
 
 
 @pytest.mark.parametrize("counts,bits,point,target", [
@@ -468,7 +481,7 @@ def test_bound_term_equal_rows_saturate_at_one_bit():
 
 def test_bound_term_slopes_vanish():
     ch = sample_channel(AntennaConfig(2, 2, 2, 2), seed=0, extended=True)
-    assert max(bound_term_slopes(ch, (1e6, 1e8, 1e10))) < 0.01
+    assert max(_bound_term_slopes(ch, (1e6, 1e8, 1e10))) < 0.01
 
 
 def _loop_bound_terms(ch, rho):
@@ -507,7 +520,7 @@ def test_bound_term_arrays_match_the_per_row_loop():
             got = cooperation_bound_term(ch, rho).per_antenna_terms
             assert np.array(got).tobytes() == np.array(_loop_bound_terms(ch, rho)).tobytes()
         for grid in grids:
-            got = bound_term_slopes(ch, grid)
+            got = _bound_term_slopes(ch, grid)
             assert np.array(got).tobytes() == np.array(_loop_slopes(ch, grid)).tobytes()
 
 
@@ -529,7 +542,7 @@ def test_bound_term_slope_log2_calls_do_not_grow_with_grid(monkeypatch):
     per_grid = []
     for grid in ((1e6, 1e8, 1e10), (1e2, 1e4, 1e6, 1e8, 1e10)):
         counts[0] = 0
-        bound_term_slopes(ch, grid)
+        _bound_term_slopes(ch, grid)
         per_grid.append(counts[0])
     assert per_grid[0] > 0
     assert per_grid[0] == per_grid[1]
@@ -543,7 +556,7 @@ def test_bound_term_without_quieting_grows_one_bit_per_doubling():
     links[(4, 1)] = np.zeros_like(sampled.h41)
     ch = ChannelRealization(h31=sampled.h31, h32=sampled.h32, h41=links[(4, 1)],
                             h42=sampled.h42, seed=0, extended_links=links)
-    slopes = bound_term_slopes(ch)
+    slopes = _bound_term_slopes(ch)
     assert slopes == pytest.approx([1.0, 1.0], abs=1e-3)
     assert max(slopes) >= 0.01  # the check's threshold: it would fail here
 

@@ -38,7 +38,7 @@ def test_readme_library_example_gives_its_stated_values():
             continue
         assert eval(expression, namespace) == value, line
         stated.append(value)
-    assert stated == [3, 3, True]
+    assert stated == [3, 3, True, (), True]
     channel, batch = namespace["channel"], namespace["channels"][7]
     for link in ("h31", "h32", "h41", "h42"):
         assert getattr(batch, link).tobytes() == getattr(channel, link).tobytes()

@@ -49,6 +49,15 @@ def _nulled(config, sc, d1, d2):
     return tuple(x.nulled for x in zf._plan(config, sc, d1, d2))
 
 
+def _receiver_ranks(scheme, ch):
+    # The receiver half of the pass rule for one scheme (zf._receivers): the
+    # projected signal and residual interference ranks at receiver 1, then at
+    # receiver 2, then whether each receiver decodes its message.
+    rx1, rx2, _ = zf._receivers(zf._stacked([scheme], [ch]))
+    return (rx1.signal[0], rx1.interference[0], rx2.signal[0], rx2.interference[0],
+            rx1.passes[0], rx2.passes[0])
+
+
 # ----------------------------------------------------------------- kernels
 
 
@@ -85,10 +94,10 @@ def test_build_scheme_cognitive_rx2_example():
     # W1 is stacked over both transmitters; W2 uses transmitter 2's rows only.
     assert scheme.w1.shape == scheme.w2.shape == (4, 1)
     assert scheme.w1.all() and not scheme.w2[:2].any() and scheme.w2[2:].all()
-    diag = verify_scheme(scheme, ch)
-    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (1, 1)
-    assert (diag.signal_dim_rx2, diag.interference_dim_rx2) == (1, 0)
-    assert diag.all_decodable
+    s1, i1, s2, i2, dec1, dec2 = _receiver_ranks(scheme, ch)
+    assert (s1, i1) == (1, 1)
+    assert (s2, i2) == (1, 0)
+    assert dec1 and dec2
 
 
 def test_build_scheme_single_antenna_single_stream():
@@ -99,10 +108,10 @@ def test_build_scheme_single_antenna_single_stream():
     assert _nulled(config, scheme.scenario, 1, 0)[0] == 0
     assert scheme.w1.shape == (2, 1) and scheme.w1[0, 0] != 0.0 and scheme.w1[1, 0] == 0.0
     assert scheme.w2.shape == (2, 0)
-    diag = verify_scheme(scheme, ch)
-    assert diag.decodable_w1
-    assert diag.decodable_w2  # vacuous: no W2 streams
-    assert diag.signal_dim_rx2 == 0
+    s1, i1, s2, i2, dec1, dec2 = _receiver_ranks(scheme, ch)
+    assert dec1
+    assert dec2  # vacuous: no W2 streams
+    assert s2 == 0
 
 
 def test_build_scheme_rejects_unachievable_point():
@@ -187,10 +196,10 @@ def test_corrupted_null_vector_leaks_interference():
         d1=good.d1, d2=good.d2, w1=dirty, w2=good.w2,
     )
     assert null_residual(corrupted, ch) > 1e-9
-    diag = verify_scheme(corrupted, ch)
+    s1, i1, s2, i2, dec1, dec2 = _receiver_ranks(corrupted, ch)
     # the leak lands at receiver 2, which has no room for it
-    assert diag.interference_dim_rx2 > 0
-    assert not diag.decodable_w2
+    assert i2 > 0
+    assert not dec2
 
 
 def test_cognitive_receiver_skips_nulling():
@@ -356,6 +365,41 @@ def test_trial_verdict_fails_a_duplicated_vector():
     assert residual <= RANK_RTOL
 
 
+def test_verify_scheme_fails_a_repeated_message_on_the_transmit_rank():
+    # W2 := W1 with every node cognitive: each receiver cancels the message
+    # it knows, so both receivers decode, yet the two transmit vectors span
+    # one dimension.  verify_scheme is the sweep's verdict, so it fails.
+    config = AntennaConfig(2, 2, 2, 2)
+    ch = sample_channel(config, seed=40)
+    scheme = build_scheme(config, scenario(1, 1, 1, 1), 1, 1, ch, seed=0)
+    repeated = dataclasses.replace(scheme, w2=scheme.w1)
+    assert _receiver_ranks(repeated, ch)[4:] == (True, True)
+    verdict = verify_scheme(repeated, ch)
+    assert isinstance(verdict, zf.TrialVerdict)
+    assert verdict.failed == ("transmit rank",) and not verdict.all_decodable
+    assert verdict == zf._verdicts(zf._stacked([repeated], [ch]))[0]
+
+
+def test_verify_scheme_fails_a_corrupted_kernel_vector_on_the_null_residual():
+    # At (2,1,2,1) [0,0,0,0], point (2, 0), W1's first stream is nulled
+    # against h41 and its second leaves u_2 = 1 = n2 at receiver 2, which
+    # decodes no stream: a leak from the first stream cannot raise a rank
+    # there, so the receiver ranks pass and only the null residual fails.
+    config, sc = AntennaConfig(2, 1, 2, 1), scenario(0, 0, 0, 0)
+    assert _nulled(config, sc, 2, 0) == (1, 0)
+    ch = sample_channel(config, seed=0)
+    scheme = build_scheme(config, sc, 2, 0, ch, seed=0)
+    assert verify_scheme(scheme, ch).failed == ()
+    w1 = scheme.w1.copy()
+    w1[:2, 0] += 1e-2 * np.random.default_rng(1).standard_normal(2)  # transmitter 1's rows
+    w1[:, 0] /= np.linalg.norm(w1[:, 0])
+    corrupted = dataclasses.replace(scheme, w1=w1)
+    assert _receiver_ranks(corrupted, ch)[4:] == (True, True)
+    verdict = verify_scheme(corrupted, ch)
+    assert verdict.failed == ("null residual",) and not verdict.all_decodable
+    assert verdict.null_residual > RANK_RTOL
+
+
 def test_trial_verdict_fails_an_interference_rank_short_of_u():
     # No stream can be nulled at (2,2,4,4) [0,0,0,0], so u_1 = d2 = 2.  W2's
     # first column twice gives receiver 1 interference of rank 1: its signal
@@ -368,11 +412,12 @@ def test_trial_verdict_fails_an_interference_rank_short_of_u():
     failed, residual = zf._verdicts(zf._stacked([doubled], [ch]))[0]
     assert failed == ("rx1 interference rank", "rx2 signal rank", "transmit rank")
     assert residual == 0.0
-    diag = verify_scheme(doubled, ch)
-    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (1, 1)
-    assert (diag.signal_dim_rx2, diag.interference_dim_rx2) == (1, 1)
-    assert not diag.decodable_w1 and not diag.decodable_w2
-    assert diag == _union_rank_diagnostics(doubled, ch)
+    ranks = _receiver_ranks(doubled, ch)
+    s1, i1, s2, i2, dec1, dec2 = ranks
+    assert (s1, i1) == (1, 1)
+    assert (s2, i2) == (1, 1)
+    assert not dec1 and not dec2
+    assert ranks == _union_rank_diagnostics(doubled, ch)
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,7 +585,7 @@ def test_sweep_matches_a_loop_without_shared_geometry():
                     residual = null_residual(scheme, ch)
                     worst = max(worst, residual)
                     passes += int(
-                        verify_scheme(scheme, ch).all_decodable
+                        all(_receiver_ranks(scheme, ch)[4:])
                         and residual <= RANK_RTOL
                         and transmit_rank(scheme) == d1 + d2
                     )
@@ -681,7 +726,7 @@ def _scalar_rank(matrix, scale):
 def _union_rank_diagnostics(scheme, ch):
     # Reference: the projected signal rank as rank([S I]) - rank(I), and u_i
     # in closed form from the nullable counts: the un-nulled streams of the
-    # other message, 0 at a cognitive receiver.
+    # other message, 0 at a cognitive receiver.  In _receiver_ranks' order.
     def receiver(full, scale, signal_cols, interference_cols, streams, unnulled):
         signal = full @ signal_cols
         if interference_cols is None:
@@ -699,7 +744,7 @@ def _union_rank_diagnostics(scheme, ch):
     norm1, norm2 = (_gather(_runs([ch]), ("norm", link))[0] for link in ("rx1", "rx2"))
     s1, i1, dec1 = receiver(rx1, norm1, w1, None if sc.r1 else w2, scheme.d1, u1)
     s2, i2, dec2 = receiver(rx2, norm2, w2, None if sc.r2 else w1, scheme.d2, u2)
-    return zf.SchemeDiagnostics(s1, i1, s2, i2, dec1, dec2)
+    return s1, i1, s2, i2, dec1, dec2
 
 
 def test_diagnostics_match_union_rank_reference():
@@ -714,7 +759,7 @@ def test_diagnostics_match_union_rank_reference():
             for d1, d2 in sorted(inner_points(config, sc).points):
                 for trial, ch in enumerate(channels):
                     scheme = build_scheme(config, sc, d1, d2, ch, seed=cell_seed + trial)
-                    assert verify_scheme(scheme, ch) == _union_rank_diagnostics(scheme, ch)
+                    assert _receiver_ranks(scheme, ch) == _union_rank_diagnostics(scheme, ch)
                     checked += 1
     assert checked == achievability_sweep(max_antennas=2, trials=trials, seed=seed).total_trials
 
@@ -734,10 +779,11 @@ def test_diagnostics_see_an_intersecting_interference():
     config = AntennaConfig(2, 2, 2, 2)
     ch = sample_channel(config, seed=6)
     aligned = _aligned(ch, build_scheme(config, scenario(0, 0, 0, 0), 1, 1, ch, seed=0))
-    diag = verify_scheme(aligned, ch)
-    assert (diag.signal_dim_rx1, diag.interference_dim_rx1) == (0, 1)
-    assert not diag.decodable_w1 and diag.decodable_w2
-    assert diag == _union_rank_diagnostics(aligned, ch)
+    ranks = _receiver_ranks(aligned, ch)
+    s1, i1, s2, i2, dec1, dec2 = ranks
+    assert (s1, i1) == (0, 1)
+    assert not dec1 and dec2
+    assert ranks == _union_rank_diagnostics(aligned, ch)
 
 
 # ------------------------------------------------------------ stacked path
@@ -1039,7 +1085,7 @@ def test_batched_spectral_norms_equal_the_scalar_ones():
 # ---------------------------------------------------- stacked trial kernels
 
 
-def test_stacked_ddot_and_gemv_keep_the_per_vector_bits():
+def test_stacked_ddot_keeps_the_per_vector_bits():
     # zf._norms runs one BLAS ddot per row, as vec.dot(vec) does; einsum and
     # (x * x).sum(1) add in another order.  Rows of lengths 1..8 over wide
     # scales, in batches of 1, 3 and 50.
